@@ -15,6 +15,7 @@ from .channels import (
 from .entropics import (
     CQEJointState,
     CQEnsemble,
+    EntropyProfile,
     channel_output_ensemble,
     make_ensemble,
     mu_ensemble,
@@ -24,10 +25,7 @@ from .qlinalg import (
     DensityOperator,
     PureStateVector,
     binary_entropy,
-    partial_trace,
-    tensor,
     trace_norm,
-    von_neumann_entropy,
 )
 from .regions import (
     OneShotRegion,

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropics import CQEJointState, coherent_A_given_BX, holevo_X_B, mutual_AX_B
+from .entropics import CQEJointState, CQEnsemble, make_ensemble
 from .errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
 from .qlinalg import (
     PureStateVector,
@@ -153,11 +153,11 @@ def dpi_check(
         split = (1, sigma.dim_E)
     if split[0] * split[1] != sigma.dim_E:
         raise DimMismatch(f"split {split} does not factor dim_E = {sigma.dim_E}")
-    refined = _dephase_env(sigma, split)
+    before, after = sigma.profile, _dephase_env(sigma, split).profile
     return {
-        "holevo": _report(holevo_X_B(sigma), holevo_X_B(refined)),
-        "mutual": _report(mutual_AX_B(sigma), mutual_AX_B(refined)),
-        "coherent": _report(coherent_A_given_BX(sigma), coherent_A_given_BX(refined)),
+        "holevo": _report(before.i_xb, after.i_xb),
+        "mutual": _report(before.i_axb, after.i_axb),
+        "coherent": _report(before.i_coh, after.i_coh),
     }
 
 
@@ -165,6 +165,16 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     """Normalized standard-complex-Gaussian amplitude vector."""
     v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
     return v / np.linalg.norm(v)
+
+
+def random_ensemble(rng: np.random.Generator, n_max: int = 3,
+                    dim_a: int = 2, dim_ap: int = 2) -> CQEnsemble:
+    """Random classical-quantum input ensemble with 1 to n_max letters."""
+    n = int(rng.integers(1, n_max + 1))
+    probs = rng.random(n)
+    probs /= probs.sum()
+    entries = [(float(p), random_pure(dim_a * dim_ap, rng)) for p in probs]
+    return make_ensemble(entries, dim_a, dim_ap)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

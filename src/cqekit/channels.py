@@ -13,7 +13,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
+from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError, check_range
 from .qlinalg import DensityOperator, PureStateVector, partial_trace_mat
 
 TP_TOL = 1e-9
@@ -24,25 +24,11 @@ PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class TPReport:
-    """Result of checking a Kraus set for trace preservation."""
-
-    deviation: float
-    passed: bool
-
-
 def tp_deviation(kraus: Sequence[np.ndarray]) -> float:
     """Max entrywise deviation of sum K^dag K from the identity."""
     in_dim = kraus[0].shape[1]
     acc = sum(k.conj().T @ k for k in kraus)
     return float(np.max(np.abs(acc - np.eye(in_dim))))
-
-
-def validate_tp(kraus_or_channel) -> TPReport:
-    kraus = kraus_or_channel.kraus if isinstance(kraus_or_channel, KrausChannel) else kraus_or_channel
-    dev = tp_deviation(kraus)
-    return TPReport(deviation=dev, passed=dev <= TP_TOL)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,8 +127,7 @@ def dephasing(p: float) -> KrausChannel:
     environment entropy of the standard two-letter input family equals
     H2(g(p, mu)), matching the closed-form trade-off curves.
     """
-    if p < 0.0 or p > 1.0:
-        raise OutOfRange(f"dephasing parameter {p} outside [0, 1]")
+    check_range("dephasing parameter", p, 0.0, 1.0)
     q = p / 2.0
     return KrausChannel((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z), 2, 2)
 
@@ -164,8 +149,7 @@ def depolarizing_complete(d: int = 2) -> KrausChannel:
 
 def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
     """Kraus form of the erasure channel; B has dimension d+1 (flag |e> = index d)."""
-    if epsilon < 0.0 or epsilon > 1.0:
-        raise OutOfRange(f"erasure probability {epsilon} outside [0, 1]")
+    check_range("erasure probability", epsilon, 0.0, 1.0)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     kraus = [np.sqrt(1.0 - epsilon) * embed]
@@ -178,8 +162,7 @@ def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
 
 def erasure_isometry(epsilon: float, d: int = 2) -> IsometricExtension:
     """Direct construction V|psi> = sqrt(1-eps)|psi>_B|e>_E + sqrt(eps)|e>_B|psi>_E."""
-    if epsilon < 0.0 or epsilon > 1.0:
-        raise OutOfRange(f"erasure probability {epsilon} outside [0, 1]")
+    check_range("erasure probability", epsilon, 0.0, 1.0)
     de = d + 1
     v = np.zeros((de * de, d), dtype=complex)
     for j in range(d):

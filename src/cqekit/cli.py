@@ -21,19 +21,19 @@ import numpy as np
 from . import bounds, closedform
 from .channels import builtin_isometry, isometric_extension, load_channel
 from .entropics import (
+    IDENTITY_TOL,
     CQEnsemble,
     channel_output_ensemble,
     load_ensemble,
-    make_ensemble,
     mu_ensemble,
     verify_identities,
 )
-from .errors import CQEKitError, DimMismatch, OutOfRange, SpecFormatError
+from .errors import FLOAT_MAX, CQEKitError, DimMismatch, OutOfRange, SpecFormatError, check_range
 from .qlinalg import binary_entropy
 from .regions import corner_points, derive_children, region_from_state
 
 SCHEMA_VERSION = 1
-DEFAULT_PRECISION = int(os.environ.get("CQEKIT_PRECISION", "12"))
+DEFAULT_PRECISION = 12
 
 
 def fmt(x: float, precision: int = DEFAULT_PRECISION) -> str:
@@ -43,24 +43,36 @@ def fmt(x: float, precision: int = DEFAULT_PRECISION) -> str:
     return f"{x:.{precision}g}"
 
 
-def _parse_channel(spec: str):
-    """Channel argument: 'dephasing:P', 'erasure:EPS[:D]', 'depolarizing[:D]',
-    'identity[:D]', or a path to a JSON channel spec."""
-    if os.path.exists(spec):
-        ch = load_channel(spec)
-        return isometric_extension(ch), spec
+def _env_precision() -> int:
+    """Significant digits of printed numbers, from CQEKIT_PRECISION."""
+    raw = os.environ.get("CQEKIT_PRECISION", str(DEFAULT_PRECISION))
+    try:
+        digits = int(raw)
+    except ValueError:
+        raise SpecFormatError(f"CQEKIT_PRECISION must be an integer, got {raw!r}") from None
+    return check_range("CQEKIT_PRECISION", digits, 0, FLOAT_MAX)
+
+
+def _channel_spec(spec: str) -> tuple[str, float | None, int]:
+    """(kind, parameter, dimension) of 'dephasing:P', 'erasure:EPS[:D]',
+    'depolarizing[:D]' or 'identity[:D]'."""
     parts = spec.split(":")
     kind = parts[0]
     if kind in ("dephasing", "erasure"):
         if len(parts) < 2:
             raise SpecFormatError(f"{kind} requires a parameter, e.g. {kind}:0.2")
-        param = float(parts[1])
-        d = int(parts[2]) if len(parts) > 2 else 2
-        return builtin_isometry(kind, param, d), spec
+        return kind, float(parts[1]), int(parts[2]) if len(parts) > 2 else 2
     if kind in ("depolarizing", "identity"):
-        d = int(parts[1]) if len(parts) > 1 else 2
-        return builtin_isometry(kind, None, d), spec
+        return kind, None, int(parts[1]) if len(parts) > 1 else 2
     raise SpecFormatError(f"unknown channel spec {spec!r}")
+
+
+def _parse_channel(spec: str):
+    """Channel argument: a built-in spec (see `_channel_spec`) or a path to a
+    JSON channel spec."""
+    if os.path.exists(spec):
+        return isometric_extension(load_channel(spec)), spec
+    return builtin_isometry(*_channel_spec(spec)), spec
 
 
 def _parse_ensemble(spec: str) -> tuple[CQEnsemble, str]:
@@ -78,6 +90,8 @@ def _parse_grid(spec: str) -> np.ndarray:
         start, stop, count = float(start), float(stop), int(count)
     except ValueError as exc:
         raise SpecFormatError(f"grid must be start:stop:count, got {spec!r}") from exc
+    check_range("grid start", start, -FLOAT_MAX, FLOAT_MAX)
+    check_range("grid stop", stop, -FLOAT_MAX, FLOAT_MAX)
     if count < 2:
         raise SpecFormatError(f"grid count {count} must be at least 2")
     return np.linspace(start, stop, count)
@@ -102,6 +116,7 @@ def _csv_text(header, rows, comments=()) -> str:
 
 
 def cmd_region(args) -> int:
+    digits = args.precision
     iso, channel_name = _parse_channel(args.channel)
     ens, ensemble_name = _parse_ensemble(args.ensemble)
     sigma = channel_output_ensemble(ens, iso)
@@ -116,25 +131,31 @@ def cmd_region(args) -> int:
             "ensemble": ensemble_name,
             "e_max": float(args.e_max),
             "region": {
-                "i_axb": fmt(region.i_axb),
-                "i_xb": fmt(region.i_xb),
-                "i_coh": fmt(region.i_coh),
+                "i_axb": fmt(region.i_axb, digits),
+                "i_xb": fmt(region.i_xb, digits),
+                "i_coh": fmt(region.i_coh, digits),
             },
-            "vertices": [[fmt(v.c), fmt(v.q), fmt(v.e)] for v in vertices],
+            "vertices": [[fmt(v.c, digits), fmt(v.q, digits), fmt(v.e, digits)]
+                         for v in vertices],
             "children": {
-                name: [fmt(t.c), fmt(t.q), fmt(t.e)] for name, t in sorted(children.items())
+                name: [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
+                for name, t in sorted(children.items())
             },
         }
         _write(json.dumps(doc, indent=2) + "\n", args.output)
     else:
         rows = [
-            ("constant", "i_axb", fmt(region.i_axb), "", ""),
-            ("constant", "i_xb", fmt(region.i_xb), "", ""),
-            ("constant", "i_coh", fmt(region.i_coh), "", ""),
+            ("constant", "i_axb", fmt(region.i_axb, digits), "", ""),
+            ("constant", "i_xb", fmt(region.i_xb, digits), "", ""),
+            ("constant", "i_coh", fmt(region.i_coh, digits), "", ""),
         ]
-        rows += [("vertex", str(i), fmt(v.c), fmt(v.q), fmt(v.e)) for i, v in enumerate(vertices)]
         rows += [
-            ("child", name, fmt(t.c), fmt(t.q), fmt(t.e)) for name, t in sorted(children.items())
+            ("vertex", str(i), fmt(v.c, digits), fmt(v.q, digits), fmt(v.e, digits))
+            for i, v in enumerate(vertices)
+        ]
+        rows += [
+            ("child", name, fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits))
+            for name, t in sorted(children.items())
         ]
         _write(_csv_text(("record", "name", "c", "q", "e"), rows), args.output)
     return 0
@@ -148,6 +169,7 @@ CURVES = {
 
 
 def cmd_curve(args) -> int:
+    digits = args.precision
     if args.curve not in CURVES:
         raise SpecFormatError(f"unknown curve {args.curve!r}")
     name, func = CURVES[args.curve]
@@ -156,14 +178,16 @@ def cmd_curve(args) -> int:
     rows = []
     for mu in grid:
         t = func(args.p, float(mu))
-        rows.append((fmt(float(mu)), fmt(t.c), fmt(t.q), fmt(t.e), name))
+        rows.append(
+            (fmt(float(mu), digits), fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits), name)
+        )
     if args.format == "json":
         doc = {
             "schema_version": SCHEMA_VERSION,
             "command": "curve",
             "curve": name,
             "p": float(args.p),
-            "solid_plane_bound": fmt(bound),
+            "solid_plane_bound": fmt(bound, digits),
             "rows": [list(r) for r in rows],
         }
         _write(json.dumps(doc, indent=2) + "\n", args.output)
@@ -172,7 +196,7 @@ def cmd_curve(args) -> int:
             _csv_text(
                 ("mu", "C", "Q", "E", "curve_name"),
                 rows,
-                comments=(f"solid_plane_bound={fmt(bound)}",),
+                comments=(f"solid_plane_bound={fmt(bound, digits)}",),
             ),
             args.output,
         )
@@ -180,26 +204,22 @@ def cmd_curve(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    digits = args.precision
     grid = _parse_grid(args.grid)
-    if args.channel is not None:
-        parts = args.channel.split(":")
-        if parts[0] == "erasure":
-            eps = float(parts[1])
-            cef = lambda mu: closedform.erasure_cef_curve(eps, mu)
-            delta = lambda mu: closedform.erasure_cef_vs_timeshare(eps, mu)
-            eaq = closedform.erasure_table(eps)["EAQ"]
-        elif parts[0] == "dephasing":
-            p = float(parts[1])
-            cef = lambda mu: closedform.cef_curve(p, mu)
-            delta = lambda mu: closedform.cef_vs_timeshare(p, mu)
-            eaq = closedform.cef_curve(p, 0.5)
-        else:
-            raise SpecFormatError(f"compare supports dephasing/erasure, got {args.channel!r}")
+    if args.channel is None:
+        kind, param, d = "dephasing", args.p, 2
     else:
-        p = args.p
-        cef = lambda mu: closedform.cef_curve(p, mu)
-        delta = lambda mu: closedform.cef_vs_timeshare(p, mu)
-        eaq = closedform.cef_curve(p, 0.5)
+        kind, param, d = _channel_spec(args.channel)
+    if kind == "erasure" and d == 2:
+        cef = lambda mu: closedform.erasure_cef_curve(param, mu)
+        delta = lambda mu: closedform.erasure_cef_vs_timeshare(param, mu)
+        eaq = closedform.erasure_table(param)["EAQ"]
+    elif kind == "dephasing" and d == 2:
+        cef = lambda mu: closedform.cef_curve(param, mu)
+        delta = lambda mu: closedform.cef_vs_timeshare(param, mu)
+        eaq = closedform.cef_curve(param, 0.5)
+    else:
+        raise SpecFormatError(f"compare supports qubit dephasing/erasure, got {args.channel!r}")
     rows = []
     for mu in grid:
         mu = float(mu)
@@ -208,14 +228,14 @@ def cmd_compare(args) -> int:
         lam = binary_entropy(mu)
         rows.append(
             (
-                fmt(mu),
-                fmt(t.c),
-                fmt(t.q),
-                fmt(t.e),
-                fmt(lam * eaq.q),
-                fmt(lam * eaq.e),
-                fmt(dq),
-                fmt(de),
+                fmt(mu, digits),
+                fmt(t.c, digits),
+                fmt(t.q, digits),
+                fmt(t.e, digits),
+                fmt(lam * eaq.q, digits),
+                fmt(lam * eaq.e, digits),
+                fmt(dq, digits),
+                fmt(de, digits),
             )
         )
     header = ("mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE")
@@ -231,59 +251,38 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def _suite_identities(trials: int, rng: np.random.Generator) -> tuple[bool, float]:
+def _sweep(outcomes) -> tuple[bool, float]:
+    """(all satisfied, worst slack) over a suite's (satisfied, slack) pairs."""
+    ok, worst = True, math.inf
+    for satisfied, slack in outcomes:
+        ok = ok and satisfied
+        worst = min(worst, slack)
+    return ok, worst
+
+
+def _suite_identities(trials: int, rng: np.random.Generator):
     isometries = [
         builtin_isometry("dephasing", 0.2),
         builtin_isometry("erasure", 0.25),
         builtin_isometry("depolarizing"),
     ]
-    worst = math.inf
-    ok = True
     for _ in range(trials):
-        ens = _random_ensemble(rng)
+        ens = bounds.random_ensemble(rng)
         for iso in isometries:
-            report = verify_identities(channel_output_ensemble(ens, iso))
-            worst = min(worst, 1e-9 - report.max_residual)
-            ok = ok and report.max_residual <= 1e-9
-    return ok, worst
+            residual = verify_identities(channel_output_ensemble(ens, iso)).max_residual
+            yield residual <= IDENTITY_TOL, IDENTITY_TOL - residual
 
 
-def _random_ensemble(rng: np.random.Generator, n_max: int = 3) -> CQEnsemble:
-    n = int(rng.integers(1, n_max + 1))
-    probs = rng.random(n)
-    probs /= probs.sum()
-    entries = [(float(p), bounds.random_pure(4, rng)) for p in probs]
-    return make_ensemble(entries, 2, 2)
-
-
-def _suite_pairwise(trials, rng, checker, dim_pair) -> tuple[bool, float]:
-    worst = math.inf
-    ok = True
-    d = dim_pair[0] * dim_pair[1]
+def _suite_pairwise(trials, rng, checker, dim, *extra):
+    """checker(rho, sigma, *extra) on pairs of random density matrices of size dim."""
     for _ in range(trials):
-        rho = bounds.random_density(d, rng)
-        sigma = bounds.random_density(d, rng)
-        report = checker(rho, sigma, dim_pair)
-        worst = min(worst, report.slack)
-        ok = ok and report.satisfied
-    return ok, worst
-
-
-def _suite_fannes(trials, rng):
-    worst = math.inf
-    ok = True
-    for _ in range(trials):
-        rho = bounds.random_density(2, rng)
-        sigma = bounds.random_density(2, rng)
-        report = bounds.check_fannes(rho, sigma)
-        worst = min(worst, report.slack)
-        ok = ok and report.satisfied
-    return ok, worst
+        rho = bounds.random_density(dim, rng)
+        sigma = bounds.random_density(dim, rng)
+        report = checker(rho, sigma, *extra)
+        yield report.satisfied, report.slack
 
 
 def _suite_gentle(trials, rng):
-    worst = math.inf
-    ok = True
     for _ in range(trials):
         dim = int(rng.integers(2, 4))
         n = int(rng.integers(1, 4))
@@ -294,32 +293,29 @@ def _suite_gentle(trials, rng):
         unitary, _ = np.linalg.qr(gauss)
         x = (unitary * rng.random(dim)) @ unitary.conj().T
         report = bounds.gentle_measurement_check(ens, x)
-        worst = min(worst, report.slack)
-        ok = ok and report.satisfied
-    return ok, worst
+        yield report.satisfied, report.slack
 
 
 def _suite_dpi(trials, rng):
     iso = builtin_isometry("dephasing", 0.2)
-    worst = math.inf
-    ok = True
     for _ in range(trials):
-        sigma = channel_output_ensemble(_random_ensemble(rng), iso)
+        sigma = channel_output_ensemble(bounds.random_ensemble(rng), iso)
         for report in bounds.dpi_check(sigma).values():
-            worst = min(worst, report.slack)
-            ok = ok and report.satisfied
-    return ok, worst
+            yield report.satisfied, report.slack
 
 
 def cmd_check(args) -> int:
+    digits = args.precision
     suites = {
         "identities": _suite_identities,
-        "fannes": lambda t, r: _suite_fannes(t, r),
-        "af": lambda t, r: _suite_pairwise(t, r, bounds.check_af, (2, 2)),
-        "mi": lambda t, r: _suite_pairwise(t, r, bounds.check_mi, (2, 2)),
+        "fannes": lambda t, r: _suite_pairwise(t, r, bounds.check_fannes, 2),
+        "af": lambda t, r: _suite_pairwise(t, r, bounds.check_af, 4, (2, 2)),
+        "mi": lambda t, r: _suite_pairwise(t, r, bounds.check_mi, 4, (2, 2)),
         "gentle": _suite_gentle,
         "dpi": _suite_dpi,
     }
+    if args.trials < 1:
+        raise SpecFormatError(f"--trials {args.trials} must be at least 1")
     if args.suite != "all":
         if args.suite not in suites:
             raise SpecFormatError(f"unknown suite {args.suite!r}")
@@ -327,10 +323,10 @@ def cmd_check(args) -> int:
     all_ok = True
     for i, (name, runner) in enumerate(suites.items()):
         rng = np.random.default_rng([args.seed, i])
-        ok, worst = runner(args.trials, rng)
+        ok, worst = _sweep(runner(args.trials, rng))
         all_ok = all_ok and ok
         status = "pass" if ok else "FAIL"
-        print(f"{name}: {status} trials={args.trials} worst_slack={fmt(worst)}")
+        print(f"{name}: {status} trials={args.trials} worst_slack={fmt(worst, digits)}")
     return 0 if all_ok else 1
 
 
@@ -376,11 +372,14 @@ def main(argv=None) -> int:
     if args.subcommand == "compare" and args.p is None and args.channel is None:
         parser.error("compare requires --p or --channel")
     try:
+        args.precision = _env_precision()
         return args.func(args)
     except DimMismatch as exc:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
-    except (SpecFormatError, OutOfRange, ValueError) as exc:
+    # LinAlgError (a numerical failure on bad input) is a ValueError; it is
+    # listed to make its exit code 2 deliberate.
+    except (SpecFormatError, OutOfRange, np.linalg.LinAlgError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CQEKitError as exc:

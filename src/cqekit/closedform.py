@@ -9,25 +9,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import OutOfRange
+from .errors import OutOfRange, check_range
 from .qlinalg import binary_entropy
 from .regions import RateTriple
 
 RADICAND_CLAMP = -1e-12
-
-
-def _check_prob(name: str, value: float, hi: float = 1.0) -> None:
-    if value < 0.0 or value > hi:
-        raise OutOfRange(f"{name} = {value} outside [0, {hi}]")
-
-
-@dataclass(frozen=True)
-class CurvePoint:
-    """A sampled point on one of the dephasing trade-off curves."""
-
-    mu: float
-    triple: RateTriple
-    curve: str  # DS | CEF | SHOR_CE
 
 
 @dataclass(frozen=True)
@@ -48,8 +34,8 @@ class Halfspace:
 
 def g(p: float, mu: float) -> float:
     """g(p, mu) = 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) mu (1 - mu))."""
-    _check_prob("p", p)
-    _check_prob("mu", mu, 0.5)
+    check_range("p", p, 0.0, 1.0)
+    check_range("mu", mu, 0.0, 0.5)
     radicand = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu)
     if radicand < RADICAND_CLAMP:
         raise OutOfRange(f"radicand {radicand} below clamp threshold")
@@ -77,16 +63,14 @@ def shor_ce_curve(p: float, mu: float) -> RateTriple:
 
 def ds_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CQ(mu), Q_CQ(mu) + e, e) of the entanglement-distribution sheet."""
-    if e < 0.0:
-        raise OutOfRange(f"e = {e} must be nonnegative")
+    check_range("e", e, 0.0, math.inf)
     base = ds_curve(p, mu)
     return RateTriple(base.c, base.q + e, e)
 
 
 def shor_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CE(mu) - 2e, e, E_CE(mu) - e) of the super-dense-coding sheet."""
-    if e < 0.0:
-        raise OutOfRange(f"e = {e} must be nonnegative")
+    check_range("e", e, 0.0, math.inf)
     base = shor_ce_curve(p, mu)
     return RateTriple(base.c - 2.0 * e, e, base.e - e)
 
@@ -108,7 +92,7 @@ def solid_plane_bound(p: float) -> float:
 
 def erasure_region(epsilon: float) -> tuple[Halfspace, Halfspace, Halfspace]:
     """The three capacity-region halfspaces of the erasure channel."""
-    _check_prob("epsilon", epsilon)
+    check_range("epsilon", epsilon, 0.0, 1.0)
     if epsilon == 1.0:
         # Degenerate all-zero region (same shape as the completely
         # depolarizing bounds).
@@ -135,7 +119,7 @@ def erasure_table(epsilon: float) -> dict[str, RateTriple]:
     For epsilon > 1/2 the unassisted quantum rate is clamped to 0 and the
     returned LSD entry carries the clamp.
     """
-    _check_prob("epsilon", epsilon)
+    check_range("epsilon", epsilon, 0.0, 1.0)
     return {
         "EAC": RateTriple(2.0 * (1.0 - epsilon), 0.0, 1.0),
         "LSD": RateTriple(0.0, max(1.0 - 2.0 * epsilon, 0.0), 0.0),
@@ -156,7 +140,7 @@ class ErasureEntropics:
 
 
 def erasure_entropics(epsilon: float, mu: float) -> ErasureEntropics:
-    _check_prob("epsilon", epsilon)
+    check_range("epsilon", epsilon, 0.0, 1.0)
     h_mu = binary_entropy(_checked_mu(mu))
     return ErasureEntropics(
         i_xb=(1.0 - epsilon) * (1.0 - h_mu),
@@ -175,29 +159,15 @@ def erasure_cef_curve(epsilon: float, mu: float) -> RateTriple:
 
 def eac_erasure_mutual_info(p_spec: float, epsilon: float) -> float:
     """Mutual information 2 (1 - eps) H2(p) of the spectral-parameter input."""
-    _check_prob("p_spec", p_spec)
-    _check_prob("epsilon", epsilon)
+    check_range("p_spec", p_spec, 0.0, 1.0)
+    check_range("epsilon", epsilon, 0.0, 1.0)
     return 2.0 * (1.0 - epsilon) * binary_entropy(p_spec)
 
 
 def timeshare_line(a: RateTriple, b: RateTriple, lam: float) -> RateTriple:
     """Convex combination lam * a + (1 - lam) * b."""
-    if lam < 0.0 or lam > 1.0:
-        raise OutOfRange(f"lambda = {lam} outside [0, 1]")
+    check_range("lambda", lam, 0.0, 1.0)
     return a.scaled(lam) + b.scaled(1.0 - lam)
-
-
-def timeshare_eac_with_quantum(eac: RateTriple, q_code: RateTriple, lam: float) -> RateTriple:
-    """Time-share an entanglement-assisted classical code with an unassisted
-    quantum code.  Documented for completeness; no optimality is claimed."""
-    return timeshare_line(eac, q_code, lam)
-
-
-def timeshare_eaq_with_eac(eaq: RateTriple, eac: RateTriple, lam: float) -> RateTriple:
-    """Time-share an entanglement-assisted quantum code with an
-    entanglement-assisted classical code.  Documented for completeness; no
-    optimality is claimed."""
-    return timeshare_line(eaq, eac, lam)
 
 
 def cef_vs_timeshare(p: float, mu: float) -> tuple[float, float]:
@@ -225,5 +195,4 @@ def erasure_cef_vs_timeshare(epsilon: float, mu: float) -> tuple[float, float]:
 
 
 def _checked_mu(mu: float) -> float:
-    _check_prob("mu", mu, 0.5)
-    return mu
+    return check_range("mu", mu, 0.0, 0.5)

@@ -11,12 +11,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .channels import IsometricExtension, apply_isometry
-from .errors import DimMismatch, InvalidState, SpecFormatError
-from .qlinalg import PureStateVector, matrix_entropy, shannon_entropy
+from .errors import DimMismatch, InvalidState, SpecFormatError, check_range
+from .qlinalg import PureStateVector, matrix_entropy
 
 IDENTITY_TOL = 1e-9
 
@@ -56,9 +57,25 @@ class CQEnsemble:
         return CQEnsemble(kept, self.dim_A, self.dim_Aprime)
 
 
+@dataclass(frozen=True)
+class EntropyProfile:
+    """Entropic quantities of a one-shot state, in bits: H(A|X), I(A;B|X),
+    I(A;E|X), I(A>BX), I(X;B) and I(AX;B)."""
+
+    h_a_given_x: float
+    i_ab_given_x: float
+    i_ae_given_x: float
+    i_coh: float
+    i_xb: float
+    i_axb: float
+
+
 @dataclass(frozen=True, eq=False)
 class CQEJointState:
-    """Block-diagonal sigma^{XABE}: per-x pure blocks on A (x) B (x) E."""
+    """Block-diagonal sigma^{XABE}: per-x pure blocks on A (x) B (x) E.
+
+    Every entropic quantity is read from `profile`, computed once per state.
+    """
 
     blocks: tuple[tuple[float, PureStateVector], ...]
     dim_A: int
@@ -73,8 +90,10 @@ class CQEJointState:
                     f"block dims {psi.dims} != ({self.dim_A}, {self.dim_B}, {self.dim_E})"
                 )
 
-    def probs(self) -> np.ndarray:
-        return np.array([p for p, _ in self.blocks])
+    @cached_property
+    def profile(self) -> EntropyProfile:
+        """The entropy profile, built and cross-checked on first access."""
+        return _entropy_profile(self)
 
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
@@ -90,8 +109,7 @@ def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
 def mu_ensemble(mu: float) -> CQEnsemble:
     """Uniform two-letter qubit ensemble psi_0 = sqrt(mu)|00> + sqrt(1-mu)|11>,
     psi_1 with mu and 1-mu exchanged."""
-    if mu < 0.0 or mu > 1.0:
-        raise InvalidState(f"mu {mu} outside [0, 1]")
+    check_range("mu", mu, 0.0, 1.0, InvalidState)
     v0 = np.array([np.sqrt(mu), 0.0, 0.0, np.sqrt(1.0 - mu)], dtype=complex)
     v1 = np.array([np.sqrt(1.0 - mu), 0.0, 0.0, np.sqrt(mu)], dtype=complex)
     return make_ensemble([(0.5, v0), (0.5, v1)], 2, 2)
@@ -106,67 +124,70 @@ def channel_output_ensemble(ens: CQEnsemble, v: IsometricExtension) -> CQEJointS
     return CQEJointState(blocks, ens.dim_A, v.out_dim, v.env_dim)
 
 
-def _block_entropies(sigma: CQEJointState) -> list[tuple[float, float, float, float]]:
-    """Per-block (p, H(A)_x, H(B)_x, H(E)_x)."""
-    out = []
-    for p, psi in sigma.blocks:
-        ha = matrix_entropy(psi.marginal_mat({"A"}))
-        hb = matrix_entropy(psi.marginal_mat({"B"}))
+def _entropy_profile(sigma: CQEJointState) -> EntropyProfile:
+    """One pass over the blocks: H(A)_x, H(B)_x, H(E)_x per block, H(avg B) once,
+    then the chain-rule I(AX;B) cross-checked against H(AX) + H(B) - H(AXB) of
+    the assembled block-diagonal matrices."""
+    n = len(sigma.blocks)
+    da, dab = sigma.dim_A, sigma.dim_A * sigma.dim_B
+    big_ax = np.zeros((n * da, n * da), dtype=complex)
+    big_axb = np.zeros((n * dab, n * dab), dtype=complex)
+    rows, weighted_b = [], []
+    for i, (p, psi) in enumerate(sigma.blocks):
+        rho_a, rho_b = psi.marginal_mat({"A"}), psi.marginal_mat({"B"})
         he = matrix_entropy(psi.marginal_mat({"E"}))
-        out.append((p, ha, hb, he))
-    return out
+        rows.append((p, matrix_entropy(rho_a), matrix_entropy(rho_b), he))
+        weighted_b.append(p * rho_b)
+        big_ax[i * da:(i + 1) * da, i * da:(i + 1) * da] = p * rho_a
+        big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * psi.marginal_mat({"A", "B"})
+    h_avg_b = matrix_entropy(sum(weighted_b))
+    i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
+    i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
+    chain = i_ab + i_xb
+    direct = matrix_entropy(big_ax) + h_avg_b - matrix_entropy(big_axb)
+    if abs(direct - chain) > IDENTITY_TOL:
+        raise InvalidState(
+            f"chain-rule value {chain} and direct value {direct} disagree beyond {IDENTITY_TOL}"
+        )
+    return EntropyProfile(
+        h_a_given_x=sum(p * ha for p, ha, _, _ in rows),
+        i_ab_given_x=i_ab,
+        i_ae_given_x=sum(p * (ha + he - hb) for p, ha, hb, he in rows),
+        i_coh=sum(p * (hb - he) for p, _, hb, he in rows),
+        i_xb=i_xb,
+        i_axb=chain,
+    )
 
 
 def cond_entropy_A_given_X(sigma: CQEJointState) -> float:
     """H(A|X) = sum_x p(x) H(A)_x."""
-    return sum(p * ha for p, ha, _, _ in _block_entropies(sigma))
+    return sigma.profile.h_a_given_x
 
 
 def holevo_X_B(sigma: CQEJointState) -> float:
     """I(X;B) = H(avg B) - sum_x p(x) H(B)_x."""
-    avg = sum(p * psi.marginal_mat({"B"}) for p, psi in sigma.blocks)
-    return matrix_entropy(avg) - sum(
-        p * matrix_entropy(psi.marginal_mat({"B"})) for p, psi in sigma.blocks
-    )
+    return sigma.profile.i_xb
 
 
 def cond_mutual_A_B_given_X(sigma: CQEJointState) -> float:
     """I(A;B|X); H(AB)_x is computed as H(E)_x using block purity."""
-    return sum(p * (ha + hb - he) for p, ha, hb, he in _block_entropies(sigma))
+    return sigma.profile.i_ab_given_x
 
 
 def cond_mutual_A_E_given_X(sigma: CQEJointState) -> float:
     """I(A;E|X); H(AE)_x is computed as H(B)_x using block purity."""
-    return sum(p * (ha + he - hb) for p, ha, hb, he in _block_entropies(sigma))
+    return sigma.profile.i_ae_given_x
 
 
 def coherent_A_given_BX(sigma: CQEJointState) -> float:
     """I(A>BX) = sum_x p(x) (H(B)_x - H(AB)_x)."""
-    return sum(p * (hb - he) for p, _, hb, he in _block_entropies(sigma))
+    return sigma.profile.i_coh
 
 
-def mutual_AX_B(sigma: CQEJointState, check_tol: float = IDENTITY_TOL) -> float:
+def mutual_AX_B(sigma: CQEJointState) -> float:
     """I(AX;B), computed via the chain rule and cross-checked against the
     entropies of the assembled classical-quantum matrices."""
-    chain = cond_mutual_A_B_given_X(sigma) + holevo_X_B(sigma)
-
-    # Direct route: H(AX) + H(B) - H(AXB) on explicit block-diagonal matrices.
-    n = len(sigma.blocks)
-    dab = sigma.dim_A * sigma.dim_B
-    da = sigma.dim_A
-    big_axb = np.zeros((n * dab, n * dab), dtype=complex)
-    big_ax = np.zeros((n * da, n * da), dtype=complex)
-    avg_b = np.zeros((sigma.dim_B, sigma.dim_B), dtype=complex)
-    for i, (p, psi) in enumerate(sigma.blocks):
-        big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * psi.marginal_mat({"A", "B"})
-        big_ax[i * da:(i + 1) * da, i * da:(i + 1) * da] = p * psi.marginal_mat({"A"})
-        avg_b += p * psi.marginal_mat({"B"})
-    direct = matrix_entropy(big_ax) + matrix_entropy(avg_b) - matrix_entropy(big_axb)
-    if abs(direct - chain) > check_tol:
-        raise InvalidState(
-            f"chain-rule value {chain} and direct value {direct} disagree beyond {check_tol}"
-        )
-    return chain
+    return sigma.profile.i_axb
 
 
 @dataclass(frozen=True)
@@ -180,17 +201,13 @@ class IdentityReport:
 def verify_identities(sigma: CQEJointState) -> IdentityReport:
     """Check the conditional-entropy, coherent-information, their sum, and
     chain-rule identities; report the max residual."""
-    ha_x = cond_entropy_A_given_X(sigma)
-    i_ab = cond_mutual_A_B_given_X(sigma)
-    i_ae = cond_mutual_A_E_given_X(sigma)
-    i_coh = coherent_A_given_BX(sigma)
-    i_xb = holevo_X_B(sigma)
-    i_axb = mutual_AX_B(sigma)
+    prof = sigma.profile
+    i_ab, i_ae = prof.i_ab_given_x, prof.i_ae_given_x
     residuals = {
-        "entropy_identity": abs(ha_x - 0.5 * i_ab - 0.5 * i_ae),
-        "coherent_identity": abs(i_coh - (0.5 * i_ab - 0.5 * i_ae)),
-        "ent_coh_mut_identity": abs(ha_x + i_coh - i_ab),
-        "chain_rule": abs(i_axb - (i_ab + i_xb)),
+        "entropy_identity": abs(prof.h_a_given_x - 0.5 * i_ab - 0.5 * i_ae),
+        "coherent_identity": abs(prof.i_coh - (0.5 * i_ab - 0.5 * i_ae)),
+        "ent_coh_mut_identity": abs(prof.h_a_given_x + prof.i_coh - i_ab),
+        "chain_rule": abs(prof.i_axb - (i_ab + prof.i_xb)),
     }
     return IdentityReport(residuals=residuals, max_residual=max(residuals.values()))
 

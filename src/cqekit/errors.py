@@ -1,4 +1,8 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one range validator."""
+
+import sys
+
+FLOAT_MAX = sys.float_info.max  # check_range(name, x, -FLOAT_MAX, FLOAT_MAX) rejects inf and NaN
 
 
 class CQEKitError(Exception):
@@ -59,3 +63,13 @@ class NotValidPOVMElement(CQEKitError):
 
 class SpecFormatError(CQEKitError):
     """Raised when a channel or ensemble spec file is malformed."""
+
+
+def check_range(name: str, value: float, lo: float, hi: float, error=OutOfRange) -> float:
+    """Return `value` if lo <= value <= hi, else raise `error`; NaN always fails.
+
+    Bounds of +-FLOAT_MAX also reject the infinities.
+    """
+    if not (lo <= value <= hi):
+        raise error(f"{name} = {value} outside [{lo}, {hi}]")
+    return value

@@ -14,7 +14,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import InvalidState, NotHermitian, NotPSD, NotSquare, OutOfRange, UnknownLabel
+from .errors import InvalidState, NotHermitian, NotPSD, NotSquare, UnknownLabel, check_range
 
 HERMITIAN_TOL = 1e-10
 EIG_CLAMP = 1e-9
@@ -22,11 +22,6 @@ EIG_CLAMP = 1e-9
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; subsystem dimensions multiply."""
-    return np.kron(a, b)
 
 
 def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -52,8 +47,7 @@ def shannon_entropy(p: Sequence[float]) -> float:
 
 def binary_entropy(q: float) -> float:
     """H2(q) in bits; endpoints give 0."""
-    if q < 0.0 or q > 1.0:
-        raise OutOfRange(f"binary entropy argument {q} outside [0, 1]")
+    check_range("binary entropy argument", q, 0.0, 1.0)
     if q <= 0.0 or q >= 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
@@ -135,16 +129,6 @@ class DensityOperator:
         )
 
 
-def partial_trace(rho: DensityOperator, keep: Iterable[str]) -> DensityOperator:
-    """Reduced operator on the kept subsystems; label order preserved."""
-    return rho.partial_trace(keep)
-
-
-def von_neumann_entropy(rho: DensityOperator) -> float:
-    """Entropy of a density operator in bits."""
-    return matrix_entropy(rho.mat)
-
-
 @dataclass(frozen=True, eq=False)
 class PureStateVector:
     """Normalized state vector over a labeled tensor product of subsystems."""
@@ -162,9 +146,6 @@ class PureStateVector:
         if abs(norm2 - 1.0) > 1e-10:
             raise InvalidState(f"squared norm {norm2} differs from 1")
 
-    def density(self) -> DensityOperator:
-        return DensityOperator(np.outer(self.vec, self.vec.conj()), self.dims, self.labels)
-
     def marginal_mat(self, keep: Iterable[str]) -> np.ndarray:
         """Reduced density matrix on the kept subsystems as a raw array."""
         keep_set = set(keep)
@@ -177,12 +158,3 @@ class PureStateVector:
         dk = int(np.prod([self.dims[i] for i in keep_idx])) if keep_idx else 1
         m = t.reshape(dk, -1)
         return m @ m.conj().T
-
-    def marginal(self, keep: Iterable[str]) -> DensityOperator:
-        keep_set = set(keep)
-        keep_idx = [i for i, lab in enumerate(self.labels) if lab in keep_set]
-        return DensityOperator(
-            self.marginal_mat(keep),
-            tuple(self.dims[i] for i in keep_idx),
-            tuple(self.labels[i] for i in keep_idx),
-        )

@@ -9,20 +9,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .entropics import (
-    CQEJointState,
-    coherent_A_given_BX,
-    cond_entropy_A_given_X,
-    cond_mutual_A_B_given_X,
-    cond_mutual_A_E_given_X,
-    holevo_X_B,
-    mutual_AX_B,
-)
-from .errors import EmptyInput, InvalidRegion, NegativeRate, OutOfRange
+from .entropics import CQEJointState
+from .errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_range
 
 ARITH_TOL = 1e-12
 ENTROPIC_TOL = 1e-9
@@ -81,11 +73,8 @@ class OneShotRegion:
 
 
 def region_from_state(sigma: CQEJointState) -> OneShotRegion:
-    return OneShotRegion(
-        i_axb=mutual_AX_B(sigma),
-        i_xb=holevo_X_B(sigma),
-        i_coh=coherent_A_given_BX(sigma),
-    )
+    prof = sigma.profile
+    return OneShotRegion(i_axb=prof.i_axb, i_xb=prof.i_xb, i_coh=prof.i_coh)
 
 
 def contains(r: OneShotRegion, t: RateTriple, tol: float = ARITH_TOL) -> bool:
@@ -122,8 +111,7 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     Enumerates all 3-subsets of the bounding planes, solves each 3x3 system,
     keeps feasible solutions, and deduplicates.  Singular triples are skipped.
     """
-    if e_max < 0:
-        raise OutOfRange(f"e_max {e_max} must be nonnegative")
+    check_range("e_max", e_max, 0.0, FLOAT_MAX)
     a, b = halfspaces(r, e_max)
     found: list[np.ndarray] = []
     for idx in combinations(range(len(b)), 3):
@@ -141,11 +129,8 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
 
 def cef_point(sigma: CQEJointState) -> RateTriple:
     """Rate triple of the classically-enhanced father protocol."""
-    return RateTriple(
-        holevo_X_B(sigma),
-        0.5 * cond_mutual_A_B_given_X(sigma),
-        0.5 * cond_mutual_A_E_given_X(sigma),
-    )
+    prof = sigma.profile
+    return RateTriple(prof.i_xb, 0.5 * prof.i_ab_given_x, 0.5 * prof.i_ae_given_x)
 
 
 def apply_unit(t: RateTriple, u: UnitProtocol, rate: float) -> RateTriple:
@@ -160,21 +145,15 @@ def apply_unit(t: RateTriple, u: UnitProtocol, rate: float) -> RateTriple:
 
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
     """All corner protocols reachable from CEF via unit-resource arithmetic."""
+    prof = sigma.profile
     cef = cef_point(sigma)
-    half_i_ae = 0.5 * cond_mutual_A_E_given_X(sigma)
-    half_i_ab = 0.5 * cond_mutual_A_B_given_X(sigma)
-    half_h_ax = 0.5 * cond_entropy_A_given_X(sigma)
-    i_coh = coherent_A_given_BX(sigma)
-    i_xb = holevo_X_B(sigma)
-
-    ceq = apply_unit(cef, ENT_DISTRIBUTION, half_i_ae)
-    eac = apply_unit(cef, SUPER_DENSE, half_i_ab)
+    ceq = apply_unit(cef, ENT_DISTRIBUTION, 0.5 * prof.i_ae_given_x)
+    eac = apply_unit(cef, SUPER_DENSE, 0.5 * prof.i_ab_given_x)
     # SD rate is i_coh / 2, which can be negative (e.g. completely depolarizing
     # input ensembles); the signed arithmetic is applied directly in that case.
-    cef_sd_ed = apply_unit(cef, ENT_DISTRIBUTION, half_h_ax) + SUPER_DENSE.delta.scaled(
-        0.5 * i_coh
-    )
-    cef_tp = apply_unit(cef, TELEPORTATION, 0.5 * i_xb)
+    signed_sd = SUPER_DENSE.delta.scaled(0.5 * prof.i_coh)
+    cef_sd_ed = apply_unit(cef, ENT_DISTRIBUTION, 0.5 * prof.h_a_given_x) + signed_sd
+    cef_tp = apply_unit(cef, TELEPORTATION, 0.5 * prof.i_xb)
     lsd = RateTriple(0.0, ceq.q, ceq.e)
     eaq = RateTriple(0.0, cef.q, cef.e)
     return {

@@ -1,20 +1,4 @@
 """Shared helpers for the test suite."""
 
-import numpy as np
-
-from cqekit.entropics import CQEnsemble, make_ensemble
-
-
-def random_state_vector(dim: int, rng: np.random.Generator) -> np.ndarray:
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
-
-
-def random_ensemble(rng: np.random.Generator, n_max: int = 3,
-                    dim_a: int = 2, dim_ap: int = 2) -> CQEnsemble:
-    """Random classical-quantum input ensemble with up to n_max letters."""
-    n = int(rng.integers(1, n_max + 1))
-    probs = rng.random(n)
-    probs /= probs.sum()
-    entries = [(float(p), random_state_vector(dim_a * dim_ap, rng)) for p in probs]
-    return make_ensemble(entries, dim_a, dim_ap)
+from cqekit.bounds import random_ensemble  # noqa: F401  -- re-exported for the tests
+from cqekit.bounds import random_pure as random_state_vector  # noqa: F401

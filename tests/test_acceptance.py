@@ -5,6 +5,9 @@ Each test covers one numbered criterion and prints a single pass/fail line.
 
 import contextlib
 import io
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -281,7 +284,16 @@ GOLDEN_COMMANDS = (
     ("compare", "--p", "0.2", "--grid", "0:0.5:26"),
     ("compare", "--channel", "erasure:0.25", "--grid", "0:0.5:26"),
     ("check", "--suite", "identities", "--trials", "5", "--seed", "7"),
+    ("check", "--suite", "all", "--trials", "20", "--seed", "1"),
 )
+
+# Pinned stdout (<name>.out) and exit codes (exit_codes.json) of every golden
+# command.  They change only with an intended change of the printed output.
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def golden_name(argv) -> str:
+    return re.sub(r"[^A-Za-z0-9.]+", "-", " ".join(argv)).strip("-")
 
 
 def _capture(argv):
@@ -292,9 +304,12 @@ def _capture(argv):
 
 
 def test_criterion_10_cli_determinism():
-    ok = True
+    codes = json.loads((GOLDEN_DIR / "exit_codes.json").read_text())
+    changed = []
     for argv in GOLDEN_COMMANDS:
-        code_a, first = _capture(argv)
-        code_b, second = _capture(argv)
-        ok = ok and code_a == 0 and code_b == 0 and first == second and len(first) > 0
-    report(10, "CLI determinism", ok, f"{len(GOLDEN_COMMANDS)} golden commands")
+        name = golden_name(argv)
+        code, out = _capture(argv)
+        if code != codes[name] or out != (GOLDEN_DIR / f"{name}.out").read_bytes():
+            changed.append(name)
+    report(10, "CLI output matches the golden pins", not changed,
+           ", ".join(changed) or f"{len(GOLDEN_COMMANDS)} golden commands")

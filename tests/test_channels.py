@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_state_vector
 from cqekit.channels import (
+    TP_TOL,
     KrausChannel,
     apply,
     apply_isometry,
@@ -21,7 +22,7 @@ from cqekit.channels import (
     load_channel,
     tensor_power,
     tensor_product,
-    validate_tp,
+    tp_deviation,
 )
 from cqekit.errors import (
     DimMismatch,
@@ -36,12 +37,10 @@ H2_09 = 0.4689955935892812
 PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex), (2,), ("A",))
 
 
-def test_validate_tp():
-    assert validate_tp(dephasing(0.3)).passed
-    assert validate_tp([np.eye(2, dtype=complex)]).passed
-    bad = validate_tp([0.5 * np.eye(2, dtype=complex)])
-    assert not bad.passed
-    assert bad.deviation == pytest.approx(0.75, abs=1e-14)
+def test_tp_deviation():
+    assert tp_deviation(dephasing(0.3).kraus) <= TP_TOL
+    assert tp_deviation([np.eye(2, dtype=complex)]) <= TP_TOL
+    assert tp_deviation([0.5 * np.eye(2, dtype=complex)]) == pytest.approx(0.75, abs=1e-14)
 
 
 def test_kraus_channel_rejects_non_tp():
@@ -163,7 +162,7 @@ def test_tensor_product_and_power():
     assert ch.in_dim == 6 and ch.out_dim == 6
     ch2 = tensor_power(dephasing(0.2), 2)
     assert ch2.in_dim == 4 and len(ch2.kraus) == 4
-    assert validate_tp(ch2).passed
+    assert tp_deviation(ch2.kraus) <= TP_TOL
     with pytest.raises(OutOfRange):
         tensor_power(dephasing(0.2), 0)
 

@@ -4,8 +4,10 @@ import contextlib
 import io
 import json
 
+import numpy as np
 import pytest
 
+from cqekit import cli
 from cqekit.cli import build_parser, fmt, main
 
 
@@ -132,6 +134,12 @@ def test_compare_erasure_is_tie():
         assert abs(float(cells[7])) <= 1e-9
 
 
+def test_compare_channel_without_parameter_exit_code():
+    code, out, err = run_cli("compare", "--channel", "erasure", "--grid", "0:0.5:5")
+    assert code == 2 and out == ""
+    assert "config error" in err
+
+
 def test_compare_requires_channel_or_p():
     with pytest.raises(SystemExit):
         run_cli("compare", "--grid", "0:0.5:5")
@@ -162,9 +170,30 @@ def test_bad_channel_spec_exit_code():
     assert "config error" in err
 
 
-def test_out_of_range_parameter_exit_code():
-    code, _, _ = run_cli("region", "--channel", "dephasing:1.7", "--ensemble", "mu:0.5")
-    assert code == 2
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "argv",
+    [
+        pytest.param(("region", "--channel", "dephasing:1.7", "--ensemble", "mu:0.5"),
+                     id="dephasing-1.7"),
+        pytest.param(("region", "--channel", "dephasing:nan", "--ensemble", "mu:0.5"),
+                     id="dephasing-nan"),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "mu:nan"),
+                     id="mu-nan"),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5",
+                      "--e-max", "nan"), id="e-max-nan"),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5",
+                      "--e-max", "inf"), id="e-max-inf"),
+        pytest.param(("curve", "cef", "--p", "nan"), id="curve-p-nan"),
+        pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:nan:3"), id="grid-stop-nan"),
+        pytest.param(("compare", "--p", "nan"), id="compare-p-nan"),
+        pytest.param(("compare", "--channel", "erasure:nan"), id="compare-erasure-nan"),
+    ],
+)
+def test_out_of_range_parameter_exit_code(argv):
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "error: " in err
 
 
 def test_dimension_mismatch_exit_code():
@@ -172,6 +201,36 @@ def test_dimension_mismatch_exit_code():
     code, _, err = run_cli("region", "--channel", "erasure:0.25:3", "--ensemble", "mu:0.5")
     assert code == 3
     assert "dimension error" in err
+
+
+@pytest.mark.parametrize("trials", ["0", "-5"])
+def test_nonpositive_trials_exit_code(trials):
+    code, out, err = run_cli("check", "--trials", trials)
+    assert code == 2 and out == ""
+    assert "config error" in err
+
+
+def test_precision_is_read_from_the_environment_per_call(monkeypatch):
+    argv = ("curve", "cef", "--p", "0.2", "--grid", "0.25:0.25:2")
+    monkeypatch.setenv("CQEKIT_PRECISION", "4")
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out.splitlines()[2].startswith("0.25,0.1887,")
+    monkeypatch.setenv("CQEKIT_PRECISION", "twelve")
+    code, out, err = run_cli(*argv)
+    assert code == 2 and out == ""
+    assert "CQEKIT_PRECISION" in err
+    monkeypatch.delenv("CQEKIT_PRECISION")
+    assert run_cli(*argv)[1].splitlines()[2].startswith("0.25,0.188721875541,")
+
+
+def test_linalg_error_exit_code(monkeypatch):
+    def fail(sigma):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "region_from_state", fail)
+    code, out, err = run_cli("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5")
+    assert code == 2 and out == ""
+    assert "config error" in err
 
 
 def test_bad_grid_exit_code():

@@ -188,8 +188,8 @@ def test_timeshare_line():
     mid = cf.timeshare_line(a, b, 0.5)
     assert mid.as_array() == pytest.approx([0.5, 0.5, 0.5], abs=1e-15)
     assert cf.timeshare_line(a, b, 1.0) == a
-    assert cf.timeshare_eac_with_quantum(a, b, 0.25).c == pytest.approx(0.25)
-    assert cf.timeshare_eaq_with_eac(b, a, 0.25).q == pytest.approx(0.25)
+    assert cf.timeshare_line(a, b, 0.25).c == pytest.approx(0.25)
+    assert cf.timeshare_line(b, a, 0.25).q == pytest.approx(0.25)
     with pytest.raises(OutOfRange):
         cf.timeshare_line(a, b, 1.5)
 

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_state_vector
+from cqekit import entropics
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import (
     CQEJointState,
@@ -24,6 +25,7 @@ from cqekit.entropics import (
 )
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import PureStateVector, binary_entropy
+from cqekit.regions import corner_points, derive_children, region_from_state
 
 H2_09 = 0.4689955935892812
 I_AXB_DEPH = 1.5310044064107187  # 2 - H2(0.9) for p = 0.2, mu = 1/2
@@ -166,6 +168,33 @@ def test_splitting_a_letter_keeps_entropics():
         sb = channel_output_ensemble(ens_b, iso)
         for func in (holevo_X_B, coherent_A_given_BX, cond_mutual_A_B_given_X, mutual_AX_B):
             assert func(sa) == pytest.approx(func(sb), abs=1e-10)
+
+
+def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
+    # H(A), H(B), H(E) of each of the two blocks, H(avg B), and the H(AX) and
+    # H(AXB) of the cross-check: 9 eigensolves, all on first profile access.
+    calls = []
+    real = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+    sigma = channel_output_ensemble(mu_ensemble(0.5), DEPHASING)
+    region = region_from_state(sigma)
+    corner_points(region, 2.0)
+    before_children = len(calls)
+    derive_children(sigma)
+    assert len(calls) == 9
+    assert len(calls) == before_children
+
+
+def test_profile_is_cached_and_cross_checked(monkeypatch):
+    sigma = channel_output_ensemble(mu_ensemble(0.3), DEPHASING)
+    assert sigma.profile is sigma.profile
+    assert mutual_AX_B(sigma) == sigma.profile.i_axb
+    fresh = channel_output_ensemble(mu_ensemble(0.3), DEPHASING)
+    monkeypatch.setattr(entropics, "IDENTITY_TOL", -1.0)  # no residual passes
+    with pytest.raises(InvalidState):
+        holevo_X_B(fresh)
+    with pytest.raises(InvalidState):  # a failed build is not cached
+        fresh.profile
 
 
 def test_joint_state_validation():
