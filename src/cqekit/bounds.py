@@ -167,14 +167,13 @@ def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def random_ensemble(rng: np.random.Generator, n_max: int = 3,
-                    dim_a: int = 2, dim_ap: int = 2) -> CQEnsemble:
-    """Random classical-quantum input ensemble with 1 to n_max letters."""
-    n = int(rng.integers(1, n_max + 1))
+def random_ensemble(rng: np.random.Generator) -> CQEnsemble:
+    """Random qubit-qubit classical-quantum input ensemble with 1 to 3 letters."""
+    n = int(rng.integers(1, 4))
     probs = rng.random(n)
     probs /= probs.sum()
-    entries = [(float(p), random_pure(dim_a * dim_ap, rng)) for p in probs]
-    return make_ensemble(entries, dim_a, dim_ap)
+    entries = [(float(p), random_pure(4, rng)) for p in probs]
+    return make_ensemble(entries, 2, 2)
 
 
 def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:

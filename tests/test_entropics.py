@@ -78,7 +78,8 @@ def test_channel_output_ensemble_dimensions():
     assert (sigma.dim_A, sigma.dim_B, sigma.dim_E) == (2, 3, 3)
     assert sigma.blocks[0][1].labels == ("A", "B", "E")
     with pytest.raises(DimMismatch):
-        channel_output_ensemble(random_ensemble(np.random.default_rng(1), dim_ap=3), ERASURE)
+        mismatched = make_ensemble([(1.0, random_state_vector(6, np.random.default_rng(1)))], 2, 3)
+        channel_output_ensemble(mismatched, ERASURE)
 
 
 def test_identity_channel_trivial_block():
