@@ -8,7 +8,6 @@ from .channels import (
     builtin_isometry,
     dephasing,
     depolarizing_complete,
-    erasure_isometry,
     erasure_kraus,
     isometric_extension,
 )

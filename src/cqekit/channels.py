@@ -1,8 +1,8 @@
 """Channel models as Kraus sets and isometric extensions A' -> B (x) E.
 
 Built-in constructors cover the qubit dephasing channel, the quantum
-erasure channel (constructed directly as an isometry on (d+1)-dimensional
-B and E spaces), and the completely depolarizing channel.
+erasure channel and the completely depolarizing channel, each as a Kraus
+set; every isometry is the lift of a Kraus set by `isometric_extension`.
 """
 
 from __future__ import annotations
@@ -160,19 +160,6 @@ def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
     return KrausChannel(tuple(kraus), d, d + 1)
 
 
-def erasure_isometry(epsilon: float, d: int = 2) -> IsometricExtension:
-    """Direct construction V|psi> = sqrt(1-eps)|psi>_B|e>_E + sqrt(eps)|e>_B|psi>_E."""
-    check_range("erasure probability", epsilon, 0.0, 1.0)
-    de = d + 1
-    v = np.zeros((de * de, d), dtype=complex)
-    for j in range(d):
-        # |j>_B |e>_E
-        v[j * de + d, j] += np.sqrt(1.0 - epsilon)
-        # |e>_B |j>_E
-        v[d * de + j, j] += np.sqrt(epsilon)
-    return IsometricExtension(v, d, de, de)
-
-
 def tensor_product(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Parallel composition; Kraus set is all Kronecker pairs."""
     kraus = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
@@ -190,15 +177,15 @@ def tensor_power(ch: KrausChannel, k: int) -> KrausChannel:
 
 
 def builtin_isometry(kind: str, param: float | None = None, d: int = 2) -> IsometricExtension:
-    """Isometric extension of a built-in channel by name.
+    """Isometric extension of a built-in channel by name (its lifted Kraus set).
 
-    The erasure channel uses its natural (d+1)-dimensional B/E construction;
-    all others lift their Kraus sets.
+    For erasure, E index 0 is the no-erasure branch and index 1 + j carries
+    input j.
     """
     if kind == "dephasing":
         return isometric_extension(dephasing(param))
     if kind == "erasure":
-        return erasure_isometry(param, d)
+        return isometric_extension(erasure_kraus(param, d))
     if kind == "depolarizing":
         return isometric_extension(depolarizing_complete(d))
     if kind == "identity":

@@ -34,6 +34,7 @@ from .regions import corner_points, derive_children, region_from_state
 
 SCHEMA_VERSION = 1
 DEFAULT_PRECISION = 12
+MAX_GRID_COUNT = 10**6
 
 
 def fmt(x: float, precision: int = DEFAULT_PRECISION) -> str:
@@ -92,8 +93,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise SpecFormatError(f"grid must be start:stop:count, got {spec!r}") from exc
     check_range("grid start", start, -FLOAT_MAX, FLOAT_MAX)
     check_range("grid stop", stop, -FLOAT_MAX, FLOAT_MAX)
-    if count < 2:
-        raise SpecFormatError(f"grid count {count} must be at least 2")
+    check_range("grid count", count, 2, MAX_GRID_COUNT, SpecFormatError)
     return np.linspace(start, stop, count)
 
 

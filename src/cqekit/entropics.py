@@ -24,9 +24,10 @@ IDENTITY_TOL = 1e-9
 
 def _check_probs(probs) -> None:
     probs = np.asarray(probs, dtype=float)
-    if np.any(probs < 0):
-        raise InvalidState("negative probability in ensemble")
-    if abs(probs.sum() - 1.0) > 1e-12:
+    # written so that a NaN probability fails both tests
+    if not np.all(probs >= 0):
+        raise InvalidState("negative or NaN probability in ensemble")
+    if not abs(probs.sum() - 1.0) <= 1e-12:
         raise InvalidState(f"probabilities sum to {probs.sum()}, not 1")
 
 

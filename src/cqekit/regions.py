@@ -3,11 +3,14 @@
 A one-shot region is the set of rate triples (C, Q, E) with C, Q, E >= 0,
 C + 2Q <= i_axb, Q <= i_coh + E, and C + Q <= i_xb + i_coh + E.  The region
 is unbounded in +E, so vertex enumeration takes an explicit e_max cap.
+Vertices and time-sharing membership are both read off the basic solutions
+of a small system A x <= b, from one enumerator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 from typing import Sequence
 
@@ -20,6 +23,7 @@ ARITH_TOL = 1e-12
 ENTROPIC_TOL = 1e-9
 VERTEX_FEAS_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-7
+SINGULAR_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -88,41 +92,54 @@ def contains(r: OneShotRegion, t: RateTriple, tol: float = ARITH_TOL) -> bool:
     )
 
 
+# The six rows of A @ (c, q, e) <= b shared by every one-shot region, in the
+# order C, Q, E >= 0; C + 2Q <= i_axb; Q - E <= i_coh; C + Q - E <= i_xb + i_coh.
+_REGION_A = np.array(
+    [[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 2, 0], [0, 1, -1], [1, 1, -1]], dtype=float
+)
+
+
+def _region_b(r: OneShotRegion) -> np.ndarray:
+    return np.array([0.0, 0.0, 0.0, r.i_axb, r.i_coh, r.i_xb + r.i_coh])
+
+
 def halfspaces(r: OneShotRegion, e_max: float) -> tuple[np.ndarray, np.ndarray]:
-    """Bounding planes as (A, b) with A @ (c, q, e) <= b."""
-    a = np.array(
-        [
-            [-1.0, 0.0, 0.0],
-            [0.0, -1.0, 0.0],
-            [0.0, 0.0, -1.0],
-            [1.0, 2.0, 0.0],
-            [0.0, 1.0, -1.0],
-            [1.0, 1.0, -1.0],
-            [0.0, 0.0, 1.0],
-        ]
-    )
-    b = np.array([0.0, 0.0, 0.0, r.i_axb, r.i_coh, r.i_xb + r.i_coh, e_max])
-    return a, b
+    """Bounding planes as (A, b) with A @ (c, q, e) <= b; the last row is E <= e_max."""
+    return np.vstack([_REGION_A, [0.0, 0.0, 1.0]]), np.append(_region_b(r), e_max)
+
+
+@lru_cache(maxsize=None)
+def _row_subsets(rows: int, cols: int) -> np.ndarray:
+    """The cols-subsets of range(rows), in combinations order, as one read-only array."""
+    idx = np.array(list(combinations(range(rows), cols)))
+    idx.setflags(write=False)
+    return idx
+
+
+def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
+    """Basic solutions of a @ x <= b that satisfy every row within tol.
+
+    A basic solution meets n of the m rows with equality.  One stacked det
+    drops the singular row subsets and one stacked solve handles the rest;
+    the rows of the result follow combinations order.
+    """
+    idx = _row_subsets(*a.shape)
+    sub_a = a[idx]
+    keep = np.abs(np.linalg.det(sub_a)) >= SINGULAR_TOL
+    x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
+    return x[np.all(x @ a.T <= b + tol, axis=1)]
 
 
 def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     """Vertices of the capped polytope, sorted lexicographically.
 
-    Enumerates all 3-subsets of the bounding planes, solves each 3x3 system,
-    keeps feasible solutions, and deduplicates.  Singular triples are skipped.
+    The feasible basic solutions of the seven bounding planes, deduplicated.
     """
     check_range("e_max", e_max, 0.0, FLOAT_MAX)
-    a, b = halfspaces(r, e_max)
     found: list[np.ndarray] = []
-    for idx in combinations(range(len(b)), 3):
-        sub_a = a[list(idx)]
-        sub_b = b[list(idx)]
-        if abs(np.linalg.det(sub_a)) < 1e-12:
-            continue
-        x = np.linalg.solve(sub_a, sub_b)
-        if np.all(a @ x <= b + VERTEX_FEAS_TOL):
-            if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
-                found.append(x)
+    for x in _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL):
+        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
+            found.append(x)
     found.sort(key=tuple)
     return [RateTriple(*x) for x in found]
 
@@ -168,18 +185,16 @@ def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
 
 
 def union_membership(
-    regions: Sequence[OneShotRegion],
-    t: RateTriple,
-    timeshare: bool = False,
-    e_max: float = 2.0,
-    grid: int = 101,
+    regions: Sequence[OneShotRegion], t: RateTriple, timeshare: bool = False
 ) -> bool:
     """Membership of `t` in the union of regions, optionally closed under
     pairwise time-sharing.
 
-    The time-sharing test is an inner approximation of the convex hull: over a
-    lambda grid, `t` is accepted if (t - (1-lambda) v) / lambda lies in some
-    region for some vertex v of some (possibly the same) region.
+    With time-sharing, `t` is accepted if t = u + (t - u) with u in lam * R_i
+    and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1].  In
+    (u, lam) that is 14 linear rows in 4 variables, bounded because
+    0 <= u <= t, so it is feasible iff one of its basic solutions is (within
+    ENTROPIC_TOL).  The test is exact: no lambda grid and no E cap.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -187,18 +202,12 @@ def union_membership(
         return True
     if not timeshare:
         return False
-    vertex_sets = [corner_points(r, e_max) for r in regions]
-    lams = np.linspace(0.0, 1.0, grid)
-    for verts in vertex_sets:
-        for v in verts:
-            for lam in lams:
-                if lam == 0.0:
-                    continue
-                u = RateTriple(
-                    (t.c - (1.0 - lam) * v.c) / lam,
-                    (t.q - (1.0 - lam) * v.q) / lam,
-                    (t.e - (1.0 - lam) * v.e) / lam,
-                )
-                if any(contains(r, u, tol=ENTROPIC_TOL) for r in regions):
-                    return True
+    a = np.zeros((14, 4))
+    a[:6, :3], a[6:12, :3], a[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)
+    b = np.append(np.zeros(13), 1.0)
+    at = _REGION_A @ t.as_array()
+    for bi, bj in combinations([_region_b(r) for r in regions], 2):
+        a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
+        if len(_basic_feasible(a, b, ENTROPIC_TOL)):
+            return True
     return False

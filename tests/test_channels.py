@@ -15,7 +15,6 @@ from cqekit.channels import (
     channel_from_spec,
     dephasing,
     depolarizing_complete,
-    erasure_isometry,
     erasure_kraus,
     identity_channel,
     isometric_extension,
@@ -116,12 +115,12 @@ def test_apply_isometry_keeps_reference_and_relabels():
     assert np.allclose(out.marginal_mat({"A"}), np.eye(2) / 2)
     assert matrix_entropy(out.marginal_mat({"E"})) == pytest.approx(H2_09, abs=1e-12)
     with pytest.raises(DimMismatch):
-        apply_isometry(erasure_isometry(0.5, 3), phi)
+        apply_isometry(builtin_isometry("erasure", 0.5, 3), phi)
 
 
 def test_erasure_isometry_structure():
     eps = 0.3
-    v = erasure_isometry(eps, 2)
+    v = builtin_isometry("erasure", eps, 2)
     assert v.out_dim == 3 and v.env_dim == 3
     psi = np.array([1.0, 0.0], dtype=complex)
     rho = np.outer(psi, psi.conj())
@@ -129,15 +128,16 @@ def test_erasure_isometry_structure():
     # receiver sees the input with weight 1 - eps and the flag with weight eps
     assert out_b[0, 0].real == pytest.approx(1.0 - eps, abs=1e-12)
     assert out_b[2, 2].real == pytest.approx(eps, abs=1e-12)
+    # environment: index 0 is the no-erasure branch, index 1 + j carries input j
     out_e = v.complementary_output_mat(rho)
-    assert out_e[0, 0].real == pytest.approx(eps, abs=1e-12)
-    assert out_e[2, 2].real == pytest.approx(1.0 - eps, abs=1e-12)
+    assert out_e[1, 1].real == pytest.approx(eps, abs=1e-12)
+    assert out_e[0, 0].real == pytest.approx(1.0 - eps, abs=1e-12)
 
 
 def test_erasure_isometry_matches_kraus_channel():
     rng = np.random.default_rng(31)
     for eps in (0.0, 0.25, 0.7, 1.0):
-        v = erasure_isometry(eps, 2)
+        v = builtin_isometry("erasure", eps, 2)
         ch = erasure_kraus(eps, 2)
         for _ in range(10):
             psi = random_state_vector(2, rng)
@@ -149,12 +149,15 @@ def test_erasure_isometry_matches_kraus_channel():
 def test_erasure_complementary_is_erasure_with_swapped_probability():
     rng = np.random.default_rng(13)
     eps = 0.2
-    v = erasure_isometry(eps, 2)
-    w = erasure_isometry(1.0 - eps, 2)
+    v = builtin_isometry("erasure", eps, 2)
+    w = builtin_isometry("erasure", 1.0 - eps, 2)
+    # E index 1 + j holds input j and E index 0 plays the flag, B index 2
+    to_b_basis = np.ix_([1, 2, 0], [1, 2, 0])
     for _ in range(10):
         psi = random_state_vector(2, rng)
         rho = np.outer(psi, psi.conj())
-        assert np.allclose(v.complementary_output_mat(rho), w.channel_output_mat(rho), atol=1e-12)
+        comp = v.complementary_output_mat(rho)[to_b_basis]
+        assert np.allclose(comp, w.channel_output_mat(rho), atol=1e-12)
 
 
 def test_tensor_product_and_power():

@@ -9,6 +9,7 @@ import pytest
 
 from cqekit import cli
 from cqekit.cli import build_parser, fmt, main
+from cqekit.errors import SpecFormatError
 
 
 def run_cli(*argv):
@@ -188,10 +189,20 @@ def test_bad_channel_spec_exit_code():
         pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:nan:3"), id="grid-stop-nan"),
         pytest.param(("compare", "--p", "nan"), id="compare-p-nan"),
         pytest.param(("compare", "--channel", "erasure:nan"), id="compare-erasure-nan"),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "{nan_ensemble}"),
+                     id="ensemble-p-nan"),
+        pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:0.5:1000000000000000"),
+                     id="grid-count-huge"),
     ],
 )
-def test_out_of_range_parameter_exit_code(argv):
-    code, out, err = run_cli(*argv)
+def test_out_of_range_parameter_exit_code(argv, tmp_path):
+    # {"p": NaN} is what Python's json module writes and reads for float("nan")
+    nan_ensemble = tmp_path / "nan.json"
+    nan_ensemble.write_text(json.dumps({"dim_A": 2, "dim_Aprime": 2, "entries": [
+        {"p": float("nan"), "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"p": 1.0, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+    ]}))
+    code, out, err = run_cli(*(arg.format(nan_ensemble=nan_ensemble) for arg in argv))
     assert code == 2 and out == ""
     assert "error: " in err
 
@@ -238,3 +249,9 @@ def test_bad_grid_exit_code():
     assert code == 2
     code, _, _ = run_cli("curve", "cef", "--p", "0.2", "--grid", "0:0.5:1")
     assert code == 2
+
+
+def test_grid_count_cap():
+    assert len(cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
+    with pytest.raises(SpecFormatError):
+        cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT + 1}")

@@ -42,6 +42,9 @@ def test_ensemble_probability_validation():
         make_ensemble([(0.6, v), (0.6, v)], 2, 2)
     with pytest.raises(InvalidState):
         make_ensemble([(-0.1, v), (1.1, v)], 2, 2)
+    for probs in ([float("nan"), 1.0], [0.5, float("nan")]):
+        with pytest.raises(InvalidState):
+            make_ensemble([(p, v) for p in probs], 2, 2)
 
 
 def test_ensemble_pruning_drops_zero_weight():

@@ -1,9 +1,17 @@
 """Tests for rate polytopes, vertex enumeration, and unit-resource arithmetic."""
 
+import os
+import subprocess
+import sys
+from itertools import combinations_with_replacement
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.optimize import linprog
 
+import cqekit
 from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
@@ -210,3 +218,96 @@ def test_union_membership_timeshare_dephasing():
     # beyond the sum-rate cap even time-sharing fails
     above = RateTriple(I_AXB_DEPH + 0.01, 0.0, 2.0)
     assert not union_membership(regions, above, timeshare=True)
+
+
+# The region inequalities written out once more, for the scipy oracle below.
+ORACLE_A = np.array([[-1, 0, 0], [0, -1, 0], [0, 0, -1], [1, 2, 0], [0, 1, -1], [1, 1, -1]])
+
+
+def oracle_b(r):
+    return np.array([0.0, 0.0, 0.0, r.i_axb, r.i_coh, r.i_xb + r.i_coh])
+
+
+def oracle_timeshare(regions, t):
+    """t = u + w with u in lam * R_i, w in (1 - lam) * R_j, by scipy's linprog.
+
+    Pairs i == j are included, so membership in a single region is also
+    decided by the LP.
+    """
+    tv = np.array([t.c, t.q, t.e])
+    for ri, rj in combinations_with_replacement(regions, 2):
+        bi, bj = oracle_b(ri), oracle_b(rj)
+        a_ub = np.vstack([np.column_stack([ORACLE_A, -bi]), np.column_stack([-ORACLE_A, bj])])
+        b_ub = np.concatenate([np.zeros(6), bj - ORACLE_A @ tv])
+        res = linprog(np.zeros(4), A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * 3 + [(0, 1)],
+                      method="highs")
+        assert res.status in (0, 2), res.message
+        if res.status == 0:
+            return True
+    return False
+
+
+def vertex_mixtures(regions, lams, rng, n):
+    """n points lam * v_i + (1 - lam) * v_j for vertices of two different regions."""
+    verts = [corner_points(r, 2.0) for r in regions]
+    points = []
+    for k in range(n):
+        i, j = rng.choice(len(regions), 2, replace=False)
+        vi = verts[i][int(rng.integers(len(verts[i])))].as_array()
+        vj = verts[j][int(rng.integers(len(verts[j])))].as_array()
+        lam = lams[k % len(lams)]
+        points.append(RateTriple(*(lam * vi + (1.0 - lam) * vj)))
+    return points
+
+
+def test_union_timeshare_matches_linprog_on_off_grid_mixtures():
+    rng = np.random.default_rng(41)
+    lams = (0.123456, 0.654321, 0.0271828, 0.9314159)
+    misses = 0
+    for p in (0.2, 0.5, 0.8):
+        regions = [region_from_state(sigma_for(builtin_isometry("dephasing", p), float(m)))
+                   for m in (0.05, 0.15, 0.25, 0.35, 0.45)]
+        for t in vertex_mixtures(regions, lams, rng, 40):
+            assert oracle_timeshare(regions, t)  # a mixture lies in the hull
+            misses += not union_membership(regions, t, timeshare=True)
+    assert misses == 0
+
+
+def random_region(rng):
+    i_xb = float(rng.uniform(0.0, 1.0))
+    i_coh = float(rng.uniform(-0.5, 0.8))
+    return OneShotRegion(i_xb + max(i_coh, 0.0) + float(rng.uniform(0.0, 1.0)), i_xb, i_coh)
+
+
+def test_union_timeshare_matches_linprog_on_random_regions():
+    rng = np.random.default_rng(43)
+    answers, negative_coh = [], 0
+    for _ in range(12):
+        regions = [random_region(rng) for _ in range(int(rng.integers(2, 5)))]
+        negative_coh += sum(r.i_coh < 0 for r in regions)
+        queries = [RateTriple(*rng.uniform(0.0, (1.5, 1.0, 2.0))) for _ in range(10)]
+        queries += vertex_mixtures(regions, (0.123456, 0.654321), rng, 4)
+        for t in queries:
+            got = union_membership(regions, t, timeshare=True)
+            assert got == oracle_timeshare(regions, t), (regions, t)
+            answers.append(got)
+    assert negative_coh > 0
+    assert 0 < sum(answers) < len(answers)
+
+
+def test_runtime_imports_no_scipy():
+    # scipy is a test-only dependency: the CLI and the exact time-sharing test
+    # must run without importing it.
+    code = (
+        "import contextlib, io, sys\n"
+        "from cqekit import cli, regions\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.main(['region', '--channel', 'dephasing:0.2', '--ensemble', 'mu:0.5'])\n"
+        "rs = [regions.OneShotRegion(1.5, 0.5, 0.5), regions.OneShotRegion(1.0, 1.0, 0.0)]\n"
+        "far = regions.RateTriple(2.0, 0.0, 5.0)\n"
+        "print(code, regions.union_membership(rs, far, timeshare=True), 'scipy' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(cqekit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False", "False"]
