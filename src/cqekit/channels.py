@@ -17,6 +17,7 @@ from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
 from .qlinalg import DensityOperator, PureStateVector, partial_trace_mat
 
 TP_TOL = 1e-9
+MAX_DIM = 16  # largest built-in channel dimension: the depolarizing Kraus set is then 1 MB
 
 I2 = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
@@ -116,6 +117,7 @@ def apply_isometry(v: IsometricExtension, phi: PureStateVector) -> PureStateVect
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
+    check_range("dimension", d, 1, MAX_DIM)
     return KrausChannel((np.eye(d, dtype=complex),), d, d)
 
 
@@ -134,8 +136,7 @@ def dephasing(p: float) -> KrausChannel:
 
 def depolarizing_complete(d: int = 2) -> KrausChannel:
     """Channel with output I/d for every input (Weyl-operator Kraus set)."""
-    if d < 2:
-        raise OutOfRange(f"dimension {d} must be at least 2")
+    check_range("dimension", d, 2, MAX_DIM)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
@@ -150,6 +151,7 @@ def depolarizing_complete(d: int = 2) -> KrausChannel:
 def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
     """Kraus form of the erasure channel; B has dimension d+1 (flag |e> = index d)."""
     check_range("erasure probability", epsilon, 0.0, 1.0)
+    check_range("dimension", d, 1, MAX_DIM)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     kraus = [np.sqrt(1.0 - epsilon) * embed]

@@ -2,8 +2,10 @@
 
 Subcommands: region (one-shot constants, vertices, children), curve
 (dephasing trade-off curves), compare (CEF vs time-sharing), check
-(property sweeps of identities and bounds).  Exit codes: 0 success,
-1 check failure, 2 config/parse error, 3 dimension error.
+(property sweeps of identities and bounds).  region, curve and compare
+format their values once and print them through one CSV/JSON writer.
+Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 dimension
+error.
 """
 
 from __future__ import annotations
@@ -72,16 +74,16 @@ def _parse_channel(spec: str):
     """Channel argument: a built-in spec (see `_channel_spec`) or a path to a
     JSON channel spec."""
     if os.path.exists(spec):
-        return isometric_extension(load_channel(spec)), spec
-    return builtin_isometry(*_channel_spec(spec)), spec
+        return isometric_extension(load_channel(spec))
+    return builtin_isometry(*_channel_spec(spec))
 
 
-def _parse_ensemble(spec: str) -> tuple[CQEnsemble, str]:
+def _parse_ensemble(spec: str) -> CQEnsemble:
     """Ensemble argument: 'mu:X' for the built-in two-letter family, or a path."""
     if spec.startswith("mu:"):
-        return mu_ensemble(float(spec.split(":", 1)[1])), spec
+        return mu_ensemble(float(spec.split(":", 1)[1]))
     if os.path.exists(spec):
-        return load_ensemble(spec), spec
+        return load_ensemble(spec)
     raise SpecFormatError(f"unknown ensemble spec {spec!r}")
 
 
@@ -97,68 +99,46 @@ def _parse_grid(spec: str) -> np.ndarray:
     return np.linspace(start, stop, count)
 
 
-def _write(text: str, path: str | None) -> None:
-    if path is None:
+def _emit(args, header, rows, doc, comments=()) -> int:
+    """Write `doc` as JSON (after schema_version and command) or `comments`,
+    `header` and `rows` as CSV, per --format, to --output or stdout."""
+    if args.format == "json":
+        doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
+        text = json.dumps(doc, indent=2) + "\n"
+    else:
+        buf = io.StringIO()
+        buf.writelines(f"# {line}\n" for line in comments)
+        writer = csv.writer(buf, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+        text = buf.getvalue()
+    if args.output is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", newline="") as fh:
+        with open(args.output, "w", newline="") as fh:
             fh.write(text)
+    return 0
 
 
-def _csv_text(header, rows, comments=()) -> str:
-    buf = io.StringIO()
-    for line in comments:
-        buf.write(f"# {line}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(header)
-    writer.writerows(rows)
-    return buf.getvalue()
+def _triple(t, digits: int) -> list[str]:
+    """The (C, Q, E) of a rate triple as printed values."""
+    return [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
 
 
 def cmd_region(args) -> int:
     digits = args.precision
-    iso, channel_name = _parse_channel(args.channel)
-    ens, ensemble_name = _parse_ensemble(args.ensemble)
-    sigma = channel_output_ensemble(ens, iso)
+    iso = _parse_channel(args.channel)
+    sigma = channel_output_ensemble(_parse_ensemble(args.ensemble), iso)
     region = region_from_state(sigma)
-    vertices = corner_points(region, args.e_max)
-    children = derive_children(sigma)
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "region",
-            "channel": channel_name,
-            "ensemble": ensemble_name,
-            "e_max": float(args.e_max),
-            "region": {
-                "i_axb": fmt(region.i_axb, digits),
-                "i_xb": fmt(region.i_xb, digits),
-                "i_coh": fmt(region.i_coh, digits),
-            },
-            "vertices": [[fmt(v.c, digits), fmt(v.q, digits), fmt(v.e, digits)]
-                         for v in vertices],
-            "children": {
-                name: [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
-                for name, t in sorted(children.items())
-            },
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        rows = [
-            ("constant", "i_axb", fmt(region.i_axb, digits), "", ""),
-            ("constant", "i_xb", fmt(region.i_xb, digits), "", ""),
-            ("constant", "i_coh", fmt(region.i_coh, digits), "", ""),
-        ]
-        rows += [
-            ("vertex", str(i), fmt(v.c, digits), fmt(v.q, digits), fmt(v.e, digits))
-            for i, v in enumerate(vertices)
-        ]
-        rows += [
-            ("child", name, fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits))
-            for name, t in sorted(children.items())
-        ]
-        _write(_csv_text(("record", "name", "c", "q", "e"), rows), args.output)
-    return 0
+    constants = {name: fmt(getattr(region, name), digits) for name in ("i_axb", "i_xb", "i_coh")}
+    vertices = [_triple(v, digits) for v in corner_points(region, args.e_max)]
+    children = {name: _triple(t, digits) for name, t in sorted(derive_children(sigma).items())}
+    rows = [("constant", name, value, "", "") for name, value in constants.items()]
+    rows += [("vertex", str(i), *v) for i, v in enumerate(vertices)]
+    rows += [("child", name, *t) for name, t in children.items()]
+    doc = {"channel": args.channel, "ensemble": args.ensemble, "e_max": float(args.e_max),
+           "region": constants, "vertices": vertices, "children": children}
+    return _emit(args, ("record", "name", "c", "q", "e"), rows, doc)
 
 
 CURVES = {
@@ -174,33 +154,11 @@ def cmd_curve(args) -> int:
         raise SpecFormatError(f"unknown curve {args.curve!r}")
     name, func = CURVES[args.curve]
     grid = _parse_grid(args.grid)
-    bound = closedform.solid_plane_bound(args.p)
-    rows = []
-    for mu in grid:
-        t = func(args.p, float(mu))
-        rows.append(
-            (fmt(float(mu), digits), fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits), name)
-        )
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "curve",
-            "curve": name,
-            "p": float(args.p),
-            "solid_plane_bound": fmt(bound, digits),
-            "rows": [list(r) for r in rows],
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _write(
-            _csv_text(
-                ("mu", "C", "Q", "E", "curve_name"),
-                rows,
-                comments=(f"solid_plane_bound={fmt(bound, digits)}",),
-            ),
-            args.output,
-        )
-    return 0
+    bound = fmt(closedform.solid_plane_bound(args.p), digits)
+    rows = [[fmt(mu, digits), *_triple(func(args.p, mu), digits), name] for mu in map(float, grid)]
+    doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound, "rows": rows}
+    return _emit(args, ("mu", "C", "Q", "E", "curve_name"), rows, doc,
+                 (f"solid_plane_bound={bound}",))
 
 
 def cmd_compare(args) -> int:
@@ -211,44 +169,21 @@ def cmd_compare(args) -> int:
     else:
         kind, param, d = _channel_spec(args.channel)
     if kind == "erasure" and d == 2:
-        cef = lambda mu: closedform.erasure_cef_curve(param, mu)
-        delta = lambda mu: closedform.erasure_cef_vs_timeshare(param, mu)
+        cef, delta = closedform.erasure_cef_curve, closedform.erasure_cef_vs_timeshare
         eaq = closedform.erasure_table(param)["EAQ"]
     elif kind == "dephasing" and d == 2:
-        cef = lambda mu: closedform.cef_curve(param, mu)
-        delta = lambda mu: closedform.cef_vs_timeshare(param, mu)
+        cef, delta = closedform.cef_curve, closedform.cef_vs_timeshare
         eaq = closedform.cef_curve(param, 0.5)
     else:
         raise SpecFormatError(f"compare supports qubit dephasing/erasure, got {args.channel!r}")
     rows = []
-    for mu in grid:
-        mu = float(mu)
-        t = cef(mu)
-        dq, de = delta(mu)
+    for mu in map(float, grid):
+        t = cef(param, mu)
+        dq, de = delta(param, mu)
         lam = binary_entropy(mu)
-        rows.append(
-            (
-                fmt(mu, digits),
-                fmt(t.c, digits),
-                fmt(t.q, digits),
-                fmt(t.e, digits),
-                fmt(lam * eaq.q, digits),
-                fmt(lam * eaq.e, digits),
-                fmt(dq, digits),
-                fmt(de, digits),
-            )
-        )
+        rows.append([fmt(x, digits) for x in (mu, t.c, t.q, t.e, lam * eaq.q, lam * eaq.e, dq, de)])
     header = ("mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE")
-    if args.format == "json":
-        doc = {
-            "schema_version": SCHEMA_VERSION,
-            "command": "compare",
-            "rows": [list(r) for r in rows],
-        }
-        _write(json.dumps(doc, indent=2) + "\n", args.output)
-    else:
-        _write(_csv_text(header, rows), args.output)
-    return 0
+    return _emit(args, header, rows, {"rows": rows})
 
 
 def _sweep(outcomes) -> tuple[bool, float]:
@@ -378,8 +313,9 @@ def main(argv=None) -> int:
         print(f"dimension error: {exc}", file=sys.stderr)
         return 3
     # LinAlgError (a numerical failure on bad input) is a ValueError; it is
-    # listed to make its exit code 2 deliberate.
-    except (SpecFormatError, OutOfRange, np.linalg.LinAlgError, ValueError) as exc:
+    # listed to make its exit code 2 deliberate.  OSError is an unreadable
+    # input path or an unwritable --output path.
+    except (SpecFormatError, OutOfRange, np.linalg.LinAlgError, ValueError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except CQEKitError as exc:

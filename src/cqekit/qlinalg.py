@@ -54,9 +54,11 @@ def binary_entropy(q: float) -> float:
 
 
 def matrix_entropy(m: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a PSD Hermitian matrix (eigenvalue clamp 1e-9)."""
-    w = np.linalg.eigvalsh(m)
-    return shannon_entropy(np.clip(w, 0.0, None))
+    """Von Neumann entropy in bits of a PSD Hermitian matrix.
+
+    Eigenvalues in [-1e-9, 0) count as 0; a lower one raises InvalidState.
+    """
+    return shannon_entropy(np.linalg.eigvalsh(m))
 
 
 def trace_norm(m: np.ndarray) -> float:

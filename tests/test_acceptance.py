@@ -283,6 +283,9 @@ GOLDEN_COMMANDS = (
     ("curve", "ce", "--p", "0.2", "--grid", "0:0.5:51"),
     ("compare", "--p", "0.2", "--grid", "0:0.5:26"),
     ("compare", "--channel", "erasure:0.25", "--grid", "0:0.5:26"),
+    ("compare", "--p", "0.2", "--grid", "0:0.5:26", "--format", "json"),
+    ("compare", "--channel", "erasure:0.25", "--grid", "0:0.5:26", "--format", "json"),
+    ("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5", "--format", "csv"),
     ("check", "--suite", "identities", "--trials", "5", "--seed", "7"),
     ("check", "--suite", "all", "--trials", "20", "--seed", "1"),
 )

@@ -6,7 +6,7 @@ import pytest
 from cqekit import bounds
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
-from cqekit.errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
+from cqekit.errors import DimMismatch, InvalidState, NoEnvironmentSplit, NotValidPOVMElement
 from conftest import random_ensemble
 
 
@@ -42,6 +42,8 @@ def test_check_fannes():
     assert report.satisfied and report.slack > 0
     with pytest.raises(DimMismatch):
         bounds.check_fannes(rho, np.eye(3, dtype=complex) / 3)
+    with pytest.raises(InvalidState):
+        bounds.check_fannes(np.diag([1.5, -0.5]).astype(complex), rho)
 
 
 def test_info_helpers_on_maximally_entangled_state():

@@ -7,6 +7,7 @@ import pytest
 
 from conftest import random_state_vector
 from cqekit.channels import (
+    MAX_DIM,
     TP_TOL,
     KrausChannel,
     apply,
@@ -177,6 +178,22 @@ def test_builtin_isometry_dispatch():
     assert builtin_isometry("identity", None, 2).env_dim == 1
     with pytest.raises(OutOfRange):
         builtin_isometry("amplitude-damping", 0.2)
+
+
+def test_dimension_cap():
+    assert MAX_DIM == 16
+    assert depolarizing_complete(MAX_DIM).in_dim == MAX_DIM
+    # just above the cap: should it fail, a huge d would allocate 16 d^4 bytes
+    for build in (identity_channel, depolarizing_complete, lambda d: erasure_kraus(0.25, d)):
+        with pytest.raises(OutOfRange):
+            build(MAX_DIM + 1)
+    with pytest.raises(OutOfRange):
+        channel_from_spec({"kind": "depolarizing", "d": MAX_DIM + 1})
+    for build in (identity_channel, lambda d: erasure_kraus(0.25, d)):
+        with pytest.raises(OutOfRange):
+            build(0)
+    with pytest.raises(OutOfRange):
+        depolarizing_complete(1)
 
 
 def test_channel_from_spec_builtins_and_kraus():

@@ -3,10 +3,15 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cqekit
 from cqekit import cli
 from cqekit.cli import build_parser, fmt, main
 from cqekit.errors import SpecFormatError
@@ -74,14 +79,23 @@ def test_region_depolarizing_is_flat():
         assert abs(c) < 1e-9 and abs(q) < 1e-9
 
 
-def test_region_output_file(tmp_path):
-    target = tmp_path / "region.json"
-    code, out, _ = run_cli(
-        "region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5",
-        "--output", str(target),
-    )
+OUTPUT_COMMANDS = {
+    "region": ("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5"),
+    "curve": ("curve", "cef", "--p", "0.2", "--grid", "0:0.5:11"),
+    "compare": ("compare", "--p", "0.2", "--grid", "0:0.5:11"),
+}
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+@pytest.mark.parametrize("command", sorted(OUTPUT_COMMANDS))
+def test_output_file_equals_stdout(command, fmt_name, tmp_path):
+    argv = OUTPUT_COMMANDS[command] + ("--format", fmt_name)
+    target = tmp_path / f"{command}.{fmt_name}"
+    code, out, _ = run_cli(*argv, "--output", str(target))
     assert code == 0 and out == ""
-    assert json.loads(target.read_text())["command"] == "region"
+    code, out, _ = run_cli(*argv)
+    assert code == 0 and out
+    assert target.read_bytes() == out.encode()
 
 
 def test_curve_csv_cef():
@@ -193,6 +207,11 @@ def test_bad_channel_spec_exit_code():
                      id="ensemble-p-nan"),
         pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:0.5:1000000000000000"),
                      id="grid-count-huge"),
+        # just above channels.MAX_DIM: should the cap fail, a huge d would allocate 16 d^4 bytes
+        pytest.param(("region", "--channel", "depolarizing:17", "--ensemble", "mu:0.5"),
+                     id="depolarizing-17"),
+        pytest.param(("region", "--channel", "identity:-1", "--ensemble", "mu:0.5"),
+                     id="identity-minus-1"),
     ],
 )
 def test_out_of_range_parameter_exit_code(argv, tmp_path):
@@ -205,6 +224,30 @@ def test_out_of_range_parameter_exit_code(argv, tmp_path):
     code, out, err = run_cli(*(arg.format(nan_ensemble=nan_ensemble) for arg in argv))
     assert code == 2 and out == ""
     assert "error: " in err
+
+
+UNUSABLE_PATHS = {
+    "output-missing-dir": ("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5",
+                           "--output", "{tmp}/missing/x.json"),
+    "channel-directory": ("region", "--channel", "{tmp}", "--ensemble", "mu:0.5"),
+    "ensemble-directory": ("region", "--channel", "dephasing:0.2", "--ensemble", "{tmp}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(UNUSABLE_PATHS))
+def test_unusable_path_exit_code(case, tmp_path):
+    code, out, err = run_cli(*(arg.format(tmp=tmp_path) for arg in UNUSABLE_PATHS[case]))
+    assert code == 2 and out == ""
+    assert "config error" in err
+
+
+def test_unusable_output_path_has_no_traceback(tmp_path):
+    argv = [arg.format(tmp=tmp_path) for arg in UNUSABLE_PATHS["output-missing-dir"]]
+    env = {**os.environ, "PYTHONPATH": str(Path(cqekit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "cqekit.cli", *argv],
+                          env=env, capture_output=True, text=True)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "config error" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_dimension_mismatch_exit_code():

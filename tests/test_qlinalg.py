@@ -102,6 +102,15 @@ def test_matrix_entropy_examples():
     assert matrix_entropy(np.diag([0.9, 0.1])) == pytest.approx(H2_09, abs=1e-14)
 
 
+def test_matrix_entropy_rejects_negative_eigenvalues():
+    with pytest.raises(InvalidState):
+        matrix_entropy(np.diag([1.5, -0.5]))
+    # eigenvalues in [-1e-9, 0) are rounding noise and count as 0
+    assert matrix_entropy(np.diag([1.0, -1e-12])) == 0.0
+    noisy = matrix_entropy(np.diag([1.0 + 1e-12, -1e-12]))
+    assert noisy == matrix_entropy(np.diag([1.0 + 1e-12, 0.0])) == pytest.approx(0.0, abs=1e-11)
+
+
 def test_matrix_entropy_unitary_invariance_and_additivity():
     rng = np.random.default_rng(11)
     for _ in range(10):
