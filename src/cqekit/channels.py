@@ -13,7 +13,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError, check_range
+from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
+from .errors import check_int, check_range
 from .qlinalg import DensityOperator, PureStateVector, partial_trace_mat
 
 TP_TOL = 1e-9
@@ -117,7 +118,7 @@ def apply_isometry(v: IsometricExtension, phi: PureStateVector) -> PureStateVect
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
-    check_range("dimension", d, 1, MAX_DIM)
+    check_int("dimension", d, 1, MAX_DIM)
     return KrausChannel((np.eye(d, dtype=complex),), d, d)
 
 
@@ -136,7 +137,7 @@ def dephasing(p: float) -> KrausChannel:
 
 def depolarizing_complete(d: int = 2) -> KrausChannel:
     """Channel with output I/d for every input (Weyl-operator Kraus set)."""
-    check_range("dimension", d, 2, MAX_DIM)
+    check_int("dimension", d, 2, MAX_DIM)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
@@ -151,7 +152,7 @@ def depolarizing_complete(d: int = 2) -> KrausChannel:
 def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
     """Kraus form of the erasure channel; B has dimension d+1 (flag |e> = index d)."""
     check_range("erasure probability", epsilon, 0.0, 1.0)
-    check_range("dimension", d, 1, MAX_DIM)
+    check_int("dimension", d, 1, MAX_DIM)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
     kraus = [np.sqrt(1.0 - epsilon) * embed]
@@ -213,7 +214,7 @@ def channel_from_spec(spec: dict) -> KrausChannel:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise SpecFormatError("channel spec must be an object with a 'kind' field")
     kind = spec["kind"]
-    d = int(spec.get("d", 2))
+    d = check_int("dimension", spec.get("d", 2), 1, MAX_DIM)
     if kind == "dephasing":
         return dephasing(float(spec["p"]))
     if kind == "erasure":
@@ -226,6 +227,7 @@ def channel_from_spec(spec: dict) -> KrausChannel:
             raise SpecFormatError("kraus spec requires a nonempty 'ops' list")
         kraus = tuple(_complex_matrix(m) for m in ops)
         out_dim, in_dim = kraus[0].shape
+        check_int("Kraus operator dimension", max(out_dim, in_dim), 1, MAX_DIM)
         try:
             return KrausChannel(kraus, in_dim, out_dim)
         except NotTracePreserving as exc:

@@ -1,5 +1,6 @@
-"""Exception types shared across the toolkit, and the one range validator."""
+"""Exception types shared across the toolkit, and the range validators."""
 
+import numbers
 import sys
 
 FLOAT_MAX = sys.float_info.max  # check_range(name, x, -FLOAT_MAX, FLOAT_MAX) rejects inf and NaN
@@ -73,3 +74,10 @@ def check_range(name: str, value: float, lo: float, hi: float, error=OutOfRange)
     if not (lo <= value <= hi):
         raise error(f"{name} = {value} outside [{lo}, {hi}]")
     return value
+
+
+def check_int(name: str, value, lo: int, hi: float, error=OutOfRange) -> int:
+    """Return `value` if it is an integer (not a bool) in [lo, hi], else raise `error`."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise error(f"{name} = {value!r} is not an integer")
+    return check_range(name, value, lo, hi, error)

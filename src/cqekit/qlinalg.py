@@ -37,7 +37,7 @@ def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def shannon_entropy(p: Sequence[float]) -> float:
     """-sum p log2 p with 0 log 0 := 0; small negatives are clamped."""
     total = 0.0
-    for q in np.asarray(p, dtype=float).ravel():
+    for q in np.asarray(p, dtype=float).ravel().tolist():
         if q < -EIG_CLAMP:
             raise InvalidState(f"probability {q} below clamp threshold")
         if q > 1e-15:

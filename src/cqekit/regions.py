@@ -133,15 +133,18 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
 def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     """Vertices of the capped polytope, sorted lexicographically.
 
-    The feasible basic solutions of the seven bounding planes, deduplicated.
+    The feasible basic solutions of the seven bounding planes, less each one
+    within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
     """
     check_range("e_max", e_max, 0.0, FLOAT_MAX)
-    found: list[np.ndarray] = []
-    for x in _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL):
-        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
-            found.append(x)
-    found.sort(key=tuple)
-    return [RateTriple(*x) for x in found]
+    x = _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL)
+    near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
+    kept: list[int] = []
+    for i, row in enumerate(near):
+        if not any(row[j] for j in kept):
+            kept.append(i)
+    x = x[kept]
+    return [RateTriple(*v) for v in x[np.lexsort(x.T[::-1])].tolist()]
 
 
 def cef_point(sigma: CQEJointState) -> RateTriple:

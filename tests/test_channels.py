@@ -189,6 +189,20 @@ def test_dimension_cap():
             build(MAX_DIM + 1)
     with pytest.raises(OutOfRange):
         channel_from_spec({"kind": "depolarizing", "d": MAX_DIM + 1})
+    identity_ops = [[[1.0 if i == j else 0.0, 0.0] for j in range(MAX_DIM + 1)]
+                    for i in range(MAX_DIM + 1)]
+    with pytest.raises(OutOfRange):
+        channel_from_spec({"kind": "kraus", "ops": [identity_ops]})
+    identity_max = [row[:-1] for row in identity_ops[:-1]]
+    assert channel_from_spec({"kind": "kraus", "ops": [identity_max]}).in_dim == MAX_DIM
+    # d is an integer, not a fractional, boolean or string value that int() would coerce
+    for d in (2.9, 3.0, True, "3", None):
+        for kind in ("depolarizing", "erasure", "dephasing"):
+            with pytest.raises(OutOfRange):
+                channel_from_spec({"kind": kind, "d": d, "p": 0.2, "epsilon": 0.2})
+        with pytest.raises(OutOfRange):
+            depolarizing_complete(d)
+    assert depolarizing_complete(np.int64(3)).in_dim == 3
     for build in (identity_channel, lambda d: erasure_kraus(0.25, d)):
         with pytest.raises(OutOfRange):
             build(0)

@@ -185,6 +185,25 @@ def test_bad_channel_spec_exit_code():
     assert "config error" in err
 
 
+# JSON specs written by test_out_of_range_parameter_exit_code.  {"p": NaN} is
+# what Python's json module writes and reads for float("nan"); the "d-" channels
+# have a "d" that int() would coerce, and kraus-17 an operator side above MAX_DIM.
+SPEC_FILES = {
+    "nan": {"dim_A": 2, "dim_Aprime": 2, "entries": [
+        {"p": float("nan"), "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+        {"p": 1.0, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]},
+    ]},
+    "dim-a": {"dim_A": 2.9, "dim_Aprime": 2, "entries": [
+        {"p": 1.0, "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
+    ]},
+    "d-2.9": {"kind": "depolarizing", "d": 2.9},
+    "d-true": {"kind": "depolarizing", "d": True},
+    "d-string": {"kind": "erasure", "epsilon": 0.25, "d": "2"},
+    "kraus-17": {"kind": "kraus", "ops": [
+        [[[1.0 if i == j else 0.0, 0.0] for j in range(17)] for i in range(17)]]},
+}
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "argv",
@@ -203,7 +222,7 @@ def test_bad_channel_spec_exit_code():
         pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:nan:3"), id="grid-stop-nan"),
         pytest.param(("compare", "--p", "nan"), id="compare-p-nan"),
         pytest.param(("compare", "--channel", "erasure:nan"), id="compare-erasure-nan"),
-        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "{nan_ensemble}"),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "{tmp}/nan.json"),
                      id="ensemble-p-nan"),
         pytest.param(("curve", "cef", "--p", "0.2", "--grid", "0:0.5:1000000000000000"),
                      id="grid-count-huge"),
@@ -212,16 +231,17 @@ def test_bad_channel_spec_exit_code():
                      id="depolarizing-17"),
         pytest.param(("region", "--channel", "identity:-1", "--ensemble", "mu:0.5"),
                      id="identity-minus-1"),
+        *(pytest.param(("region", "--channel", f"{{tmp}}/{name}.json", "--ensemble", "mu:0.5"),
+                       id=f"channel-{name}")
+          for name in ("d-2.9", "d-true", "d-string", "kraus-17")),
+        pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "{tmp}/dim-a.json"),
+                     id="ensemble-dim-a-2.9"),
     ],
 )
 def test_out_of_range_parameter_exit_code(argv, tmp_path):
-    # {"p": NaN} is what Python's json module writes and reads for float("nan")
-    nan_ensemble = tmp_path / "nan.json"
-    nan_ensemble.write_text(json.dumps({"dim_A": 2, "dim_Aprime": 2, "entries": [
-        {"p": float("nan"), "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
-        {"p": 1.0, "amps": [[0, 0], [0, 0], [0, 0], [1, 0]]},
-    ]}))
-    code, out, err = run_cli(*(arg.format(nan_ensemble=nan_ensemble) for arg in argv))
+    for name, spec in SPEC_FILES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(spec))
+    code, out, err = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2 and out == ""
     assert "error: " in err
 

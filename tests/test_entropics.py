@@ -10,6 +10,7 @@ from cqekit import entropics
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import (
     CQEJointState,
+    EntropyProfile,
     channel_output_ensemble,
     coherent_A_given_BX,
     cond_entropy_A_given_X,
@@ -24,7 +25,7 @@ from cqekit.entropics import (
     verify_identities,
 )
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
-from cqekit.qlinalg import PureStateVector, binary_entropy
+from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
 from cqekit.regions import corner_points, derive_children, region_from_state
 
 H2_09 = 0.4689955935892812
@@ -52,6 +53,7 @@ def test_ensemble_pruning_drops_zero_weight():
     w = np.array([0, 0, 0, 1.0], dtype=complex)
     ens = make_ensemble([(1.0, v), (0.0, w)], 2, 2)
     assert len(ens.entries) == 1
+    assert ens.pruned() is ens  # nothing left to drop: no copy, no second validation
 
 
 def test_ensemble_cardinality_warning():
@@ -175,8 +177,10 @@ def test_splitting_a_letter_keeps_entropics():
 
 
 def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
-    # H(A), H(B), H(E) of each of the two blocks, H(avg B), and the H(AX) and
-    # H(AXB) of the cross-check: 9 eigensolves, all on first profile access.
+    # One stacked call each for H(A), H(B), H(E) over both blocks, H(avg B), and
+    # the blocks of H(AX) and H(AXB) in the cross-check: 6 eigensolve calls,
+    # all on first profile access.  No block-diagonal matrix is assembled, so
+    # no solved matrix is larger than d_A * d_B = 4 per side.
     calls = []
     real = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
@@ -185,8 +189,57 @@ def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
     corner_points(region, 2.0)
     before_children = len(calls)
     derive_children(sigma)
-    assert len(calls) == 9
+    assert len(calls) == 6
     assert len(calls) == before_children
+    assert max(side for shape in calls for side in shape[-2:]) == 4
+
+
+def _reference_profile(sigma):
+    """The per-block path: marginal_mat and matrix_entropy for each block and
+    subsystem, and the cross-check's H(AX) and H(AXB) from the assembled
+    block-diagonal matrices.  Returns the profile and the direct I(AX;B)."""
+    n, da = len(sigma.blocks), sigma.dim_A
+    dab = da * sigma.dim_B
+    big_ax = np.zeros((n * da, n * da), dtype=complex)
+    big_axb = np.zeros((n * dab, n * dab), dtype=complex)
+    rows, weighted_b = [], []
+    for i, (p, psi) in enumerate(sigma.blocks):
+        rho_a, rho_b = psi.marginal_mat({"A"}), psi.marginal_mat({"B"})
+        he = matrix_entropy(psi.marginal_mat({"E"}))
+        rows.append((p, matrix_entropy(rho_a), matrix_entropy(rho_b), he))
+        weighted_b.append(p * rho_b)
+        big_ax[i * da:(i + 1) * da, i * da:(i + 1) * da] = p * rho_a
+        big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * psi.marginal_mat({"A", "B"})
+    h_avg_b = matrix_entropy(sum(weighted_b))
+    i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
+    i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
+    profile = EntropyProfile(
+        h_a_given_x=sum(p * ha for p, ha, _, _ in rows),
+        i_ab_given_x=i_ab,
+        i_ae_given_x=sum(p * (ha + he - hb) for p, ha, hb, he in rows),
+        i_coh=sum(p * (hb - he) for p, _, hb, he in rows),
+        i_xb=i_xb,
+        i_axb=i_ab + i_xb,
+    )
+    return profile, matrix_entropy(big_ax) + h_avg_b - matrix_entropy(big_axb)
+
+
+@pytest.mark.parametrize("kind, param, d", [
+    ("dephasing", 0.3, 2), ("erasure", 0.25, 2), ("erasure", 0.6, 3),
+    ("depolarizing", None, 2), ("depolarizing", None, 3),
+])
+def test_profile_equals_per_block_reference(kind, param, d):
+    iso = builtin_isometry(kind, param, d)
+    rng = np.random.default_rng([d, 17])
+    for letters in (1, 2, 3, 4):
+        for _ in range(6):
+            probs = rng.random(letters) + 0.05
+            probs /= probs.sum()
+            entries = [(p, random_state_vector(d * d, rng)) for p in probs]
+            sigma = channel_output_ensemble(make_ensemble(entries, d, d), iso)
+            reference, direct = _reference_profile(sigma)
+            assert sigma.profile == reference  # every field bit for bit
+            assert abs(direct - sigma.profile.i_axb) <= 1e-12
 
 
 def test_profile_is_cached_and_cross_checked(monkeypatch):

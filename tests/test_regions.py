@@ -18,11 +18,14 @@ from cqekit.entropics import channel_output_ensemble, mu_ensemble
 from cqekit.errors import EmptyInput, InvalidRegion, NegativeRate, OutOfRange
 from cqekit.regions import (
     ENT_DISTRIBUTION,
+    VERTEX_DEDUP_TOL,
+    VERTEX_FEAS_TOL,
     SUPER_DENSE,
     TELEPORTATION,
     UNIT_PROTOCOLS,
     OneShotRegion,
     RateTriple,
+    _basic_feasible,
     apply_unit,
     cef_point,
     contains,
@@ -152,6 +155,46 @@ def test_corner_points_degenerate_region():
     assert np.all(np.abs(arr[:, :2]) < 1e-9)
     with pytest.raises(OutOfRange):
         corner_points(OneShotRegion(1.0, 0.5, 0.5), -1.0)
+
+
+def _reference_corner_points(r, e_max):
+    """Dedup by a loop over the kept points, then a sort on tuples."""
+    found = []
+    for x in _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL):
+        if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
+            found.append(x)
+    found.sort(key=tuple)
+    return [RateTriple(*x) for x in found]
+
+
+def _bits(verts):
+    return [tuple(float(x).hex() for x in (v.c, v.q, v.e)) for v in verts]
+
+
+def test_corner_points_equals_loop_reference():
+    rng = np.random.default_rng(2024)
+    cases = [(OneShotRegion(0.0, 0.0, 0.0), e) for e in (0.0, 1.0)]
+    # e_max = VERTEX_DEDUP_TOL: (0, 0, 0) and (0, 0, e_max) are exactly that far apart
+    cases += [(OneShotRegion(1.0, 0.5, 0.0), e) for e in (0.0, VERTEX_DEDUP_TOL, 2.0)]
+    # a chain of three solutions under 1.75e-7 apart: the first-kept rule keeps
+    # the third, which a rule dropping anything near any earlier solution loses
+    cases.append((OneShotRegion(1.0000002701835853, 0.5000001882421155, 0.5), 1.7486e-7))
+    # i_coh < 0 and i_axb a few VERTEX_DEDUP_TOL above i_xb: the vertices at
+    # C = i_xb (E = -i_coh) and C = i_axb are near-tied, merged or not by the dedup
+    for gap in (0.0, 1e-9, 5e-8, 1e-7, 1.5e-7, 3e-7):
+        for i_coh in (-0.5, -1e-8):
+            r = OneShotRegion(1.0 + gap, 1.0, i_coh)
+            cases += [(r, e) for e in (0.0, -i_coh, 2.0)]
+    for _ in range(400):
+        i_xb, i_coh = rng.uniform(0, 2), rng.uniform(-1, 1)
+        e_max = rng.choice([0.0, 0.5, 2.0, rng.uniform(0, 3e-7)])
+        if rng.random() < 0.5:  # within 3e-7 of a coarse grid: (near-)coincidences
+            i_xb = rng.integers(0, 5) / 4 + rng.uniform(0, 3e-7)
+            i_coh = rng.integers(-4, 5) / 4 + rng.uniform(-3e-7, 3e-7)
+        i_axb = max(i_xb, i_xb + i_coh) + rng.choice([0.0, 1e-8, rng.uniform(0, 1)])
+        cases.append((OneShotRegion(i_axb, i_xb, i_coh), e_max))
+    for r, e_max in cases:
+        assert _bits(corner_points(r, e_max)) == _bits(_reference_corner_points(r, e_max))
 
 
 def test_cef_point_examples():
