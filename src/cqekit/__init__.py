@@ -3,7 +3,6 @@
 from .channels import (
     IsometricExtension,
     KrausChannel,
-    apply,
     apply_isometry,
     builtin_isometry,
     dephasing,
@@ -21,7 +20,6 @@ from .entropics import (
     verify_identities,
 )
 from .qlinalg import (
-    DensityOperator,
     PureStateVector,
     binary_entropy,
     trace_norm,

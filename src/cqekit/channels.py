@@ -1,8 +1,10 @@
 """Channel models as Kraus sets and isometric extensions A' -> B (x) E.
 
 Built-in constructors cover the qubit dephasing channel, the quantum
-erasure channel and the completely depolarizing channel, each as a Kraus
-set; every isometry is the lift of a Kraus set by `isometric_extension`.
+erasure channel, the completely depolarizing channel and the identity, each
+as a Kraus set; every isometry is the lift of a Kraus set by
+`isometric_extension`.  `channel_from_spec` is the one builder from a spec
+object, whose kinds and fields are the table `CHANNEL_KINDS`.
 """
 
 from __future__ import annotations
@@ -14,15 +16,13 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
-from .errors import check_int, check_range
-from .qlinalg import DensityOperator, PureStateVector, partial_trace_mat
+from .errors import check_int, check_real
+from .qlinalg import PureStateVector
 
 TP_TOL = 1e-9
 MAX_DIM = 16  # largest built-in channel dimension: the depolarizing Kraus set is then 1 MB
 
 I2 = np.eye(2, dtype=complex)
-PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
@@ -46,7 +46,7 @@ class KrausChannel:
             if k.shape != (self.out_dim, self.in_dim):
                 raise DimMismatch(f"Kraus shape {k.shape} != ({self.out_dim}, {self.in_dim})")
         dev = tp_deviation(self.kraus)
-        if dev > TP_TOL:
+        if not dev <= TP_TOL:  # NaN fails too
             raise NotTracePreserving(f"sum K^dag K deviates from I by {dev}")
 
 
@@ -66,29 +66,8 @@ class IsometricExtension:
                 f"({self.out_dim * self.env_dim}, {self.in_dim})"
             )
         dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.in_dim)))
-        if dev > TP_TOL:
+        if not dev <= TP_TOL:  # NaN fails too
             raise NotTracePreserving(f"V^dag V deviates from I by {dev}")
-
-    def output_mat(self, rho_mat: np.ndarray) -> np.ndarray:
-        """Joint B (x) E output matrix V rho V^dag."""
-        return self.matrix @ rho_mat @ self.matrix.conj().T
-
-    def channel_output_mat(self, rho_mat: np.ndarray) -> np.ndarray:
-        """Bob's output: trace out E of V rho V^dag."""
-        return partial_trace_mat(self.output_mat(rho_mat), (self.out_dim, self.env_dim), (0,))
-
-    def complementary_output_mat(self, rho_mat: np.ndarray) -> np.ndarray:
-        """Environment output: trace out B of V rho V^dag."""
-        return partial_trace_mat(self.output_mat(rho_mat), (self.out_dim, self.env_dim), (1,))
-
-
-def apply(ch: KrausChannel, rho: DensityOperator) -> DensityOperator:
-    """Channel action sum_k K_k rho K_k^dag; output labeled B."""
-    if rho.mat.shape[0] != ch.in_dim:
-        raise DimMismatch(f"state dimension {rho.mat.shape[0]} != channel input {ch.in_dim}")
-    out = sum(k @ rho.mat @ k.conj().T for k in ch.kraus)
-    out = (out + out.conj().T) / 2
-    return DensityOperator(out, (ch.out_dim,), ("B",))
 
 
 def isometric_extension(ch: KrausChannel) -> IsometricExtension:
@@ -122,15 +101,17 @@ def identity_channel(d: int = 2) -> KrausChannel:
     return KrausChannel((np.eye(d, dtype=complex),), d, d)
 
 
-def dephasing(p: float) -> KrausChannel:
+def dephasing(p: float, d: int = 2) -> KrausChannel:
     """Qubit dephasing with parameter p: rho -> (1 - p/2) rho + (p/2) Z rho Z.
 
     The phase flip is applied with probability p/2, so p = 1 is the completely
     dephasing channel.  This is the parameterization under which the
     environment entropy of the standard two-letter input family equals
-    H2(g(p, mu)), matching the closed-form trade-off curves.
+    H2(g(p, mu)), matching the closed-form trade-off curves.  The dimension
+    `d` may only be 2.
     """
-    check_range("dephasing parameter", p, 0.0, 1.0)
+    check_real("dephasing parameter", p, 0.0, 1.0)
+    check_int("dimension", d, 2, 2)
     q = p / 2.0
     return KrausChannel((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z), 2, 2)
 
@@ -151,7 +132,7 @@ def depolarizing_complete(d: int = 2) -> KrausChannel:
 
 def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
     """Kraus form of the erasure channel; B has dimension d+1 (flag |e> = index d)."""
-    check_range("erasure probability", epsilon, 0.0, 1.0)
+    check_real("erasure probability", epsilon, 0.0, 1.0)
     check_int("dimension", d, 1, MAX_DIM)
     embed = np.zeros((d + 1, d), dtype=complex)
     embed[:d, :] = np.eye(d)
@@ -179,66 +160,86 @@ def tensor_power(ch: KrausChannel, k: int) -> KrausChannel:
     return out
 
 
-def builtin_isometry(kind: str, param: float | None = None, d: int = 2) -> IsometricExtension:
-    """Isometric extension of a built-in channel by name (its lifted Kraus set).
-
-    For erasure, E index 0 is the no-erasure branch and index 1 + j carries
-    input j.
-    """
-    if kind == "dephasing":
-        return isometric_extension(dephasing(param))
-    if kind == "erasure":
-        return isometric_extension(erasure_kraus(param, d))
-    if kind == "depolarizing":
-        return isometric_extension(depolarizing_complete(d))
-    if kind == "identity":
-        return isometric_extension(identity_channel(d))
-    raise OutOfRange(f"unknown builtin channel {kind!r}")
-
-
 def _complex_matrix(rows) -> np.ndarray:
+    """A matrix given as rows of [re, im] entry pairs; each side in [1, MAX_DIM]."""
     try:
         arr = np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed complex matrix: {exc}") from exc
+    for side in arr.shape:
+        check_int("Kraus operator dimension", side, 1, MAX_DIM)
     return arr
 
 
-def channel_from_spec(spec: dict) -> KrausChannel:
-    """Build a channel from a parsed spec object; rejects non-TP Kraus sets.
+def kraus_from_ops(ops) -> KrausChannel:
+    """Channel of a nonempty list of Kraus matrices in `_complex_matrix` form;
+    a set that is not trace preserving raises SpecFormatError."""
+    if not isinstance(ops, list) or not ops:
+        raise SpecFormatError(f"kraus spec requires a nonempty 'ops' list, got {ops!r:.40}")
+    kraus = tuple(_complex_matrix(m) for m in ops)
+    out_dim, in_dim = kraus[0].shape
+    try:
+        return KrausChannel(kraus, in_dim, out_dim)
+    except NotTracePreserving as exc:
+        raise SpecFormatError(f"Kraus set is not trace preserving: {exc}") from exc
 
-    Schema: {"kind": "dephasing"|"erasure"|"depolarizing"|"kraus",
-             "p"/"epsilon": number, "d": int, "ops": [matrix, ...]}
-    where matrix rows hold [re, im] entry pairs.
+
+# Every channel kind of a spec: its constructor and its fields, which are the
+# constructor's keywords in `kind:a:b` order.  "d" may be left out (it is 2);
+# every other field is required.
+CHANNEL_KINDS = {
+    "dephasing": (dephasing, ("p", "d")),
+    "erasure": (erasure_kraus, ("epsilon", "d")),
+    "depolarizing": (depolarizing_complete, ("d",)),
+    "identity": (identity_channel, ("d",)),
+    "kraus": (kraus_from_ops, ("ops",)),
+}
+
+
+def channel_kind(kind) -> tuple:
+    """The (constructor, fields) entry of CHANNEL_KINDS; SpecFormatError if none."""
+    if not isinstance(kind, str) or kind not in CHANNEL_KINDS:
+        raise SpecFormatError(f"unknown channel kind {kind!r}; known: {', '.join(CHANNEL_KINDS)}")
+    return CHANNEL_KINDS[kind]
+
+
+def channel_from_spec(spec: dict) -> KrausChannel:
+    """Build a channel from a spec object {"kind": KIND, FIELD: value, ...}.
+
+    The fields of each kind are in CHANNEL_KINDS; "ops" holds matrices of
+    [re, im] entry pairs.  A missing, unknown or wrongly typed field raises
+    SpecFormatError and an out-of-range value raises OutOfRange.
     """
-    if not isinstance(spec, dict) or "kind" not in spec:
+    if not isinstance(spec, dict):
         raise SpecFormatError("channel spec must be an object with a 'kind' field")
-    kind = spec["kind"]
-    d = check_int("dimension", spec.get("d", 2), 1, MAX_DIM)
-    if kind == "dephasing":
-        return dephasing(float(spec["p"]))
-    if kind == "erasure":
-        return erasure_kraus(float(spec["epsilon"]), d)
-    if kind == "depolarizing":
-        return depolarizing_complete(d)
-    if kind == "kraus":
-        ops = spec.get("ops")
-        if not ops:
-            raise SpecFormatError("kraus spec requires a nonempty 'ops' list")
-        kraus = tuple(_complex_matrix(m) for m in ops)
-        out_dim, in_dim = kraus[0].shape
-        check_int("Kraus operator dimension", max(out_dim, in_dim), 1, MAX_DIM)
+    build, fields = channel_kind(spec.get("kind"))
+    values = {key: value for key, value in spec.items() if key != "kind"}
+    if set(values) - set(fields) or set(fields) - {"d"} - set(values):
+        raise SpecFormatError(f"{spec['kind']} spec takes the fields {fields} (d may be left "
+                              f"out), got {list(values)}")
+    return build(**values)
+
+
+def builtin_isometry(kind: str, param: float | None = None, d: int = 2) -> IsometricExtension:
+    """Isometric extension of the channel `kind` of dimension `d` whose other
+    field, if it has one (p of dephasing, epsilon of erasure), is `param`.
+
+    For erasure, E index 0 is the no-erasure branch and index 1 + j carries
+    input j.
+    """
+    spec = {"kind": kind, "d": d}
+    spec.update(zip([f for f in channel_kind(kind)[1] if f != "d"], [param]))  # p or epsilon
+    return isometric_extension(channel_from_spec(spec))
+
+
+def read_spec(path: str):
+    """The JSON value of a channel or ensemble spec file."""
+    with open(path) as fh:
         try:
-            return KrausChannel(kraus, in_dim, out_dim)
-        except NotTracePreserving as exc:
-            raise SpecFormatError(f"Kraus set is not trace preserving: {exc}") from exc
-    raise SpecFormatError(f"unknown channel kind {kind!r}")
+            return json.load(fh)
+        except json.JSONDecodeError as exc:
+            raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_channel(path: str) -> KrausChannel:
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return channel_from_spec(spec)
+    return channel_from_spec(read_spec(path))

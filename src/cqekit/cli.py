@@ -21,7 +21,8 @@ import sys
 import numpy as np
 
 from . import bounds, closedform
-from .channels import builtin_isometry, isometric_extension, load_channel
+from .channels import builtin_isometry, channel_from_spec, channel_kind, isometric_extension
+from .channels import load_channel
 from .entropics import (
     IDENTITY_TOL,
     CQEnsemble,
@@ -56,26 +57,30 @@ def _env_precision() -> int:
     return check_range("CQEKIT_PRECISION", digits, 0, FLOAT_MAX)
 
 
-def _channel_spec(spec: str) -> tuple[str, float | None, int]:
-    """(kind, parameter, dimension) of 'dephasing:P', 'erasure:EPS[:D]',
-    'depolarizing[:D]' or 'identity[:D]'."""
-    parts = spec.split(":")
-    kind = parts[0]
-    if kind in ("dephasing", "erasure"):
-        if len(parts) < 2:
-            raise SpecFormatError(f"{kind} requires a parameter, e.g. {kind}:0.2")
-        return kind, float(parts[1]), int(parts[2]) if len(parts) > 2 else 2
-    if kind in ("depolarizing", "identity"):
-        return kind, None, int(parts[1]) if len(parts) > 1 else 2
-    raise SpecFormatError(f"unknown channel spec {spec!r}")
+def _number(text: str) -> int | float:
+    """A field of a `KIND:A:B` channel argument: an int if it reads as one."""
+    try:
+        return int(text)
+    except ValueError:
+        return float(text)
+
+
+def _channel_spec(spec: str) -> dict:
+    """The spec object of a `KIND[:A[:B]]` channel argument, whose values fill
+    the kind's fields in `channels.CHANNEL_KINDS` order: 'erasure:0.25:3' is
+    {"kind": "erasure", "epsilon": 0.25, "d": 3}."""
+    kind, *values = spec.split(":")
+    fields = channel_kind(kind)[1]
+    if len(values) > len(fields):
+        raise SpecFormatError(f"channel {spec!r} has more values than the fields {fields}")
+    return {"kind": kind, **{field: _number(v) for field, v in zip(fields, values)}}
 
 
 def _parse_channel(spec: str):
-    """Channel argument: a built-in spec (see `_channel_spec`) or a path to a
-    JSON channel spec."""
-    if os.path.exists(spec):
-        return isometric_extension(load_channel(spec))
-    return builtin_isometry(*_channel_spec(spec))
+    """Channel argument: a path to a JSON channel spec, or a `KIND[:A[:B]]`
+    string (see `_channel_spec`)."""
+    channel = load_channel(spec) if os.path.exists(spec) else channel_from_spec(_channel_spec(spec))
+    return isometric_extension(channel)
 
 
 def _parse_ensemble(spec: str) -> CQEnsemble:
@@ -164,14 +169,14 @@ def cmd_curve(args) -> int:
 def cmd_compare(args) -> int:
     digits = args.precision
     grid = _parse_grid(args.grid)
-    if args.channel is None:
-        kind, param, d = "dephasing", args.p, 2
-    else:
-        kind, param, d = _channel_spec(args.channel)
-    if kind == "erasure" and d == 2:
+    spec = ({"kind": "dephasing", "p": args.p} if args.channel is None
+            else _channel_spec(args.channel))
+    channel_from_spec(spec)  # rejects a missing, unknown or out-of-range field
+    param = spec.get("p", spec.get("epsilon"))  # the dephasing or erasure parameter
+    if spec["kind"] == "erasure" and spec.get("d", 2) == 2:
         cef, delta = closedform.erasure_cef_curve, closedform.erasure_cef_vs_timeshare
         eaq = closedform.erasure_table(param)["EAQ"]
-    elif kind == "dephasing" and d == 2:
+    elif spec["kind"] == "dephasing":
         cef, delta = closedform.cef_curve, closedform.cef_vs_timeshare
         eaq = closedform.cef_curve(param, 0.5)
     else:
@@ -304,8 +309,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.subcommand == "compare" and args.p is None and args.channel is None:
-        parser.error("compare requires --p or --channel")
+    if args.subcommand == "compare" and (args.p is None) == (args.channel is None):
+        parser.error("compare requires exactly one of --p and --channel")
     try:
         args.precision = _env_precision()
         return args.func(args)

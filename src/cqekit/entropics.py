@@ -8,15 +8,14 @@ p(x) H(rho_x^B), and block purity gives H(AB)_x = H(E)_x.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
-from .channels import IsometricExtension, apply_isometry
-from .errors import FLOAT_MAX, DimMismatch, InvalidState, SpecFormatError, check_int, check_range
+from .channels import MAX_DIM, IsometricExtension, apply_isometry, read_spec
+from .errors import DimMismatch, InvalidState, SpecFormatError, check_int, check_range, check_real
 from .qlinalg import PureStateVector, matrix_entropy, shannon_entropy
 
 IDENTITY_TOL = 1e-9
@@ -220,12 +219,13 @@ def verify_identities(sigma: CQEJointState) -> IdentityReport:
 
 
 def ensemble_from_spec(spec: dict) -> CQEnsemble:
-    """Parse {"entries": [{"p": .., "amps": [[re, im], ...]}], "dim_A": .., "dim_Aprime": ..}."""
+    """Parse {"entries": [{"p": .., "amps": [[re, im], ...]}], "dim_A": .., "dim_Aprime": ..};
+    both dimensions are at most MAX_DIM, as the profile forms a dim_A^2 matrix per letter."""
     try:
-        dim_a = check_int("dim_A", spec["dim_A"], 1, FLOAT_MAX)
-        dim_ap = check_int("dim_Aprime", spec["dim_Aprime"], 1, FLOAT_MAX)
+        dim_a = check_int("dim_A", spec["dim_A"], 1, MAX_DIM)
+        dim_ap = check_int("dim_Aprime", spec["dim_Aprime"], 1, MAX_DIM)
         entries = [
-            (float(e["p"]), np.array([complex(re, im) for re, im in e["amps"]]))
+            (check_real("p", e["p"], 0.0, 1.0), np.array([complex(re, im) for re, im in e["amps"]]))
             for e in spec["entries"]
         ]
     except (KeyError, TypeError, ValueError) as exc:
@@ -234,9 +234,4 @@ def ensemble_from_spec(spec: dict) -> CQEnsemble:
 
 
 def load_ensemble(path: str) -> CQEnsemble:
-    with open(path) as fh:
-        try:
-            spec = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
-    return ensemble_from_spec(spec)
+    return ensemble_from_spec(read_spec(path))

@@ -81,3 +81,11 @@ def check_int(name: str, value, lo: int, hi: float, error=OutOfRange) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise error(f"{name} = {value!r} is not an integer")
     return check_range(name, value, lo, hi, error)
+
+
+def check_real(name: str, value, lo: float, hi: float) -> float:
+    """Return `value` as a float if it is a number (not a bool) in [lo, hi]; a value of
+    another type raises SpecFormatError, a number out of range (or NaN) OutOfRange."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise SpecFormatError(f"{name} = {value!r} is not a number")
+    return float(check_range(name, value, lo, hi))

@@ -1,9 +1,9 @@
 """Dense complex linear algebra for small labeled Hilbert spaces.
 
 Everything works on plain numpy arrays in row-major order; the labeled
-wrapper types (`DensityOperator`, `PureStateVector`) carry subsystem
-dimensions and names so that partial traces can be requested by label.
-All entropies are in bits (log base 2).
+wrapper type `PureStateVector` carries subsystem dimensions and names so
+that marginals can be requested by label.  All entropies are in bits (log
+base 2).
 """
 
 from __future__ import annotations
@@ -22,16 +22,6 @@ EIG_CLAMP = 1e-9
 
 def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
     return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
-
-
-def eig_hermitian(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending, real) and eigenvector columns of a Hermitian matrix."""
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"matrix has shape {m.shape}")
-    if not is_hermitian(m):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(m)
-    return w[::-1], v[:, ::-1]
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
@@ -72,7 +62,11 @@ def trace_norm(m: np.ndarray) -> float:
 
 def matrix_sqrt_psd(x: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-1e-9, 0) are clamped to 0."""
-    w, v = eig_hermitian(x)
+    if x.shape[0] != x.shape[1]:
+        raise NotSquare(f"matrix has shape {x.shape}")
+    if not is_hermitian(x):
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    w, v = np.linalg.eigh(x)
     if np.min(w) < -EIG_CLAMP:
         raise NotPSD(f"eigenvalue {np.min(w)} below -{EIG_CLAMP}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
@@ -97,41 +91,6 @@ def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int])
 
 
 @dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Hermitian unit-trace matrix over a labeled tensor product of subsystems."""
-
-    mat: np.ndarray
-    dims: tuple[int, ...]
-    labels: tuple[str, ...]
-
-    def __post_init__(self):
-        side = int(np.prod(self.dims))
-        if self.mat.shape != (side, side):
-            raise InvalidState(f"matrix shape {self.mat.shape} does not match dims {self.dims}")
-        if len(self.dims) != len(self.labels):
-            raise InvalidState("dims and labels length mismatch")
-        if not is_hermitian(self.mat):
-            raise InvalidState("density operator is not Hermitian within 1e-10")
-        if abs(np.trace(self.mat).real - 1.0) > 1e-10:
-            raise InvalidState(f"trace {np.trace(self.mat)} differs from 1")
-        if np.min(np.linalg.eigvalsh(self.mat)) < -EIG_CLAMP:
-            raise InvalidState("density operator has an eigenvalue below -1e-9")
-
-    def partial_trace(self, keep: Iterable[str]) -> "DensityOperator":
-        keep_set = set(keep)
-        unknown = keep_set - set(self.labels)
-        if unknown:
-            raise UnknownLabel(f"labels {sorted(unknown)} not present in {self.labels}")
-        keep_idx = [i for i, lab in enumerate(self.labels) if lab in keep_set]
-        reduced = partial_trace_mat(self.mat, self.dims, keep_idx)
-        return DensityOperator(
-            reduced,
-            tuple(self.dims[i] for i in keep_idx),
-            tuple(self.labels[i] for i in keep_idx),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class PureStateVector:
     """Normalized state vector over a labeled tensor product of subsystems."""
 
@@ -145,7 +104,7 @@ class PureStateVector:
         if len(self.dims) != len(self.labels):
             raise InvalidState("dims and labels length mismatch")
         norm2 = float(np.vdot(self.vec, self.vec).real)
-        if abs(norm2 - 1.0) > 1e-10:
+        if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails too
             raise InvalidState(f"squared norm {norm2} differs from 1")
 
     def marginal_mat(self, keep: Iterable[str]) -> np.ndarray:

@@ -56,8 +56,6 @@ TELEPORTATION = UnitProtocol("TP", RateTriple(-2.0, 1.0, 1.0))
 SUPER_DENSE = UnitProtocol("SD", RateTriple(2.0, -1.0, 1.0))
 ENT_DISTRIBUTION = UnitProtocol("ED", RateTriple(0.0, -1.0, -1.0))
 
-UNIT_PROTOCOLS = {u.kind: u for u in (TELEPORTATION, SUPER_DENSE, ENT_DISTRIBUTION)}
-
 
 @dataclass(frozen=True)
 class OneShotRegion:

@@ -10,7 +10,6 @@ from cqekit.channels import (
     MAX_DIM,
     TP_TOL,
     KrausChannel,
-    apply,
     apply_isometry,
     builtin_isometry,
     channel_from_spec,
@@ -30,11 +29,29 @@ from cqekit.errors import (
     OutOfRange,
     SpecFormatError,
 )
-from cqekit.qlinalg import DensityOperator, PureStateVector, matrix_entropy
+from cqekit.qlinalg import PureStateVector, matrix_entropy, matrix_sqrt_psd
 
 H2_09 = 0.4689955935892812
 
-PLUS = DensityOperator(np.full((2, 2), 0.5, dtype=complex), (2,), ("A",))
+PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
+def outputs(v, rho):
+    """(B, E) marginals of the isometry `v` applied to the A' half of a
+    purification of `rho` on R (x) A'."""
+    d = rho.shape[0]
+    phi = PureStateVector(matrix_sqrt_psd(rho).T.reshape(-1), (d, d), ("R", "Ap"))
+    out = apply_isometry(v, phi)
+    return out.marginal_mat({"B"}), out.marginal_mat({"E"})
+
+
+def channel_output(ch, rho):
+    """Bob's output of the Kraus channel `ch` through its isometric extension."""
+    return outputs(isometric_extension(ch), rho)[0]
+
+
+def kraus_sum(ch, rho):
+    return sum(k @ rho @ k.conj().T for k in ch.kraus)
 
 
 def test_tp_deviation():
@@ -53,23 +70,24 @@ def test_kraus_channel_rejects_non_tp():
 def test_dephasing_action():
     # flip probability is p/2, so the off-diagonal scales by 1 - p
     ch = dephasing(0.2)
-    out = apply(ch, PLUS)
-    assert np.allclose(out.mat, [[0.5, 0.4], [0.4, 0.5]])
-    assert sorted(np.linalg.eigvalsh(out.mat)) == pytest.approx([0.1, 0.9], abs=1e-12)
-    assert matrix_entropy(out.mat) == pytest.approx(H2_09, abs=1e-12)
+    out = channel_output(ch, PLUS)
+    assert np.allclose(out, kraus_sum(ch, PLUS), atol=1e-12)
+    assert np.allclose(out, [[0.5, 0.4], [0.4, 0.5]])
+    assert sorted(np.linalg.eigvalsh(out)) == pytest.approx([0.1, 0.9], abs=1e-12)
+    assert matrix_entropy(out) == pytest.approx(H2_09, abs=1e-12)
     # p = 1 kills the off-diagonal entirely
-    full = apply(dephasing(1.0), PLUS)
-    assert np.allclose(full.mat, np.eye(2) / 2)
+    assert np.allclose(channel_output(dephasing(1.0), PLUS), np.eye(2) / 2)
     # p = 0 is the identity
-    assert np.allclose(apply(dephasing(0.0), PLUS).mat, PLUS.mat)
+    assert np.allclose(channel_output(dephasing(0.0), PLUS), PLUS)
     with pytest.raises(OutOfRange):
         dephasing(1.5)
 
 
 def test_dephasing_fixes_diagonal_states():
-    rho = DensityOperator(np.diag([0.3, 0.7]).astype(complex), (2,), ("A",))
+    rho = np.diag([0.3, 0.7]).astype(complex)
     for p in (0.0, 0.4, 1.0):
-        assert np.allclose(apply(dephasing(p), rho).mat, rho.mat)
+        assert np.allclose(kraus_sum(dephasing(p), rho), rho)
+        assert np.allclose(channel_output(dephasing(p), rho), rho)
 
 
 def test_depolarizing_complete_maps_everything_to_maximally_mixed():
@@ -78,8 +96,9 @@ def test_depolarizing_complete_maps_everything_to_maximally_mixed():
         ch = depolarizing_complete(d)
         for _ in range(5):
             v = random_state_vector(d, rng)
-            rho = DensityOperator(np.outer(v, v.conj()), (d,), ("A",))
-            assert np.allclose(apply(ch, rho).mat, np.eye(d) / d, atol=1e-12)
+            rho = np.outer(v, v.conj())
+            assert np.allclose(kraus_sum(ch, rho), np.eye(d) / d, atol=1e-12)
+            assert np.allclose(channel_output(ch, rho), np.eye(d) / d, atol=1e-12)
     with pytest.raises(OutOfRange):
         depolarizing_complete(1)
 
@@ -93,8 +112,7 @@ def test_isometric_extension_shapes_and_consistency():
     for _ in range(10):
         psi = random_state_vector(2, rng)
         rho = np.outer(psi, psi.conj())
-        direct = sum(k @ rho @ k.conj().T for k in ch.kraus)
-        assert np.allclose(v.channel_output_mat(rho), direct, atol=1e-12)
+        assert np.allclose(outputs(v, rho)[0], kraus_sum(ch, rho), atol=1e-12)
 
 
 def test_identity_channel_isometry_has_trivial_environment():
@@ -102,7 +120,7 @@ def test_identity_channel_isometry_has_trivial_environment():
     assert v.env_dim == 1
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     rho = np.outer(psi, psi.conj())
-    assert np.allclose(v.channel_output_mat(rho), rho)
+    assert np.allclose(outputs(v, rho)[0], rho)
 
 
 def test_apply_isometry_keeps_reference_and_relabels():
@@ -125,12 +143,12 @@ def test_erasure_isometry_structure():
     assert v.out_dim == 3 and v.env_dim == 3
     psi = np.array([1.0, 0.0], dtype=complex)
     rho = np.outer(psi, psi.conj())
-    out_b = v.channel_output_mat(rho)
+    out_b, out_e = outputs(v, rho)
+    assert np.allclose(out_b, kraus_sum(erasure_kraus(eps, 2), rho), atol=1e-12)
     # receiver sees the input with weight 1 - eps and the flag with weight eps
     assert out_b[0, 0].real == pytest.approx(1.0 - eps, abs=1e-12)
     assert out_b[2, 2].real == pytest.approx(eps, abs=1e-12)
     # environment: index 0 is the no-erasure branch, index 1 + j carries input j
-    out_e = v.complementary_output_mat(rho)
     assert out_e[1, 1].real == pytest.approx(eps, abs=1e-12)
     assert out_e[0, 0].real == pytest.approx(1.0 - eps, abs=1e-12)
 
@@ -143,8 +161,7 @@ def test_erasure_isometry_matches_kraus_channel():
         for _ in range(10):
             psi = random_state_vector(2, rng)
             rho = np.outer(psi, psi.conj())
-            kraus_out = sum(k @ rho @ k.conj().T for k in ch.kraus)
-            assert np.allclose(v.channel_output_mat(rho), kraus_out, atol=1e-12)
+            assert np.allclose(outputs(v, rho)[0], kraus_sum(ch, rho), atol=1e-12)
 
 
 def test_erasure_complementary_is_erasure_with_swapped_probability():
@@ -157,8 +174,8 @@ def test_erasure_complementary_is_erasure_with_swapped_probability():
     for _ in range(10):
         psi = random_state_vector(2, rng)
         rho = np.outer(psi, psi.conj())
-        comp = v.complementary_output_mat(rho)[to_b_basis]
-        assert np.allclose(comp, w.channel_output_mat(rho), atol=1e-12)
+        comp = outputs(v, rho)[1][to_b_basis]
+        assert np.allclose(comp, outputs(w, rho)[0], atol=1e-12)
 
 
 def test_tensor_product_and_power():
@@ -176,8 +193,16 @@ def test_builtin_isometry_dispatch():
     assert builtin_isometry("erasure", 0.25).out_dim == 3
     assert builtin_isometry("depolarizing", None, 2).env_dim == 4
     assert builtin_isometry("identity", None, 2).env_dim == 1
-    with pytest.raises(OutOfRange):
+    with pytest.raises(SpecFormatError):
         builtin_isometry("amplitude-damping", 0.2)
+    with pytest.raises(SpecFormatError):
+        builtin_isometry("dephasing")  # p is required
+    # each is the lift of the channel_from_spec channel, Kraus operator for operator
+    for args, spec in ((("dephasing", 0.2), {"kind": "dephasing", "p": 0.2}),
+                       (("erasure", 0.3, 3), {"kind": "erasure", "epsilon": 0.3, "d": 3}),
+                       (("depolarizing", None, 3), {"kind": "depolarizing", "d": 3})):
+        want = isometric_extension(channel_from_spec(spec)).matrix
+        assert np.array_equal(builtin_isometry(*args).matrix, want)
 
 
 def test_dimension_cap():
@@ -187,8 +212,9 @@ def test_dimension_cap():
     for build in (identity_channel, depolarizing_complete, lambda d: erasure_kraus(0.25, d)):
         with pytest.raises(OutOfRange):
             build(MAX_DIM + 1)
-    with pytest.raises(OutOfRange):
-        channel_from_spec({"kind": "depolarizing", "d": MAX_DIM + 1})
+    for kind in ("depolarizing", "identity"):
+        with pytest.raises(OutOfRange):
+            channel_from_spec({"kind": kind, "d": MAX_DIM + 1})
     identity_ops = [[[1.0 if i == j else 0.0, 0.0] for j in range(MAX_DIM + 1)]
                     for i in range(MAX_DIM + 1)]
     with pytest.raises(OutOfRange):
@@ -196,10 +222,12 @@ def test_dimension_cap():
     identity_max = [row[:-1] for row in identity_ops[:-1]]
     assert channel_from_spec({"kind": "kraus", "ops": [identity_max]}).in_dim == MAX_DIM
     # d is an integer, not a fractional, boolean or string value that int() would coerce
+    own_fields = {"depolarizing": {}, "identity": {}, "erasure": {"epsilon": 0.2},
+                  "dephasing": {"p": 0.2}}
     for d in (2.9, 3.0, True, "3", None):
-        for kind in ("depolarizing", "erasure", "dephasing"):
+        for kind, fields in own_fields.items():
             with pytest.raises(OutOfRange):
-                channel_from_spec({"kind": kind, "d": d, "p": 0.2, "epsilon": 0.2})
+                channel_from_spec({"kind": kind, "d": d, **fields})
         with pytest.raises(OutOfRange):
             depolarizing_complete(d)
     assert depolarizing_complete(np.int64(3)).in_dim == 3
@@ -214,6 +242,9 @@ def test_channel_from_spec_builtins_and_kraus():
     assert channel_from_spec({"kind": "dephasing", "p": 0.2}).out_dim == 2
     assert channel_from_spec({"kind": "erasure", "epsilon": 0.25, "d": 2}).out_dim == 3
     assert channel_from_spec({"kind": "depolarizing", "d": 3}).in_dim == 3
+    assert channel_from_spec({"kind": "identity", "d": 3}).in_dim == 3
+    assert channel_from_spec({"kind": "dephasing", "p": 0.2, "d": 2}).in_dim == 2
+    assert channel_from_spec({"kind": "dephasing", "p": 1}).kraus[1][0, 0] == np.sqrt(0.5)
     ident = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ch = channel_from_spec({"kind": "kraus", "ops": [ident]})
     assert ch.in_dim == 2 and ch.out_dim == 2
@@ -229,6 +260,22 @@ def test_channel_from_spec_rejects_bad_input():
     half = [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]
     with pytest.raises(SpecFormatError):
         channel_from_spec({"kind": "kraus", "ops": [half]})
+    # a missing field, an unknown field, and a value of the wrong type
+    for spec in ({"kind": "dephasing"}, {"kind": "erasure", "d": 2},
+                 {"kind": "depolarizing", "d": 2, "p": 0.1}, {"kind": "identity", "ops": []},
+                 {"kind": "dephasing", "p": 0.2, "epsilon": 0.2},
+                 {"kind": "dephasing", "p": None}, {"kind": "dephasing", "p": True},
+                 {"kind": "dephasing", "p": "0.2"}, {"kind": "erasure", "epsilon": [0.2]},
+                 {"kind": "kraus", "ops": 5}, {"kind": ["dephasing"]}, ["dephasing"]):
+        with pytest.raises(SpecFormatError):
+            channel_from_spec(spec)
+    # a d that is not 2 for dephasing, an empty Kraus operator, and a NaN in one
+    for spec in ({"kind": "dephasing", "p": 0.2, "d": 3}, {"kind": "kraus", "ops": [[]]}):
+        with pytest.raises(OutOfRange):
+            channel_from_spec(spec)
+    nan_ops = [[[float("nan"), 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
+    with pytest.raises(SpecFormatError):
+        channel_from_spec({"kind": "kraus", "ops": [nan_ops]})
 
 
 def test_load_channel_roundtrip(tmp_path):

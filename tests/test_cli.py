@@ -156,8 +156,12 @@ def test_compare_channel_without_parameter_exit_code():
 
 
 def test_compare_requires_channel_or_p():
-    with pytest.raises(SystemExit):
-        run_cli("compare", "--grid", "0:0.5:5")
+    # neither of --p and --channel, and both
+    for argv in (("compare", "--grid", "0:0.5:5"),
+                 ("compare", "--p", "0.2", "--channel", "erasure:0.25", "--grid", "0:0.5:5")):
+        with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(io.StringIO()):
+            run_cli(*argv)
+        assert exc.value.code == 2
 
 
 def test_check_suite_passes():
@@ -185,9 +189,18 @@ def test_bad_channel_spec_exit_code():
     assert "config error" in err
 
 
+def ensemble_spec(dim_a, dim_ap, p=1.0):
+    """A one-letter ensemble spec on dim_A x dim_Aprime with weight `p`."""
+    amps = [[1, 0]] + [[0, 0]] * (dim_a * dim_ap - 1)
+    return {"dim_A": dim_a, "dim_Aprime": dim_ap, "entries": [{"p": p, "amps": amps}]}
+
+
 # JSON specs written by test_out_of_range_parameter_exit_code.  {"p": NaN} is
 # what Python's json module writes and reads for float("nan"); the "d-" channels
-# have a "d" that int() would coerce, and kraus-17 an operator side above MAX_DIM.
+# have a "d" that int() would coerce, kraus-17 an operator side above MAX_DIM,
+# the "dim-" ensembles a dimension above MAX_DIM, and amps-nan a NaN amplitude.
+# The other channels miss a field, have one their kind does not take, or have
+# one of the wrong type.
 SPEC_FILES = {
     "nan": {"dim_A": 2, "dim_Aprime": 2, "entries": [
         {"p": float("nan"), "amps": [[1, 0], [0, 0], [0, 0], [0, 0]]},
@@ -201,7 +214,24 @@ SPEC_FILES = {
     "d-string": {"kind": "erasure", "epsilon": 0.25, "d": "2"},
     "kraus-17": {"kind": "kraus", "ops": [
         [[[1.0 if i == j else 0.0, 0.0] for j in range(17)] for i in range(17)]]},
+    "no-p": {"kind": "dephasing"},
+    "p-null": {"kind": "dephasing", "p": None},
+    "p-true": {"kind": "dephasing", "p": True},
+    "p-string": {"kind": "dephasing", "p": "0.2"},
+    "epsilon-list": {"kind": "erasure", "epsilon": [0.2]},
+    "ops-5": {"kind": "kraus", "ops": 5},
+    "dephasing-d-3": {"kind": "dephasing", "p": 0.2, "d": 3},
+    "depolarizing-p": {"kind": "depolarizing", "d": 2, "p": 0.1},
+    "dim-a-17": ensemble_spec(17, 2),
+    "dim-aprime-17": ensemble_spec(2, 17),
+    "entry-p-true": ensemble_spec(2, 2, True),
+    "entry-p-string": ensemble_spec(2, 2, "1"),
+    "amps-nan": {"dim_A": 1, "dim_Aprime": 2, "entries": [
+        {"p": 1.0, "amps": [[float("nan"), 0], [0, 0]]}]},
 }
+CHANNEL_FILES = ("d-2.9", "d-true", "d-string", "kraus-17", "no-p", "p-null", "p-true",
+                 "p-string", "epsilon-list", "ops-5", "dephasing-d-3", "depolarizing-p")
+ENSEMBLE_FILES = ("dim-a-17", "dim-aprime-17", "entry-p-true", "entry-p-string", "amps-nan")
 
 
 @pytest.mark.filterwarnings("error")
@@ -231,9 +261,16 @@ SPEC_FILES = {
                      id="depolarizing-17"),
         pytest.param(("region", "--channel", "identity:-1", "--ensemble", "mu:0.5"),
                      id="identity-minus-1"),
+        # more values than the kind has fields
+        *(pytest.param(("region", "--channel", spec, "--ensemble", "mu:0.5"), id=spec)
+          for spec in ("dephasing:0.2:3", "depolarizing:2:7", "identity:2:9",
+                       "erasure:0.25:3:1")),
         *(pytest.param(("region", "--channel", f"{{tmp}}/{name}.json", "--ensemble", "mu:0.5"),
                        id=f"channel-{name}")
-          for name in ("d-2.9", "d-true", "d-string", "kraus-17")),
+          for name in CHANNEL_FILES),
+        *(pytest.param(("region", "--channel", "identity:2", "--ensemble",
+                        f"{{tmp}}/{name}.json"), id=f"ensemble-{name}")
+          for name in ENSEMBLE_FILES),
         pytest.param(("region", "--channel", "dephasing:0.2", "--ensemble", "{tmp}/dim-a.json"),
                      id="ensemble-dim-a-2.9"),
     ],
@@ -268,6 +305,16 @@ def test_unusable_output_path_has_no_traceback(tmp_path):
                           env=env, capture_output=True, text=True)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "config error" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_channel_string_equals_json_spec(tmp_path):
+    path = tmp_path / "identity.json"
+    path.write_text(json.dumps({"kind": "identity", "d": 2}))
+    for one, other in ((str(path), "identity:2"), ("dephasing:0.2:2", "dephasing:0.2")):
+        argv = ("--ensemble", "mu:0.5", "--format", "csv")
+        code, out, _ = run_cli("region", "--channel", one, *argv)
+        assert code == 0 and out
+        assert run_cli("region", "--channel", other, *argv) == (code, out, "")
 
 
 def test_dimension_mismatch_exit_code():

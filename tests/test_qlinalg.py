@@ -14,10 +14,8 @@ from cqekit.errors import (
     UnknownLabel,
 )
 from cqekit.qlinalg import (
-    DensityOperator,
     PureStateVector,
     binary_entropy,
-    eig_hermitian,
     is_hermitian,
     matrix_entropy,
     matrix_sqrt_psd,
@@ -52,20 +50,11 @@ def test_tensor_dimensions_and_values():
     assert np.allclose(partial_trace_mat(t, (2, 3), (1,)), 3.0 * b)
 
 
-def test_eig_hermitian_descending_and_reconstruction():
-    rng = np.random.default_rng(7)
-    for _ in range(20):
-        m = random_hermitian(5, rng)
-        w, v = eig_hermitian(m)
-        assert np.all(np.diff(w) <= 1e-12)
-        assert np.allclose((v * w) @ v.conj().T, m, atol=1e-10)
-
-
-def test_eig_hermitian_rejects_bad_input():
+def test_matrix_sqrt_psd_rejects_bad_input():
     with pytest.raises(NotSquare):
-        eig_hermitian(np.zeros((2, 3)))
+        matrix_sqrt_psd(np.zeros((2, 3)))
     with pytest.raises(NotHermitian):
-        eig_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
+        matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_shannon_entropy_basics():
@@ -182,24 +171,9 @@ def test_partial_trace_mat_three_parties():
     assert np.allclose(partial_trace_mat(step, (2, 3), (1,)), keep_b)
 
 
-def test_density_operator_validation():
-    with pytest.raises(InvalidState):
-        DensityOperator(np.eye(2, dtype=complex), (2,), ("A",))  # trace 2
-    with pytest.raises(InvalidState):
-        DensityOperator(np.array([[0.5, 0.5], [0.0, 0.5]]), (2,), ("A",))  # not Hermitian
-    with pytest.raises(InvalidState):
-        DensityOperator(np.diag([1.5, -0.5]).astype(complex), (2,), ("A",))  # not PSD
-    rho = DensityOperator(np.eye(4, dtype=complex) / 4, (2, 2), ("A", "B"))
-    reduced = rho.partial_trace({"A"})
-    assert reduced.labels == ("A",)
-    assert np.allclose(reduced.mat, np.eye(2) / 2)
-    with pytest.raises(UnknownLabel):
-        rho.partial_trace({"C"})
-
-
 def test_von_neumann_entropy_of_operator():
-    rho = DensityOperator(np.diag([0.9, 0.1]).astype(complex), (2,), ("A",))
-    assert matrix_entropy(rho.mat) == pytest.approx(H2_09, abs=1e-14)
+    rho = np.diag([0.9, 0.1]).astype(complex)
+    assert matrix_entropy(rho) == pytest.approx(H2_09, abs=1e-14)
 
 
 def test_pure_state_vector_validation_and_marginals():

@@ -22,7 +22,6 @@ from cqekit.regions import (
     VERTEX_FEAS_TOL,
     SUPER_DENSE,
     TELEPORTATION,
-    UNIT_PROTOCOLS,
     OneShotRegion,
     RateTriple,
     _basic_feasible,
@@ -67,7 +66,6 @@ def test_unit_protocol_table():
     assert TELEPORTATION.delta == RateTriple(-2.0, 1.0, 1.0)
     assert SUPER_DENSE.delta == RateTriple(2.0, -1.0, 1.0)
     assert ENT_DISTRIBUTION.delta == RateTriple(0.0, -1.0, -1.0)
-    assert set(UNIT_PROTOCOLS) == {"TP", "SD", "ED"}
 
 
 def test_teleportation_and_super_dense_cancel():
