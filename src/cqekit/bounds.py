@@ -18,11 +18,11 @@ import numpy as np
 from .entropics import CQEJointState, CQEnsemble, make_ensemble
 from .errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
 from .qlinalg import (
-    PureStateVector,
     binary_entropy,
     matrix_entropy,
     matrix_sqrt_psd,
     partial_trace_mat,
+    squared_norms,
     trace_norm,
 )
 
@@ -46,13 +46,17 @@ def fannes_bound(eps: float, dim_a: int) -> float:
     return eps * math.log2(dim_a) + binary_entropy(min(eps, 1.0))
 
 
-def check_fannes(rho: np.ndarray, sigma: np.ndarray) -> BoundReport:
-    """|H(rho) - H(sigma)| against the entropy-continuity bound."""
+def _continuity(rho: np.ndarray, sigma: np.ndarray, quantity, bound) -> BoundReport:
+    """|quantity(rho) - quantity(sigma)| against bound(trace distance of rho and sigma)."""
     if rho.shape != sigma.shape:
         raise DimMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
     eps = trace_norm(rho - sigma)
-    lhs = abs(matrix_entropy(rho) - matrix_entropy(sigma))
-    return _report(lhs, fannes_bound(eps, rho.shape[0]))
+    return _report(abs(quantity(rho) - quantity(sigma)), bound(eps))
+
+
+def check_fannes(rho: np.ndarray, sigma: np.ndarray) -> BoundReport:
+    """|H(rho) - H(sigma)| against the entropy-continuity bound."""
+    return _continuity(rho, sigma, matrix_entropy, lambda eps: fannes_bound(eps, rho.shape[0]))
 
 
 def alicki_fannes_bound(eps: float, dim_a: int) -> float:
@@ -75,11 +79,8 @@ def mutual_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
 
 def check_af(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) -> BoundReport:
     """|I(A>B)_rho - I(A>B)_sigma| against the coherent-information bound."""
-    if rho_ab.shape != sigma_ab.shape:
-        raise DimMismatch(f"shapes {rho_ab.shape} and {sigma_ab.shape} differ")
-    eps = trace_norm(rho_ab - sigma_ab)
-    lhs = abs(coherent_info_mat(rho_ab, dims) - coherent_info_mat(sigma_ab, dims))
-    return _report(lhs, alicki_fannes_bound(eps, dims[0]))
+    return _continuity(rho_ab, sigma_ab, lambda m: coherent_info_mat(m, dims),
+                       lambda eps: alicki_fannes_bound(eps, dims[0]))
 
 
 def mi_continuity_bound(eps: float, dim_a: int) -> float:
@@ -89,11 +90,8 @@ def mi_continuity_bound(eps: float, dim_a: int) -> float:
 
 def check_mi(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) -> BoundReport:
     """|I(A;B)_rho - I(A;B)_sigma| against the mutual-information bound."""
-    if rho_ab.shape != sigma_ab.shape:
-        raise DimMismatch(f"shapes {rho_ab.shape} and {sigma_ab.shape} differ")
-    eps = trace_norm(rho_ab - sigma_ab)
-    lhs = abs(mutual_info_mat(rho_ab, dims) - mutual_info_mat(sigma_ab, dims))
-    return _report(lhs, mi_continuity_bound(eps, dims[0]))
+    return _continuity(rho_ab, sigma_ab, lambda m: mutual_info_mat(m, dims),
+                       lambda eps: mi_continuity_bound(eps, dims[0]))
 
 
 def gentle_measurement_check(
@@ -119,41 +117,21 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     return _report(lhs, rhs)
 
 
-def _dephase_env(sigma: CQEJointState, split: tuple[int, int]) -> CQEJointState:
-    """Dephase the trailing E factor of every block, producing a finer
-    classical variable; the surviving environment is the leading E factor."""
-    d_keep, d_y = split
-    new_blocks = []
-    for p, psi in sigma.blocks:
-        amps = psi.vec.reshape(sigma.dim_A, sigma.dim_B, d_keep, d_y)
-        for y in range(d_y):
-            branch = amps[:, :, :, y].reshape(-1)
-            weight = float(np.vdot(branch, branch).real)
-            if weight <= 1e-15:
-                continue
-            vec = branch / math.sqrt(weight)
-            new_blocks.append(
-                (p * weight, PureStateVector(vec, (sigma.dim_A, sigma.dim_B, d_keep),
-                                             ("A", "B", "E")))
-            )
-    return CQEJointState(tuple(new_blocks), sigma.dim_A, sigma.dim_B, d_keep)
+def dpi_check(sigma: CQEJointState) -> dict[str, BoundReport]:
+    """Data-processing checks after dephasing the whole environment.
 
-
-def dpi_check(
-    sigma: CQEJointState, split: tuple[int, int] | None = None
-) -> dict[str, BoundReport]:
-    """Data-processing checks after dephasing a designated subsystem of E.
-
-    `split` = (kept E dimension, dephased dimension) with product dim_E;
-    the default dephases the whole environment.
+    Each block splits into one branch per E basis state, of weight
+    p(x) |<e|phi_x>|^2; branches of weight at most 1e-15 are dropped.
     """
     if sigma.dim_E == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
-    if split is None:
-        split = (1, sigma.dim_E)
-    if split[0] * split[1] != sigma.dim_E:
-        raise DimMismatch(f"split {split} does not factor dim_E = {sigma.dim_E}")
-    before, after = sigma.profile, _dephase_env(sigma, split).profile
+    _, da, db, de = sigma.psi.shape
+    branches = sigma.psi.transpose(0, 3, 1, 2).reshape(-1, da * db)  # letter-major, then E
+    weights = squared_norms(branches)
+    keep = weights > 1e-15
+    probs = (np.repeat(sigma.probs, de) * weights)[keep]
+    psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
+    before, after = sigma.profile, CQEJointState(probs, psi).profile
     return {
         "holevo": _report(before.i_xb, after.i_xb),
         "mutual": _report(before.i_axb, after.i_axb),

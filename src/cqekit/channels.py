@@ -16,8 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
-from .errors import check_int, check_real
-from .qlinalg import PureStateVector
+from .errors import check_complex, check_int, check_real
 
 TP_TOL = 1e-9
 MAX_DIM = 16  # largest built-in channel dimension: the depolarizing Kraus set is then 1 MB
@@ -72,28 +71,16 @@ class IsometricExtension:
 
 def isometric_extension(ch: KrausChannel) -> IsometricExtension:
     """Lift a Kraus set to V|psi> = sum_k (K_k|psi>)_B (x) |k>_E."""
-    env_dim = len(ch.kraus)
-    v = np.zeros((ch.out_dim * env_dim, ch.in_dim), dtype=complex)
-    for k_idx, k in enumerate(ch.kraus):
-        e = np.zeros((env_dim, 1), dtype=complex)
-        e[k_idx, 0] = 1.0
-        v += np.kron(k, e)
-    return IsometricExtension(v, ch.in_dim, ch.out_dim, env_dim)
+    v = np.stack(ch.kraus, axis=1).reshape(-1, ch.in_dim) + 0j  # + 0j: complex, no -0.0
+    return IsometricExtension(v, ch.in_dim, ch.out_dim, len(ch.kraus))
 
 
-def apply_isometry(v: IsometricExtension, phi: PureStateVector) -> PureStateVector:
-    """Send the trailing subsystem of `phi` (labeled Ap) through the isometry.
-
-    Output subsystems are relabeled ... (x) B (x) E.
-    """
-    if phi.dims[-1] != v.in_dim:
-        raise DimMismatch(f"last subsystem dimension {phi.dims[-1]} != isometry input {v.in_dim}")
-    d_ref = int(np.prod(phi.dims[:-1])) if len(phi.dims) > 1 else 1
-    amps = phi.vec.reshape(d_ref, v.in_dim)
-    out = (amps @ v.matrix.T).reshape(-1)
-    dims = phi.dims[:-1] + (v.out_dim, v.env_dim)
-    labels = phi.labels[:-1] + ("B", "E")
-    return PureStateVector(out, dims, labels)
+def apply_isometry(v: IsometricExtension, amps: np.ndarray) -> np.ndarray:
+    """Send the last axis (A') of the amplitude array `amps` through the isometry:
+    amps @ V^T, its output axis split into B, E, so (..., d_A') becomes (..., d_B, d_E)."""
+    if amps.shape[-1] != v.in_dim:
+        raise DimMismatch(f"last axis dimension {amps.shape[-1]} != isometry input {v.in_dim}")
+    return (amps @ v.matrix.T).reshape(*amps.shape[:-1], v.out_dim, v.env_dim)
 
 
 def identity_channel(d: int = 2) -> KrausChannel:
@@ -163,7 +150,7 @@ def tensor_power(ch: KrausChannel, k: int) -> KrausChannel:
 def _complex_matrix(rows) -> np.ndarray:
     """A matrix given as rows of [re, im] entry pairs; each side in [1, MAX_DIM]."""
     try:
-        arr = np.array([[complex(re, im) for re, im in row] for row in rows])
+        arr = np.array([[check_complex("Kraus entry", z) for z in row] for row in rows])
     except (TypeError, ValueError) as exc:
         raise SpecFormatError(f"malformed complex matrix: {exc}") from exc
     for side in arr.shape:

@@ -1,9 +1,10 @@
 """Classical-quantum ensembles and the entropic quantities of the one-shot state.
 
 The one-shot state sigma^{XABE} is kept block-diagonal: one pure block
-phi_x^{ABE} per classical letter x.  Entropies of classical-quantum states
-are assembled from the block decomposition, e.g. H(XB) = H(p) + sum_x
-p(x) H(rho_x^B), and block purity gives H(AB)_x = H(E)_x.
+phi_x^{ABE} per classical letter x, all blocks in one array whose first
+axis is the letter.  Entropies of classical-quantum states are assembled
+from the block decomposition, e.g. H(XB) = H(p) + sum_x p(x) H(rho_x^B),
+and block purity gives H(AB)_x = H(E)_x.
 """
 
 from __future__ import annotations
@@ -15,48 +16,51 @@ from functools import cached_property
 import numpy as np
 
 from .channels import MAX_DIM, IsometricExtension, apply_isometry, read_spec
-from .errors import DimMismatch, InvalidState, SpecFormatError, check_int, check_range, check_real
-from .qlinalg import PureStateVector, matrix_entropy, shannon_entropy
+from .errors import DimMismatch, InvalidState, SpecFormatError, check_complex, check_int
+from .errors import check_range, check_real
+from .qlinalg import matrix_entropy, shannon_entropy, squared_norms
 
 IDENTITY_TOL = 1e-9
 
 
-def _check_probs(probs) -> None:
-    probs = np.asarray(probs, dtype=float)
-    # written so that a NaN probability fails both tests
-    if not np.all(probs >= 0):
-        raise InvalidState("negative or NaN probability in ensemble")
-    if not abs(probs.sum() - 1.0) <= 1e-12:
-        raise InvalidState(f"probabilities sum to {probs.sum()}, not 1")
+def _check_letters(state, field: str, ndim: int) -> None:
+    """Store `state.probs` and `state.<field>` as float and complex arrays; check that probs
+    is a probability vector and <field> has `ndim` axes, one unit-norm letter per weight."""
+    probs = np.asarray(state.probs, dtype=float)
+    letters = np.asarray(getattr(state, field), dtype=complex)
+    object.__setattr__(state, "probs", probs)
+    object.__setattr__(state, field, letters)
+    if probs.ndim != 1 or letters.ndim != ndim or len(letters) != len(probs):
+        raise DimMismatch(f"{field} shape {letters.shape} is not (len(probs), ...) in {ndim} axes")
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):  # NaN fails both
+        raise InvalidState(f"weights {probs} are negative, NaN or do not sum to 1")
+    norms = squared_norms(letters.reshape(len(probs), -1))
+    if not np.all(np.abs(norms - 1.0) <= 1e-10):
+        raise InvalidState(f"letter squared norms {norms} differ from 1")
 
 
 @dataclass(frozen=True, eq=False)
 class CQEnsemble:
-    """{p(x), phi_x} with pure phi_x on A (x) A' (labels "A", "Ap")."""
+    """{p(x), phi_x}: weights `probs` of shape (L,) and pure states `amps` of shape
+    (L, d_A, d_A'), letter x's amplitudes on A (x) A' as a d_A x d_A' matrix."""
 
-    entries: tuple[tuple[float, PureStateVector], ...]
-    dim_A: int
-    dim_Aprime: int
+    probs: np.ndarray
+    amps: np.ndarray
 
     def __post_init__(self):
-        _check_probs([p for p, _ in self.entries])
-        for _, phi in self.entries:
-            if phi.dims != (self.dim_A, self.dim_Aprime):
-                raise DimMismatch(f"entry dims {phi.dims} != ({self.dim_A}, {self.dim_Aprime})")
+        _check_letters(self, "amps", 3)
         bound = min(self.dim_Aprime, self.dim_A) ** 2 + 1
-        if len(self.entries) > bound:
-            warnings.warn(
-                f"ensemble has {len(self.entries)} letters; "
-                f"{bound} suffice for this input dimension",
-                stacklevel=2,
-            )
+        if len(self.probs) > bound:
+            warnings.warn(f"ensemble has {len(self.probs)} letters; {bound} suffice for this "
+                          "input dimension", stacklevel=2)
+
+    dim_A = property(lambda self: self.amps.shape[1])
+    dim_Aprime = property(lambda self: self.amps.shape[2])
 
     def pruned(self) -> "CQEnsemble":
-        """Drop zero-probability entries (avoids 0*log0 block pathologies); self if none."""
-        if all(p > 0.0 for p, _ in self.entries):
-            return self
-        kept = tuple((p, phi) for p, phi in self.entries if p > 0.0)
-        return CQEnsemble(kept, self.dim_A, self.dim_Aprime)
+        """Drop zero-probability letters (avoids 0*log0 block pathologies); self if none."""
+        keep = self.probs > 0.0
+        return self if keep.all() else CQEnsemble(self.probs[keep], self.amps[keep])
 
 
 @dataclass(frozen=True)
@@ -74,23 +78,21 @@ class EntropyProfile:
 
 @dataclass(frozen=True, eq=False)
 class CQEJointState:
-    """Block-diagonal sigma^{XABE}: per-x pure blocks on A (x) B (x) E.
+    """Block-diagonal sigma^{XABE}: weights `probs` of shape (L,) and pure blocks
+    `psi` of shape (L, d_A, d_B, d_E).
 
     Every entropic quantity is read from `profile`, computed once per state.
     """
 
-    blocks: tuple[tuple[float, PureStateVector], ...]
-    dim_A: int
-    dim_B: int
-    dim_E: int
+    probs: np.ndarray
+    psi: np.ndarray
 
     def __post_init__(self):
-        _check_probs([p for p, _ in self.blocks])
-        for _, psi in self.blocks:
-            if psi.dims != (self.dim_A, self.dim_B, self.dim_E):
-                raise DimMismatch(
-                    f"block dims {psi.dims} != ({self.dim_A}, {self.dim_B}, {self.dim_E})"
-                )
+        _check_letters(self, "psi", 4)
+
+    dim_A = property(lambda self: self.psi.shape[1])
+    dim_B = property(lambda self: self.psi.shape[2])
+    dim_E = property(lambda self: self.psi.shape[3])
 
     @cached_property
     def profile(self) -> EntropyProfile:
@@ -100,12 +102,11 @@ class CQEJointState:
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
     """Build an ensemble from (p, amplitude-vector) pairs and prune zero weights."""
-    built = tuple(
-        (float(p), v if isinstance(v, PureStateVector)
-         else PureStateVector(np.asarray(v, dtype=complex), (dim_A, dim_Aprime), ("A", "Ap")))
-        for p, v in entries
-    )
-    return CQEnsemble(built, dim_A, dim_Aprime).pruned()
+    probs = [p for p, _ in entries]
+    vecs = np.array([v for _, v in entries], dtype=complex)
+    if vecs.shape != (len(probs), dim_A * dim_Aprime):
+        raise InvalidState(f"amplitude vectors {vecs.shape} for dims ({dim_A}, {dim_Aprime})")
+    return CQEnsemble(probs, vecs.reshape(-1, dim_A, dim_Aprime)).pruned()
 
 
 def mu_ensemble(mu: float) -> CQEnsemble:
@@ -118,12 +119,11 @@ def mu_ensemble(mu: float) -> CQEnsemble:
 
 
 def channel_output_ensemble(ens: CQEnsemble, v: IsometricExtension) -> CQEJointState:
-    """Send the A' factor of every ensemble member through the isometry."""
+    """Send the A' axis of every ensemble letter through the isometry, in one product."""
     if ens.dim_Aprime != v.in_dim:
         raise DimMismatch(f"ensemble A' dimension {ens.dim_Aprime} != isometry input {v.in_dim}")
     pruned = ens.pruned()
-    blocks = tuple((p, apply_isometry(v, phi)) for p, phi in pruned.entries)
-    return CQEJointState(blocks, ens.dim_A, v.out_dim, v.env_dim)
+    return CQEJointState(pruned.probs, apply_isometry(v, pruned.amps))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -135,9 +135,8 @@ def _entropy_profile(sigma: CQEJointState) -> EntropyProfile:
     """H(A)_x, H(B)_x, H(E)_x from one eigensolve per subsystem stacked over the blocks,
     H(avg B) once, and the chain-rule I(AX;B) cross-checked against H(AX) + H(B) - H(AXB),
     whose H(AX) and H(AXB) are entropies of the spectra of the blocks p rho_A, p rho_AB."""
-    da, db, de = sigma.dim_A, sigma.dim_B, sigma.dim_E
-    probs = [p for p, _ in sigma.blocks]
-    psi = np.stack([v.vec for _, v in sigma.blocks]).reshape(-1, da, db, de)
+    psi, probs = sigma.psi, sigma.probs.tolist()
+    _, da, db, de = psi.shape
     rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))
@@ -148,13 +147,12 @@ def _entropy_profile(sigma: CQEJointState) -> EntropyProfile:
     i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
     i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
     chain = i_ab + i_xb
-    weights = np.array(probs)[:, None, None]
+    weights = sigma.probs[:, None, None]
     h_ax, h_axb = (shannon_entropy(np.linalg.eigvalsh(weights * rho)) for rho in (rho_a, rho_ab))
     direct = h_ax + h_avg_b - h_axb
     if abs(direct - chain) > IDENTITY_TOL:
-        raise InvalidState(
-            f"chain-rule value {chain} and direct value {direct} disagree beyond {IDENTITY_TOL}"
-        )
+        raise InvalidState(f"chain-rule value {chain} and direct value {direct} disagree "
+                           f"beyond {IDENTITY_TOL}")
     return EntropyProfile(
         h_a_given_x=sum(p * ha for p, ha, _, _ in rows),
         i_ab_given_x=i_ab,
@@ -225,7 +223,7 @@ def ensemble_from_spec(spec: dict) -> CQEnsemble:
         dim_a = check_int("dim_A", spec["dim_A"], 1, MAX_DIM)
         dim_ap = check_int("dim_Aprime", spec["dim_Aprime"], 1, MAX_DIM)
         entries = [
-            (check_real("p", e["p"], 0.0, 1.0), np.array([complex(re, im) for re, im in e["amps"]]))
+            (check_real("p", e["p"], 0.0, 1.0), [check_complex("amplitude", z) for z in e["amps"]])
             for e in spec["entries"]
         ]
     except (KeyError, TypeError, ValueError) as exc:

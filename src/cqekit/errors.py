@@ -83,9 +83,17 @@ def check_int(name: str, value, lo: int, hi: float, error=OutOfRange) -> int:
     return check_range(name, value, lo, hi, error)
 
 
-def check_real(name: str, value, lo: float, hi: float) -> float:
+def check_real(name: str, value, lo: float, hi: float, error=OutOfRange) -> float:
     """Return `value` as a float if it is a number (not a bool) in [lo, hi]; a value of
-    another type raises SpecFormatError, a number out of range (or NaN) OutOfRange."""
+    another type raises SpecFormatError, a number out of range (or NaN) `error`."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise SpecFormatError(f"{name} = {value!r} is not a number")
-    return float(check_range(name, value, lo, hi))
+    return float(check_range(name, value, lo, hi, error))
+
+
+def check_complex(name: str, pair) -> complex:
+    """The complex number of an [re, im] pair of finite reals.  A part that is a bool, a
+    string, NaN or infinite raises SpecFormatError; a `pair` that is not a pair raises
+    ValueError or TypeError."""
+    re, im = pair
+    return complex(*(check_real(name, x, -FLOAT_MAX, FLOAT_MAX, SpecFormatError) for x in (re, im)))

@@ -25,11 +25,11 @@ def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
-    """-sum p log2 p with 0 log 0 := 0; small negatives are clamped."""
+    """-sum p log2 p with 0 log 0 := 0; small negatives are clamped, NaN raises."""
     total = 0.0
     for q in np.asarray(p, dtype=float).ravel().tolist():
-        if q < -EIG_CLAMP:
-            raise InvalidState(f"probability {q} below clamp threshold")
+        if not q >= -EIG_CLAMP:
+            raise InvalidState(f"probability {q} below clamp threshold or NaN")
         if q > 1e-15:
             total -= q * math.log2(q)
     return total
@@ -46,8 +46,11 @@ def binary_entropy(q: float) -> float:
 def matrix_entropy(m: np.ndarray) -> float:
     """Von Neumann entropy in bits of a PSD Hermitian matrix.
 
-    Eigenvalues in [-1e-9, 0) count as 0; a lower one raises InvalidState.
+    Eigenvalues in [-1e-9, 0) count as 0; a lower one raises InvalidState, and so
+    does a NaN or infinite entry (LAPACK can return finite eigenvalues for it).
     """
+    if not np.all(np.isfinite(m)):
+        raise InvalidState("matrix has a NaN or infinite entry")
     return shannon_entropy(np.linalg.eigvalsh(m))
 
 
@@ -71,6 +74,12 @@ def matrix_sqrt_psd(x: np.ndarray) -> np.ndarray:
         raise NotPSD(f"eigenvalue {np.min(w)} below -{EIG_CLAMP}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
     return (root + root.conj().T) / 2
+
+
+def squared_norms(rows: np.ndarray) -> np.ndarray:
+    """Squared norm of each row of a 2-d array, as one stacked row-times-column product
+    (for a contiguous row, the bits of np.vdot(row, row).real)."""
+    return (rows.conj()[:, None, :] @ rows[:, :, None]).real.reshape(-1)
 
 
 def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:

@@ -5,7 +5,7 @@ import pytest
 
 from cqekit import bounds
 from cqekit.channels import builtin_isometry
-from cqekit.entropics import channel_output_ensemble, mu_ensemble
+from cqekit.entropics import CQEJointState, channel_output_ensemble, make_ensemble, mu_ensemble
 from cqekit.errors import DimMismatch, InvalidState, NoEnvironmentSplit, NotValidPOVMElement
 from conftest import random_ensemble
 
@@ -127,15 +127,41 @@ def test_dpi_check_dephasing_sweep():
 
 
 def test_dpi_check_split_validation():
-    iso = builtin_isometry("depolarizing")  # four-dimensional environment
-    sigma = channel_output_ensemble(mu_ensemble(0.3), iso)
-    reports = bounds.dpi_check(sigma, split=(2, 2))
-    assert all(r.satisfied for r in reports.values())
-    with pytest.raises(DimMismatch):
-        bounds.dpi_check(sigma, split=(3, 2))
     trivial = channel_output_ensemble(mu_ensemble(0.3), builtin_isometry("identity"))
     with pytest.raises(NoEnvironmentSplit):
         bounds.dpi_check(trivial)
+
+
+def _dephased_reference(sigma):
+    """sigma with E measured in its basis, one branch per letter and E state."""
+    probs, blocks = [], []
+    for p, block in zip(sigma.probs.tolist(), sigma.psi):
+        for y in range(sigma.dim_E):
+            branch = block[:, :, y]
+            weight = float(np.vdot(branch, branch).real)
+            if weight > 1e-15:
+                probs.append(p * weight)
+                blocks.append(branch[:, :, None] / np.sqrt(weight))
+    return CQEJointState(probs, np.array(blocks))
+
+
+@pytest.mark.parametrize("kind, param, d", [
+    ("dephasing", 0.2, 2), ("erasure", 0.0, 2), ("erasure", 0.6, 3), ("depolarizing", None, 3),
+])
+def test_dpi_check_equals_per_branch_reference(kind, param, d):
+    # erasure with epsilon = 0 leaves branches of weight 0, which are dropped
+    iso = builtin_isometry(kind, param, d)
+    rng = np.random.default_rng([d, 5])
+    for letters in (1, 2, 4):
+        probs = rng.random(letters) + 0.05
+        probs /= probs.sum()
+        ens = make_ensemble([(p, bounds.random_pure(d * d, rng)) for p in probs], d, d)
+        sigma = channel_output_ensemble(ens, iso)
+        reference = _dephased_reference(sigma).profile
+        reports = bounds.dpi_check(sigma)
+        for name, field in (("holevo", "i_xb"), ("mutual", "i_axb"), ("coherent", "i_coh")):
+            assert reports[name].lhs == getattr(sigma.profile, field)
+            assert reports[name].rhs == pytest.approx(getattr(reference, field), abs=1e-12)
 
 
 def test_random_state_generators():

@@ -39,10 +39,9 @@ PLUS = np.full((2, 2), 0.5, dtype=complex)
 def outputs(v, rho):
     """(B, E) marginals of the isometry `v` applied to the A' half of a
     purification of `rho` on R (x) A'."""
-    d = rho.shape[0]
-    phi = PureStateVector(matrix_sqrt_psd(rho).T.reshape(-1), (d, d), ("R", "Ap"))
-    out = apply_isometry(v, phi)
-    return out.marginal_mat({"B"}), out.marginal_mat({"E"})
+    out = apply_isometry(v, matrix_sqrt_psd(rho).T)  # amplitudes (R, A') -> (R, B, E)
+    psi = PureStateVector(out.reshape(-1), out.shape, ("R", "B", "E"))
+    return psi.marginal_mat({"B"}), psi.marginal_mat({"E"})
 
 
 def channel_output(ch, rho):
@@ -124,17 +123,20 @@ def test_identity_channel_isometry_has_trivial_environment():
 
 
 def test_apply_isometry_keeps_reference_and_relabels():
-    bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1 / np.sqrt(2)
-    phi = PureStateVector(bell, (2, 2), ("A", "Ap"))
-    out = apply_isometry(isometric_extension(dephasing(0.2)), phi)
-    assert out.labels == ("A", "B", "E")
-    assert out.dims == (2, 2, 2)
+    bell = np.eye(2, dtype=complex) / np.sqrt(2)  # amplitudes on A (x) A'
+    v = isometric_extension(dephasing(0.2))
+    out = apply_isometry(v, bell)
+    assert out.shape == (2, 2, 2)  # A kept, A' split into B, E
+    psi = PureStateVector(out.reshape(-1), out.shape, ("A", "B", "E"))
     # reference marginal is untouched
-    assert np.allclose(out.marginal_mat({"A"}), np.eye(2) / 2)
-    assert matrix_entropy(out.marginal_mat({"E"})) == pytest.approx(H2_09, abs=1e-12)
+    assert np.allclose(psi.marginal_mat({"A"}), np.eye(2) / 2)
+    assert matrix_entropy(psi.marginal_mat({"E"})) == pytest.approx(H2_09, abs=1e-12)
+    # every leading axis is kept: a stack of letters is one product
+    stacked = apply_isometry(v, np.stack([bell, bell[::-1]]))
+    assert stacked.shape == (2, 2, 2, 2)
+    assert np.allclose(stacked[0], out) and np.allclose(stacked[1], out[::-1])
     with pytest.raises(DimMismatch):
-        apply_isometry(builtin_isometry("erasure", 0.5, 3), phi)
+        apply_isometry(builtin_isometry("erasure", 0.5, 3), bell)
 
 
 def test_erasure_isometry_structure():

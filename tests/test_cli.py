@@ -198,7 +198,8 @@ def ensemble_spec(dim_a, dim_ap, p=1.0):
 # JSON specs written by test_out_of_range_parameter_exit_code.  {"p": NaN} is
 # what Python's json module writes and reads for float("nan"); the "d-" channels
 # have a "d" that int() would coerce, kraus-17 an operator side above MAX_DIM,
-# the "dim-" ensembles a dimension above MAX_DIM, and amps-nan a NaN amplitude.
+# the "dim-" ensembles a dimension above MAX_DIM, amps-nan a NaN amplitude, and
+# amps-bool, amps-string and kraus-bool [re, im] pairs that are not numbers.
 # The other channels miss a field, have one their kind does not take, or have
 # one of the wrong type.
 SPEC_FILES = {
@@ -228,10 +229,19 @@ SPEC_FILES = {
     "entry-p-string": ensemble_spec(2, 2, "1"),
     "amps-nan": {"dim_A": 1, "dim_Aprime": 2, "entries": [
         {"p": 1.0, "amps": [[float("nan"), 0], [0, 0]]}]},
+    "amps-bool": {"dim_A": 1, "dim_Aprime": 2, "entries": [
+        {"p": 1.0, "amps": [[True, False], [False, False]]}]},
+    "amps-string": {"dim_A": 1, "dim_Aprime": 2, "entries": [
+        {"p": 1.0, "amps": [["1", "0"], [0, 0]]}]},
+    # complex(True, False) is 1, so this would load as the identity
+    "kraus-bool": {"kind": "kraus", "ops": [
+        [[[True, False], [False, False]], [[False, False], [True, False]]]]},
 }
 CHANNEL_FILES = ("d-2.9", "d-true", "d-string", "kraus-17", "no-p", "p-null", "p-true",
-                 "p-string", "epsilon-list", "ops-5", "dephasing-d-3", "depolarizing-p")
-ENSEMBLE_FILES = ("dim-a-17", "dim-aprime-17", "entry-p-true", "entry-p-string", "amps-nan")
+                 "p-string", "epsilon-list", "ops-5", "dephasing-d-3", "depolarizing-p",
+                 "kraus-bool")
+ENSEMBLE_FILES = ("dim-a-17", "dim-aprime-17", "entry-p-true", "entry-p-string", "amps-nan",
+                  "amps-bool", "amps-string")
 
 
 @pytest.mark.filterwarnings("error")

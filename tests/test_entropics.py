@@ -10,6 +10,7 @@ from cqekit import entropics
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import (
     CQEJointState,
+    CQEnsemble,
     EntropyProfile,
     channel_output_ensemble,
     coherent_A_given_BX,
@@ -26,6 +27,7 @@ from cqekit.entropics import (
 )
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
+from cqekit.cli import main
 from cqekit.regions import corner_points, derive_children, region_from_state
 
 H2_09 = 0.4689955935892812
@@ -52,7 +54,8 @@ def test_ensemble_pruning_drops_zero_weight():
     v = np.array([1.0, 0, 0, 0], dtype=complex)
     w = np.array([0, 0, 0, 1.0], dtype=complex)
     ens = make_ensemble([(1.0, v), (0.0, w)], 2, 2)
-    assert len(ens.entries) == 1
+    assert ens.probs.tolist() == [1.0]
+    assert np.array_equal(ens.amps, v.reshape(1, 2, 2))
     assert ens.pruned() is ens  # nothing left to drop: no copy, no second validation
 
 
@@ -65,15 +68,14 @@ def test_ensemble_cardinality_warning():
 
 def test_mu_ensemble_structure():
     ens = mu_ensemble(0.3)
-    assert len(ens.entries) == 2
-    p0, phi0 = ens.entries[0]
-    assert p0 == 0.5
-    assert phi0.labels == ("A", "Ap")
-    assert phi0.vec[0] == pytest.approx(np.sqrt(0.3))
-    assert phi0.vec[3] == pytest.approx(np.sqrt(0.7))
+    assert ens.probs.tolist() == [0.5, 0.5]
+    assert ens.amps.shape == (2, 2, 2)  # (letters, d_A, d_A')
+    assert (ens.dim_A, ens.dim_Aprime) == (2, 2)
+    assert ens.amps[0, 0, 0] == pytest.approx(np.sqrt(0.3))
+    assert ens.amps[0, 1, 1] == pytest.approx(np.sqrt(0.7))
     # mu = 0 gives orthogonal product states
     ens0 = mu_ensemble(0.0)
-    assert abs(np.vdot(ens0.entries[0][1].vec, ens0.entries[1][1].vec)) < 1e-15
+    assert abs(np.vdot(ens0.amps[0], ens0.amps[1])) < 1e-15
     with pytest.raises(InvalidState):
         mu_ensemble(1.2)
 
@@ -81,7 +83,7 @@ def test_mu_ensemble_structure():
 def test_channel_output_ensemble_dimensions():
     sigma = channel_output_ensemble(mu_ensemble(0.3), ERASURE)
     assert (sigma.dim_A, sigma.dim_B, sigma.dim_E) == (2, 3, 3)
-    assert sigma.blocks[0][1].labels == ("A", "B", "E")
+    assert sigma.psi.shape == (2, 2, 3, 3)  # (letters, d_A, d_B, d_E)
     with pytest.raises(DimMismatch):
         mismatched = make_ensemble([(1.0, random_state_vector(6, np.random.default_rng(1)))], 2, 3)
         channel_output_ensemble(mismatched, ERASURE)
@@ -194,16 +196,37 @@ def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
     assert max(side for shape in calls for side in shape[-2:]) == 4
 
 
+def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys):
+    # The letters are one array: a state is one isometry product over all of
+    # them, and no per-letter PureStateVector is built from input to output.
+    applied, built = [], []
+    real = entropics.apply_isometry
+    monkeypatch.setattr(entropics, "apply_isometry",
+                        lambda v, amps: applied.append(amps.shape) or real(v, amps))
+    monkeypatch.setattr(PureStateVector, "__post_init__", lambda self: built.append(self))
+    ens = random_ensemble(np.random.default_rng(3))
+    sigma = channel_output_ensemble(ens, ERASURE)
+    corner_points(region_from_state(sigma), 2.0)
+    derive_children(sigma)
+    assert main(["region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5"]) == 0
+    assert capsys.readouterr().out
+    assert applied == [ens.amps.shape, (2, 2, 2)]
+    assert built == []
+    PureStateVector(np.array([1.0, 0.0], dtype=complex), (2,), ("A",))
+    assert len(built) == 1  # the probe sees a construction
+
+
 def _reference_profile(sigma):
     """The per-block path: marginal_mat and matrix_entropy for each block and
     subsystem, and the cross-check's H(AX) and H(AXB) from the assembled
     block-diagonal matrices.  Returns the profile and the direct I(AX;B)."""
-    n, da = len(sigma.blocks), sigma.dim_A
+    n, da = len(sigma.probs), sigma.dim_A
     dab = da * sigma.dim_B
     big_ax = np.zeros((n * da, n * da), dtype=complex)
     big_axb = np.zeros((n * dab, n * dab), dtype=complex)
     rows, weighted_b = [], []
-    for i, (p, psi) in enumerate(sigma.blocks):
+    for i, (p, block) in enumerate(zip(sigma.probs.tolist(), sigma.psi)):
+        psi = PureStateVector(block.reshape(-1), block.shape, ("A", "B", "E"))
         rho_a, rho_b = psi.marginal_mat({"A"}), psi.marginal_mat({"B"})
         he = matrix_entropy(psi.marginal_mat({"E"}))
         rows.append((p, matrix_entropy(rho_a), matrix_entropy(rho_b), he))
@@ -255,11 +278,21 @@ def test_profile_is_cached_and_cross_checked(monkeypatch):
 
 
 def test_joint_state_validation():
-    psi = PureStateVector(
-        np.array([1.0, 0, 0, 0, 0, 0, 0, 0], dtype=complex), (2, 2, 2), ("A", "B", "E")
-    )
-    with pytest.raises(DimMismatch):
-        CQEJointState(((1.0, psi),), 2, 2, 4)
+    block = np.zeros((2, 2, 4), dtype=complex)
+    block[0, 0, 0] = 1.0
+    sigma = CQEJointState([1.0], block[None])
+    assert (sigma.dim_A, sigma.dim_B, sigma.dim_E) == (2, 2, 4)  # read from the shape
+    assert sigma.probs.dtype == float and sigma.psi.dtype == complex
+    with pytest.raises(DimMismatch):  # no letter axis
+        CQEJointState([1.0], block)
+    with pytest.raises(DimMismatch):  # two weights, one letter
+        CQEJointState([0.5, 0.5], block[None])
+    with pytest.raises(InvalidState):  # a letter that is not a unit vector
+        CQEJointState([1.0], 2 * block[None])
+    with pytest.raises(InvalidState):
+        CQEJointState([float("nan")], block[None])
+    with pytest.raises(InvalidState):
+        CQEnsemble([0.5, 0.5], np.stack([block[:, :, 0], np.full((2, 2), np.nan)]))
 
 
 def test_ensemble_from_spec_and_file(tmp_path):
@@ -272,7 +305,8 @@ def test_ensemble_from_spec_and_file(tmp_path):
         ],
     }
     ens = ensemble_from_spec(spec)
-    assert len(ens.entries) == 2
+    assert ens.probs.tolist() == [0.5, 0.5]
+    assert ens.amps[1, 1, 1] == 1.0
     path = tmp_path / "ens.json"
     path.write_text(json.dumps(spec))
     loaded = load_ensemble(str(path))

@@ -100,6 +100,14 @@ def test_matrix_entropy_rejects_negative_eigenvalues():
     assert noisy == matrix_entropy(np.diag([1.0 + 1e-12, 0.0])) == pytest.approx(0.0, abs=1e-11)
 
 
+def test_entropies_reject_nan():
+    # NaN fails `q >= -EIG_CLAMP`, so it cannot pass as a zero eigenvalue
+    with pytest.raises(InvalidState):
+        shannon_entropy([float("nan"), 1.0])
+    with pytest.raises(InvalidState):
+        matrix_entropy(np.array([[float("nan"), 0.0], [0.0, 1.0]]))
+
+
 def test_matrix_entropy_unitary_invariance_and_additivity():
     rng = np.random.default_rng(11)
     for _ in range(10):
