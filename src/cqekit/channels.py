@@ -34,19 +34,19 @@ def tp_deviation(kraus: Sequence[np.ndarray]) -> float:
 
 @dataclass(frozen=True, eq=False)
 class KrausChannel:
-    """CPTP map given by Kraus operators of shape (out_dim, in_dim)."""
+    """CPTP map given by Kraus operators of one shape (out_dim, in_dim)."""
 
     kraus: tuple[np.ndarray, ...]
-    in_dim: int
-    out_dim: int
 
     def __post_init__(self):
-        for k in self.kraus:
-            if k.shape != (self.out_dim, self.in_dim):
-                raise DimMismatch(f"Kraus shape {k.shape} != ({self.out_dim}, {self.in_dim})")
+        if len({k.shape for k in self.kraus}) != 1 or self.kraus[0].ndim != 2:
+            raise DimMismatch(f"Kraus operators of shapes {[k.shape for k in self.kraus]}")
         dev = tp_deviation(self.kraus)
         if not dev <= TP_TOL:  # NaN fails too
             raise NotTracePreserving(f"sum K^dag K deviates from I by {dev}")
+
+    out_dim = property(lambda self: self.kraus[0].shape[0])
+    in_dim = property(lambda self: self.kraus[0].shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -54,25 +54,23 @@ class IsometricExtension:
     """Isometry V: A' -> B (x) E with the B factor major in the output ordering."""
 
     matrix: np.ndarray
-    in_dim: int
-    out_dim: int
     env_dim: int
 
     def __post_init__(self):
-        if self.matrix.shape != (self.out_dim * self.env_dim, self.in_dim):
-            raise DimMismatch(
-                f"isometry shape {self.matrix.shape} != "
-                f"({self.out_dim * self.env_dim}, {self.in_dim})"
-            )
+        if self.matrix.ndim != 2 or self.matrix.shape[0] % self.env_dim:
+            raise DimMismatch(f"isometry shape {self.matrix.shape} is not (d_B*{self.env_dim}, d)")
         dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.in_dim)))
         if not dev <= TP_TOL:  # NaN fails too
             raise NotTracePreserving(f"V^dag V deviates from I by {dev}")
+
+    out_dim = property(lambda self: self.matrix.shape[0] // self.env_dim)
+    in_dim = property(lambda self: self.matrix.shape[1])
 
 
 def isometric_extension(ch: KrausChannel) -> IsometricExtension:
     """Lift a Kraus set to V|psi> = sum_k (K_k|psi>)_B (x) |k>_E."""
     v = np.stack(ch.kraus, axis=1).reshape(-1, ch.in_dim) + 0j  # + 0j: complex, no -0.0
-    return IsometricExtension(v, ch.in_dim, ch.out_dim, len(ch.kraus))
+    return IsometricExtension(v, len(ch.kraus))
 
 
 def apply_isometry(v: IsometricExtension, amps: np.ndarray) -> np.ndarray:
@@ -85,7 +83,7 @@ def apply_isometry(v: IsometricExtension, amps: np.ndarray) -> np.ndarray:
 
 def identity_channel(d: int = 2) -> KrausChannel:
     check_int("dimension", d, 1, MAX_DIM)
-    return KrausChannel((np.eye(d, dtype=complex),), d, d)
+    return KrausChannel((np.eye(d, dtype=complex),))
 
 
 def dephasing(p: float, d: int = 2) -> KrausChannel:
@@ -100,7 +98,7 @@ def dephasing(p: float, d: int = 2) -> KrausChannel:
     check_real("dephasing parameter", p, 0.0, 1.0)
     check_int("dimension", d, 2, 2)
     q = p / 2.0
-    return KrausChannel((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z), 2, 2)
+    return KrausChannel((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z))
 
 
 def depolarizing_complete(d: int = 2) -> KrausChannel:
@@ -114,7 +112,7 @@ def depolarizing_complete(d: int = 2) -> KrausChannel:
         for a in range(d)
         for b in range(d)
     )
-    return KrausChannel(kraus, d, d)
+    return KrausChannel(kraus)
 
 
 def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
@@ -128,13 +126,13 @@ def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
         k = np.zeros((d + 1, d), dtype=complex)
         k[d, i] = np.sqrt(epsilon)
         kraus.append(k)
-    return KrausChannel(tuple(kraus), d, d + 1)
+    return KrausChannel(tuple(kraus))
 
 
 def tensor_product(a: KrausChannel, b: KrausChannel) -> KrausChannel:
     """Parallel composition; Kraus set is all Kronecker pairs."""
     kraus = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return KrausChannel(kraus, a.in_dim * b.in_dim, a.out_dim * b.out_dim)
+    return KrausChannel(kraus)
 
 
 def tensor_power(ch: KrausChannel, k: int) -> KrausChannel:
@@ -164,9 +162,8 @@ def kraus_from_ops(ops) -> KrausChannel:
     if not isinstance(ops, list) or not ops:
         raise SpecFormatError(f"kraus spec requires a nonempty 'ops' list, got {ops!r:.40}")
     kraus = tuple(_complex_matrix(m) for m in ops)
-    out_dim, in_dim = kraus[0].shape
     try:
-        return KrausChannel(kraus, in_dim, out_dim)
+        return KrausChannel(kraus)
     except NotTracePreserving as exc:
         raise SpecFormatError(f"Kraus set is not trace preserving: {exc}") from exc
 

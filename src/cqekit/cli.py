@@ -16,6 +16,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -32,7 +33,6 @@ from .entropics import (
     verify_identities,
 )
 from .errors import FLOAT_MAX, CQEKitError, DimMismatch, OutOfRange, SpecFormatError, check_range
-from .qlinalg import binary_entropy
 from .regions import corner_points, derive_children, region_from_state
 
 SCHEMA_VERSION = 1
@@ -172,21 +172,11 @@ def cmd_compare(args) -> int:
     spec = ({"kind": "dephasing", "p": args.p} if args.channel is None
             else _channel_spec(args.channel))
     channel_from_spec(spec)  # rejects a missing, unknown or out-of-range field
-    param = spec.get("p", spec.get("epsilon"))  # the dephasing or erasure parameter
-    if spec["kind"] == "erasure" and spec.get("d", 2) == 2:
-        cef, delta = closedform.erasure_cef_curve, closedform.erasure_cef_vs_timeshare
-        eaq = closedform.erasure_table(param)["EAQ"]
-    elif spec["kind"] == "dephasing":
-        cef, delta = closedform.cef_curve, closedform.cef_vs_timeshare
-        eaq = closedform.cef_curve(param, 0.5)
-    else:
+    if spec["kind"] not in closedform.CEF_CURVES or spec.get("d", 2) != 2:
         raise SpecFormatError(f"compare supports qubit dephasing/erasure, got {args.channel!r}")
-    rows = []
-    for mu in map(float, grid):
-        t = cef(param, mu)
-        dq, de = delta(param, mu)
-        lam = binary_entropy(mu)
-        rows.append([fmt(x, digits) for x in (mu, t.c, t.q, t.e, lam * eaq.q, lam * eaq.e, dq, de)])
+    curve, field = closedform.CEF_CURVES[spec["kind"]]
+    rows = [[fmt(x, digits) for x in (mu, *closedform.compare_row(curve, spec[field], mu))]
+            for mu in map(float, grid)]
     header = ("mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE")
     return _emit(args, header, rows, {"rows": rows})
 
@@ -270,8 +260,17 @@ def cmd_check(args) -> int:
     return 0 if all_ok else 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Parser (and subparsers) that read '-' then a digit, '.', 'inf' or 'nan' (-1e-3,
+    -0.1:0.5:3) as a value for the range checks, not as an unknown option."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="cqekit")
+    parser = _Parser(prog="cqekit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     p_region = sub.add_parser("region", help="one-shot region constants, vertices, children")
@@ -291,8 +290,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(func=cmd_curve)
 
     p_cmp = sub.add_parser("compare", help="CEF curve vs HSW/EAQ time-sharing")
-    p_cmp.add_argument("--p", type=float, default=None)
-    p_cmp.add_argument("--channel", default=None)
+    channel = p_cmp.add_mutually_exclusive_group(required=True)
+    channel.add_argument("--p", type=float)
+    channel.add_argument("--channel")
     p_cmp.add_argument("--grid", default="0:0.5:101")
     p_cmp.add_argument("--format", choices=("csv", "json"), default="csv")
     p_cmp.add_argument("--output", default=None)
@@ -307,10 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "compare" and (args.p is None) == (args.channel is None):
-        parser.error("compare requires exactly one of --p and --channel")
+    args = build_parser().parse_args(argv)
     try:
         args.precision = _env_precision()
         return args.func(args)

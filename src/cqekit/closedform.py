@@ -7,29 +7,14 @@ values map via mu -> 1 - mu.  All rates are bits/qubits/ebits per use.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import OutOfRange, check_range
 from .qlinalg import binary_entropy
-from .regions import RateTriple
+from .regions import OneShotRegion, RateTriple, halfspaces
 
 RADICAND_CLAMP = -1e-12
-
-
-@dataclass(frozen=True)
-class Halfspace:
-    """Inequality c_coef*C + q_coef*Q + e_coef*E <= const."""
-
-    c_coef: float
-    q_coef: float
-    e_coef: float
-    const: float
-
-    def slack(self, t: RateTriple) -> float:
-        return self.const - (self.c_coef * t.c + self.q_coef * t.q + self.e_coef * t.e)
-
-    def contains(self, t: RateTriple, tol: float = 1e-12) -> bool:
-        return self.slack(t) >= -tol
 
 
 def g(p: float, mu: float) -> float:
@@ -90,27 +75,25 @@ def solid_plane_bound(p: float) -> float:
     return 2.0 - binary_entropy(g(p, 0.5))
 
 
-def erasure_region(epsilon: float) -> tuple[Halfspace, Halfspace, Halfspace]:
-    """The three capacity-region halfspaces of the erasure channel."""
+def erasure_region(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
+    """The three capacity-region halfspaces of the erasure channel, as (A, b)
+    with A @ (c, q, e) <= b."""
     check_range("epsilon", epsilon, 0.0, 1.0)
     if epsilon == 1.0:
         # Degenerate all-zero region (same shape as the completely
         # depolarizing bounds).
         return depolarizing_region()
-    return (
-        Halfspace(1.0, 2.0, 0.0, 2.0 * (1.0 - epsilon)),
-        Halfspace((1.0 - 2.0 * epsilon) / (1.0 - epsilon), 1.0, -1.0, 1.0 - 2.0 * epsilon),
-        Halfspace(1.0, 1.0 + epsilon, -(1.0 - epsilon), 1.0 - epsilon),
-    )
+    a = [[1.0, 2.0, 0.0],
+         [(1.0 - 2.0 * epsilon) / (1.0 - epsilon), 1.0, -1.0],
+         [1.0, 1.0 + epsilon, -(1.0 - epsilon)]]
+    return np.array(a), np.array([2.0 * (1.0 - epsilon), 1.0 - 2.0 * epsilon, 1.0 - epsilon])
 
 
-def depolarizing_region() -> tuple[Halfspace, Halfspace, Halfspace]:
-    """C + 2Q <= 0, Q <= E, C + Q <= E."""
-    return (
-        Halfspace(1.0, 2.0, 0.0, 0.0),
-        Halfspace(0.0, 1.0, -1.0, 0.0),
-        Halfspace(1.0, 1.0, -1.0, 0.0),
-    )
+def depolarizing_region() -> tuple[np.ndarray, np.ndarray]:
+    """C + 2Q <= 0, Q <= E, C + Q <= E: the last three rows of the one-shot
+    region whose constants are all 0, as fresh (A, b) arrays."""
+    a, b = halfspaces(OneShotRegion(0.0, 0.0, 0.0), 0.0)
+    return a[3:6], b[3:6]
 
 
 def erasure_table(epsilon: float) -> dict[str, RateTriple]:
@@ -128,33 +111,21 @@ def erasure_table(epsilon: float) -> dict[str, RateTriple]:
     }
 
 
-@dataclass(frozen=True)
-class ErasureEntropics:
-    """Closed-form entropic quantities of the mu-ensemble through erasure."""
-
-    i_xb: float
-    i_coh: float
-    half_i_ab_x: float
-    half_i_ae_x: float
-    i_axb: float
-
-
-def erasure_entropics(epsilon: float, mu: float) -> ErasureEntropics:
+def erasure_entropics(epsilon: float, mu: float) -> OneShotRegion:
+    """One-shot region constants of the mu-ensemble through the erasure channel."""
     check_range("epsilon", epsilon, 0.0, 1.0)
     h_mu = binary_entropy(_checked_mu(mu))
-    return ErasureEntropics(
-        i_xb=(1.0 - epsilon) * (1.0 - h_mu),
-        i_coh=(1.0 - 2.0 * epsilon) * h_mu,
-        half_i_ab_x=(1.0 - epsilon) * h_mu,
-        half_i_ae_x=epsilon * h_mu,
-        i_axb=(1.0 + h_mu) * (1.0 - epsilon),
-    )
+    return OneShotRegion(i_axb=(1.0 + h_mu) * (1.0 - epsilon),
+                         i_xb=(1.0 - epsilon) * (1.0 - h_mu),
+                         i_coh=(1.0 - 2.0 * epsilon) * h_mu)
 
 
 def erasure_cef_curve(epsilon: float, mu: float) -> RateTriple:
-    """CEF rate triple of the mu-ensemble through the erasure channel."""
-    ent = erasure_entropics(epsilon, mu)
-    return RateTriple(ent.i_xb, ent.half_i_ab_x, ent.half_i_ae_x)
+    """CEF rate triple (I(X;B), I(A;B|X)/2, I(A;E|X)/2) of the mu-ensemble
+    through the erasure channel."""
+    check_range("epsilon", epsilon, 0.0, 1.0)
+    h_mu = binary_entropy(_checked_mu(mu))
+    return RateTriple((1.0 - epsilon) * (1.0 - h_mu), (1.0 - epsilon) * h_mu, epsilon * h_mu)
 
 
 def eac_erasure_mutual_info(p_spec: float, epsilon: float) -> float:
@@ -170,28 +141,28 @@ def timeshare_line(a: RateTriple, b: RateTriple, lam: float) -> RateTriple:
     return a.scaled(lam) + b.scaled(1.0 - lam)
 
 
-def cef_vs_timeshare(p: float, mu: float) -> tuple[float, float]:
-    """(dQ, dE) advantage of the CEF curve over HSW/EAQ time-sharing (dephasing).
+def compare_row(curve, param: float, mu: float) -> tuple[float, ...]:
+    """The `compare` row of `curve` (cef_curve or erasure_cef_curve) at (param, mu):
+    C, Q, E of the CEF point; Q, E of time-sharing with the same C between the
+    curve's EAQ end (mu = 1/2, C = 0) and HSW end (mu = 0, Q = E = 0), a fraction
+    lam = H2(mu) of EAQ; and CEF's advantage dQ, dE."""
+    cef = curve(param, mu)
+    ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), binary_entropy(mu))
+    return cef.c, cef.q, cef.e, ts.q, ts.e, cef.q - ts.q, ts.e - cef.e
 
-    The time-share fraction is chosen so the classical rates match; since the
-    dephasing HSW point is (1, 0, 0), lambda = H2(mu).
-    """
-    lam = binary_entropy(_checked_mu(mu))
-    cef = cef_curve(p, mu)
-    eaq = cef_curve(p, 0.5)  # C component is 0 at mu = 1/2
-    dq = cef.q - lam * eaq.q
-    de = lam * eaq.e - cef.e
-    return dq, de
+
+def cef_vs_timeshare(p: float, mu: float) -> tuple[float, float]:
+    """(dQ, dE) advantage of the CEF curve over HSW/EAQ time-sharing (dephasing)."""
+    return compare_row(cef_curve, p, mu)[-2:]
 
 
 def erasure_cef_vs_timeshare(epsilon: float, mu: float) -> tuple[float, float]:
     """(dQ, dE) for the erasure channel; identically zero (time-sharing optimal)."""
-    lam = binary_entropy(_checked_mu(mu))
-    cef = erasure_cef_curve(epsilon, mu)
-    eaq = erasure_table(epsilon)["EAQ"]
-    dq = cef.q - lam * eaq.q
-    de = lam * eaq.e - cef.e
-    return dq, de
+    return compare_row(erasure_cef_curve, epsilon, mu)[-2:]
+
+
+# The CEF curve of each channel kind that `compare` supports, by its parameter field.
+CEF_CURVES = {"dephasing": (cef_curve, "p"), "erasure": (erasure_cef_curve, "epsilon")}
 
 
 def _checked_mu(mu: float) -> float:

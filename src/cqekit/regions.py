@@ -44,17 +44,11 @@ class RateTriple:
         return np.array([self.c, self.q, self.e])
 
 
-@dataclass(frozen=True)
-class UnitProtocol:
-    """A noiseless interconversion with a fixed per-unit rate delta."""
-
-    kind: str
-    delta: RateTriple
-
-
-TELEPORTATION = UnitProtocol("TP", RateTriple(-2.0, 1.0, 1.0))
-SUPER_DENSE = UnitProtocol("SD", RateTriple(2.0, -1.0, 1.0))
-ENT_DISTRIBUTION = UnitProtocol("ED", RateTriple(0.0, -1.0, -1.0))
+# The (C, Q, E) deltas of one unit of each noiseless protocol: teleportation,
+# super-dense coding and entanglement distribution.
+TELEPORTATION = RateTriple(-2.0, 1.0, 1.0)
+SUPER_DENSE = RateTriple(2.0, -1.0, 1.0)
+ENT_DISTRIBUTION = RateTriple(0.0, -1.0, -1.0)
 
 
 @dataclass(frozen=True)
@@ -151,14 +145,14 @@ def cef_point(sigma: CQEJointState) -> RateTriple:
     return RateTriple(prof.i_xb, 0.5 * prof.i_ab_given_x, 0.5 * prof.i_ae_given_x)
 
 
-def apply_unit(t: RateTriple, u: UnitProtocol, rate: float) -> RateTriple:
-    """t + rate * u.delta; negative intermediate components are allowed.
+def apply_unit(t: RateTriple, delta: RateTriple, rate: float) -> RateTriple:
+    """t + rate * delta; negative intermediate components are allowed.
 
     Rates within roundoff of zero are clamped; genuinely negative rates raise.
     """
     if rate < -ARITH_TOL:
         raise NegativeRate(f"unit-protocol rate {rate} is negative")
-    return t + u.delta.scaled(max(rate, 0.0))
+    return t + delta.scaled(max(rate, 0.0))
 
 
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
@@ -169,7 +163,7 @@ def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
     eac = apply_unit(cef, SUPER_DENSE, 0.5 * prof.i_ab_given_x)
     # SD rate is i_coh / 2, which can be negative (e.g. completely depolarizing
     # input ensembles); the signed arithmetic is applied directly in that case.
-    signed_sd = SUPER_DENSE.delta.scaled(0.5 * prof.i_coh)
+    signed_sd = SUPER_DENSE.scaled(0.5 * prof.i_coh)
     cef_sd_ed = apply_unit(cef, ENT_DISTRIBUTION, 0.5 * prof.h_a_given_x) + signed_sd
     cef_tp = apply_unit(cef, TELEPORTATION, 0.5 * prof.i_xb)
     lsd = RateTriple(0.0, ceq.q, ceq.e)

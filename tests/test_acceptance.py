@@ -76,12 +76,13 @@ def test_criterion_02_closed_form_matches_matrix_pipeline():
             ent = cf.erasure_entropics(eps, mu)
             r = region_from_state(sigma)
             point = cef_point(sigma)
+            want = cf.erasure_cef_curve(eps, mu)
             deltas = (
                 r.i_xb - ent.i_xb,
                 r.i_coh - ent.i_coh,
                 r.i_axb - ent.i_axb,
-                point.q - ent.half_i_ab_x,
-                point.e - ent.half_i_ae_x,
+                point.q - want.q,
+                point.e - want.e,
             )
             worst = max(worst, float(np.max(np.abs(deltas))))
     ok = worst <= 1e-9
@@ -102,13 +103,12 @@ def test_criterion_03_erasure_corner_table():
         "HSW": {1, 2},
         "EAQ": {0, 1, 2},
     }
-    region = cf.erasure_region(0.25)
+    a, b = cf.erasure_region(0.25)
     ok = True
     for name, want in expected.items():
         t = table[name]
         ok = ok and max(abs(a - b) for a, b in zip(t.as_array(), want)) <= 1e-12
-        for i, hs in enumerate(region):
-            slack = hs.slack(t)
+        for i, slack in enumerate(b - a @ t.as_array()):
             ok = ok and slack >= -1e-12
             if i in tight_faces[name]:
                 ok = ok and abs(slack) <= 1e-12

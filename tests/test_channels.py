@@ -9,6 +9,7 @@ from conftest import random_state_vector
 from cqekit.channels import (
     MAX_DIM,
     TP_TOL,
+    IsometricExtension,
     KrausChannel,
     apply_isometry,
     builtin_isometry,
@@ -61,9 +62,9 @@ def test_tp_deviation():
 
 def test_kraus_channel_rejects_non_tp():
     with pytest.raises(NotTracePreserving):
-        KrausChannel((0.5 * np.eye(2, dtype=complex),), 2, 2)
+        KrausChannel((0.5 * np.eye(2, dtype=complex),))
     with pytest.raises(DimMismatch):
-        KrausChannel((np.eye(2, dtype=complex),), 2, 3)
+        KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)))
 
 
 def test_dephasing_action():
@@ -106,6 +107,11 @@ def test_isometric_extension_shapes_and_consistency():
     ch = dephasing(0.2)
     v = isometric_extension(ch)
     assert v.in_dim == 2 and v.out_dim == 2 and v.env_dim == 2
+    # dimensions are read from the array shapes
+    w = isometric_extension(erasure_kraus(0.25, 3))
+    assert (w.in_dim, w.out_dim, w.env_dim) == (3, 4, 4) and w.matrix.shape == (16, 3)
+    with pytest.raises(DimMismatch):
+        IsometricExtension(np.eye(5, 2, dtype=complex), 2)
     assert np.allclose(v.matrix.conj().T @ v.matrix, np.eye(2))
     rng = np.random.default_rng(9)
     for _ in range(10):

@@ -164,6 +164,15 @@ def test_compare_requires_channel_or_p():
         assert exc.value.code == 2
 
 
+def test_values_starting_with_a_dash_reach_the_range_checks():
+    # argparse alone reads these values as unknown options and exits 2 with
+    # "expected one argument" before any check runs
+    code, out, err = run_cli("curve", "cef", "--p", "0.2", "--grid", "-0.1:0.5:3")
+    assert code == 2 and out == "" and "mu = -0.1" in err
+    code, out, err = run_cli("compare", "--p", "-1e-3")
+    assert code == 2 and out == "" and "dephasing parameter = -0.001" in err
+
+
 def test_check_suite_passes():
     code, out, _ = run_cli("check", "--suite", "identities", "--trials", "5", "--seed", "7")
     assert code == 0

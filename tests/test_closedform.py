@@ -8,7 +8,7 @@ from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
 from cqekit.errors import OutOfRange
 from cqekit.qlinalg import binary_entropy
-from cqekit.regions import RateTriple, cef_point, region_from_state
+from cqekit.regions import OneShotRegion, RateTriple, cef_point, halfspaces, region_from_state
 
 H2_09 = 0.4689955935892812
 H2_025 = 0.8112781244591328
@@ -98,32 +98,45 @@ def test_solid_plane_bound():
     assert cf.solid_plane_bound(0.2) == pytest.approx(r.i_axb, abs=1e-10)
 
 
+def inside(region, t, tol=1e-12):
+    """Per row of an (A, b) region: does t satisfy A @ t <= b within tol?"""
+    a, b = region
+    return a @ t.as_array() <= b + tol
+
+
 def test_erasure_region_quarter():
-    eq1, eq2, eq3 = cf.erasure_region(0.25)
-    assert (eq1.c_coef, eq1.q_coef, eq1.e_coef, eq1.const) == (1.0, 2.0, 0.0, 1.5)
-    assert eq2.c_coef == pytest.approx(2.0 / 3.0, abs=1e-15)
-    assert (eq2.q_coef, eq2.e_coef, eq2.const) == (1.0, -1.0, 0.5)
-    assert (eq3.c_coef, eq3.q_coef, eq3.e_coef, eq3.const) == (1.0, 1.25, -0.75, 0.75)
+    a, b = cf.erasure_region(0.25)
+    assert a.shape == (3, 3) and b.shape == (3,)
+    assert (*a[0], b[0]) == (1.0, 2.0, 0.0, 1.5)
+    assert a[1, 0] == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert (a[1, 1], a[1, 2], b[1]) == (1.0, -1.0, 0.5)
+    assert (*a[2], b[2]) == (1.0, 1.25, -0.75, 0.75)
 
 
 def test_erasure_region_degenerate_cases():
     # epsilon = 0 region contains the noiseless corner points
     hs = cf.erasure_region(0.0)
     for point in (RateTriple(2, 0, 1), RateTriple(0, 1, 0), RateTriple(1, 0, 0)):
-        assert all(h.contains(point, tol=1e-12) for h in hs)
+        assert inside(hs, point).all()
     # epsilon = 1 collapses to the depolarizing shape
     hs1 = cf.erasure_region(1.0)
-    assert not hs1[0].contains(RateTriple(0.1, 0, 0))
-    assert hs1[1].contains(RateTriple(0, 0.5, 0.5))
+    assert not inside(hs1, RateTriple(0.1, 0, 0))[0]
+    assert inside(hs1, RateTriple(0, 0.5, 0.5))[1]
 
 
 def test_depolarizing_region():
     hs = cf.depolarizing_region()
     origin = RateTriple(0, 0, 0)
-    assert all(h.contains(origin) for h in hs)
-    assert not hs[0].contains(RateTriple(0.1, 0.0, 1.0))
-    assert not hs[1].contains(RateTriple(0.0, 0.6, 0.5))
-    assert not hs[2].contains(RateTriple(0.3, 0.3, 0.5))
+    assert inside(hs, origin).all()
+    assert not inside(hs, RateTriple(0.1, 0.0, 1.0))[0]
+    assert not inside(hs, RateTriple(0.0, 0.6, 0.5))[1]
+    assert not inside(hs, RateTriple(0.3, 0.3, 0.5))[2]
+    a, b = hs
+    a[:], b[:] = 7.0, 7.0  # the caller's own arrays: no later region changes
+    a, b = cf.depolarizing_region()
+    assert a.tolist() == [[1, 2, 0], [0, 1, -1], [1, 1, -1]] and b.tolist() == [0, 0, 0]
+    # rows 3-5 of every one-shot region
+    assert halfspaces(OneShotRegion(1.0, 0.5, 0.2), 1.0)[0][3:6].tolist() == a.tolist()
 
 
 def test_erasure_table_values():
@@ -150,8 +163,9 @@ def test_erasure_entropics_closed_form_vs_pipeline():
             assert r.i_coh == pytest.approx(ent.i_coh, abs=1e-10)
             assert r.i_axb == pytest.approx(ent.i_axb, abs=1e-10)
             point = cef_point(sigma)
-            assert point.q == pytest.approx(ent.half_i_ab_x, abs=1e-10)
-            assert point.e == pytest.approx(ent.half_i_ae_x, abs=1e-10)
+            want = cf.erasure_cef_curve(eps, mu)
+            assert point.q == pytest.approx(want.q, abs=1e-10)
+            assert point.e == pytest.approx(want.e, abs=1e-10)
 
 
 def test_erasure_entropics_degenerate_mu():

@@ -17,6 +17,7 @@ from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
 from cqekit.errors import EmptyInput, InvalidRegion, NegativeRate, OutOfRange
 from cqekit.regions import (
+    ARITH_TOL,
     ENT_DISTRIBUTION,
     VERTEX_DEDUP_TOL,
     VERTEX_FEAS_TOL,
@@ -63,9 +64,9 @@ def test_rate_triple_arithmetic(c, q, e, k):
 
 
 def test_unit_protocol_table():
-    assert TELEPORTATION.delta == RateTriple(-2.0, 1.0, 1.0)
-    assert SUPER_DENSE.delta == RateTriple(2.0, -1.0, 1.0)
-    assert ENT_DISTRIBUTION.delta == RateTriple(0.0, -1.0, -1.0)
+    assert TELEPORTATION == RateTriple(-2.0, 1.0, 1.0)
+    assert SUPER_DENSE == RateTriple(2.0, -1.0, 1.0)
+    assert ENT_DISTRIBUTION == RateTriple(0.0, -1.0, -1.0)
 
 
 def test_teleportation_and_super_dense_cancel():
@@ -119,6 +120,28 @@ def test_contains_faces_and_violations():
     assert not contains(r, RateTriple(1.2, 0.0, 0.0))  # c + q above i_xb + i_coh + e
     # tolerance loosens the face test
     assert contains(r, RateTriple(1.5 + 1e-13, 0.0, 0.5))
+
+
+def test_contains_agrees_with_halfspace_rows():
+    # contains and rows 0-5 of halfspaces encode one region.  Seeded random
+    # regions and points, and points at -2, -1/2, 0, 1/2 and 2 tolerances
+    # from each facet (a @ t = b + offset): half a tolerance or more from the
+    # accept edge b + ARITH_TOL, so the two encodings' roundoff cannot split them.
+    rng = np.random.default_rng(20260)
+    outcomes = []
+    for _ in range(200):
+        i_xb, i_coh = rng.uniform(0.0, 1.0), rng.uniform(-1.0, 1.0)
+        r = OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0.0, 1.0), i_xb, i_coh)
+        a, b = (m[:6] for m in halfspaces(r, 1.0))
+        points = list(rng.uniform(-0.5, 2.0, (5, 3)))
+        for k, x in enumerate(rng.uniform(-0.5, 2.0, (6, 3))):
+            for offset in ARITH_TOL * np.array([-2.0, -0.5, 0.0, 0.5, 2.0]):
+                points.append(x + (b[k] + offset - a[k] @ x) / (a[k] @ a[k]) * a[k])
+        for x in points:
+            inside = contains(r, RateTriple(*x))
+            assert inside == bool(np.all(a @ x <= b + ARITH_TOL))
+            outcomes.append(inside)
+    assert 0.1 < np.mean(outcomes) < 0.9
 
 
 def test_halfspaces_shape():
