@@ -18,6 +18,7 @@ import math
 import os
 import re
 import sys
+from itertools import repeat
 
 import numpy as np
 
@@ -130,6 +131,14 @@ def _triple(t, digits: int) -> list[str]:
     return [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
 
 
+def _columns(values, n: int, digits: int) -> list[list[str]]:
+    """Each of `values` (an array of n values, or one value for all n) as n printed
+    values, the same as fmt's; x + 0.0 turns -0.0 into 0.0 as fmt does."""
+    spec = f".{digits}g"
+    return [[fmt(x, digits)] * n if np.ndim(x) == 0
+            else [format(v, spec) for v in (x + 0.0).tolist()] for x in values]
+
+
 def cmd_region(args) -> int:
     digits = args.precision
     iso = _parse_channel(args.channel)
@@ -160,7 +169,9 @@ def cmd_curve(args) -> int:
     name, func = CURVES[args.curve]
     grid = _parse_grid(args.grid)
     bound = fmt(closedform.solid_plane_bound(args.p), digits)
-    rows = [[fmt(mu, digits), *_triple(func(args.p, mu), digits), name] for mu in map(float, grid)]
+    t = func(args.p, grid)
+    rows = list(zip(*_columns((grid, t.c, t.q, t.e), len(grid), digits), repeat(name)))
+    del t  # the float columns are not needed while the rows are written
     doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound, "rows": rows}
     return _emit(args, ("mu", "C", "Q", "E", "curve_name"), rows, doc,
                  (f"solid_plane_bound={bound}",))
@@ -175,8 +186,8 @@ def cmd_compare(args) -> int:
     if spec["kind"] not in closedform.CEF_CURVES or spec.get("d", 2) != 2:
         raise SpecFormatError(f"compare supports qubit dephasing/erasure, got {args.channel!r}")
     curve, field = closedform.CEF_CURVES[spec["kind"]]
-    rows = [[fmt(x, digits) for x in (mu, *closedform.compare_row(curve, spec[field], mu))]
-            for mu in map(float, grid)]
+    rows = list(zip(*_columns((grid, *closedform.compare_row(curve, spec[field], grid)),
+                              len(grid), digits)))
     header = ("mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE")
     return _emit(args, header, rows, {"rows": rows})
 

@@ -2,6 +2,11 @@
 
 Dephasing trade-off curves are parameterized by mu in [0, 1/2]; symmetric
 values map via mu -> 1 - mu.  All rates are bits/qubits/ebits per use.
+
+The curves, `g`, `timeshare_line` and `compare_row` take a float mu or a
+whole array of them: a float call is a batch of one and returns floats, an
+array call returns a RateTriple (or row) of arrays, each element bit-equal
+to the float call at that mu.
 """
 
 from __future__ import annotations
@@ -17,30 +22,35 @@ from .regions import OneShotRegion, RateTriple, halfspaces
 RADICAND_CLAMP = -1e-12
 
 
-def g(p: float, mu: float) -> float:
+def g(p: float, mu):
     """g(p, mu) = 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) mu (1 - mu))."""
     check_range("p", p, 0.0, 1.0)
     check_range("mu", mu, 0.0, 0.5)
     radicand = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu)
-    if radicand < RADICAND_CLAMP:
-        raise OutOfRange(f"radicand {radicand} below clamp threshold")
-    return 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
+    if not isinstance(radicand, np.ndarray):
+        if radicand < RADICAND_CLAMP:
+            raise OutOfRange(f"radicand {radicand} below clamp threshold")
+        return 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
+    low = radicand < RADICAND_CLAMP
+    if low.any():
+        raise OutOfRange(f"radicand {radicand.flat[low.argmax()]} below clamp threshold")
+    return 0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0))
 
 
-def ds_curve(p: float, mu: float) -> RateTriple:
+def ds_curve(p: float, mu) -> RateTriple:
     """Devetak-Shor CQ-plane trade-off point (1 - H2(mu), H2(mu) - H2(g), 0)."""
     h_mu = binary_entropy(_checked_mu(mu))
     return RateTriple(1.0 - h_mu, h_mu - binary_entropy(g(p, mu)), 0.0)
 
 
-def cef_curve(p: float, mu: float) -> RateTriple:
+def cef_curve(p: float, mu) -> RateTriple:
     """Classically-enhanced father point (1 - H2(mu), H2(mu) - H2(g)/2, H2(g)/2)."""
     h_mu = binary_entropy(_checked_mu(mu))
     h_g = binary_entropy(g(p, mu))
     return RateTriple(1.0 - h_mu, h_mu - 0.5 * h_g, 0.5 * h_g)
 
 
-def shor_ce_curve(p: float, mu: float) -> RateTriple:
+def shor_ce_curve(p: float, mu) -> RateTriple:
     """CE-plane trade-off point (1 + H2(mu) - H2(g), 0, H2(mu))."""
     h_mu = binary_entropy(_checked_mu(mu))
     return RateTriple(1.0 + h_mu - binary_entropy(g(p, mu)), 0.0, h_mu)
@@ -120,7 +130,7 @@ def erasure_entropics(epsilon: float, mu: float) -> OneShotRegion:
                          i_coh=(1.0 - 2.0 * epsilon) * h_mu)
 
 
-def erasure_cef_curve(epsilon: float, mu: float) -> RateTriple:
+def erasure_cef_curve(epsilon: float, mu) -> RateTriple:
     """CEF rate triple (I(X;B), I(A;B|X)/2, I(A;E|X)/2) of the mu-ensemble
     through the erasure channel."""
     check_range("epsilon", epsilon, 0.0, 1.0)
@@ -135,17 +145,18 @@ def eac_erasure_mutual_info(p_spec: float, epsilon: float) -> float:
     return 2.0 * (1.0 - epsilon) * binary_entropy(p_spec)
 
 
-def timeshare_line(a: RateTriple, b: RateTriple, lam: float) -> RateTriple:
+def timeshare_line(a: RateTriple, b: RateTriple, lam) -> RateTriple:
     """Convex combination lam * a + (1 - lam) * b."""
     check_range("lambda", lam, 0.0, 1.0)
     return a.scaled(lam) + b.scaled(1.0 - lam)
 
 
-def compare_row(curve, param: float, mu: float) -> tuple[float, ...]:
+def compare_row(curve, param: float, mu) -> tuple:
     """The `compare` row of `curve` (cef_curve or erasure_cef_curve) at (param, mu):
     C, Q, E of the CEF point; Q, E of time-sharing with the same C between the
     curve's EAQ end (mu = 1/2, C = 0) and HSW end (mu = 0, Q = E = 0), a fraction
-    lam = H2(mu) of EAQ; and CEF's advantage dQ, dE."""
+    lam = H2(mu) of EAQ; and CEF's advantage dQ, dE.  An array mu gives the
+    seven columns, from three curve calls whatever its size."""
     cef = curve(param, mu)
     ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), binary_entropy(mu))
     return cef.c, cef.q, cef.e, ts.q, ts.e, cef.q - ts.q, ts.e - cef.e
@@ -165,5 +176,5 @@ def erasure_cef_vs_timeshare(epsilon: float, mu: float) -> tuple[float, float]:
 CEF_CURVES = {"dephasing": (cef_curve, "p"), "erasure": (erasure_cef_curve, "epsilon")}
 
 
-def _checked_mu(mu: float) -> float:
+def _checked_mu(mu):
     return check_range("mu", mu, 0.0, 0.5)

@@ -3,6 +3,8 @@
 import numbers
 import sys
 
+import numpy as np
+
 FLOAT_MAX = sys.float_info.max  # check_range(name, x, -FLOAT_MAX, FLOAT_MAX) rejects inf and NaN
 
 
@@ -69,11 +71,20 @@ class SpecFormatError(CQEKitError):
 def check_range(name: str, value: float, lo: float, hi: float, error=OutOfRange) -> float:
     """Return `value` if lo <= value <= hi, else raise `error`; NaN always fails.
 
-    Bounds of +-FLOAT_MAX also reject the infinities.
+    Bounds of +-FLOAT_MAX also reject the infinities.  An array `value` is
+    checked elementwise and the error names its first bad element.
     """
-    if not (lo <= value <= hi):
-        raise error(f"{name} = {value} outside [{lo}, {hi}]")
-    return value
+    try:
+        if lo <= value <= hi:
+            return value
+    except ValueError:  # an array of several elements has no truth value
+        pass
+    if isinstance(value, np.ndarray):
+        bad = ~((lo <= value) & (value <= hi))
+        if not bad.any():
+            return value
+        value = value.flat[bad.argmax()].item()
+    raise error(f"{name} = {value} outside [{lo}, {hi}]")
 
 
 def check_int(name: str, value, lo: int, hi: float, error=OutOfRange) -> int:

@@ -35,12 +35,22 @@ def shannon_entropy(p: Sequence[float]) -> float:
     return total
 
 
-def binary_entropy(q: float) -> float:
-    """H2(q) in bits; endpoints give 0."""
+def binary_entropy(q):
+    """H2(q) in bits; endpoints give 0.  An array q gives the array of its
+    elements' H2, each bit-equal to the scalar call; a float q gives a float."""
     check_range("binary entropy argument", q, 0.0, 1.0)
+    if isinstance(q, np.ndarray):
+        inner = (q > 0.0) & (q < 1.0)
+        x = np.where(inner, q, 0.5)
+        return np.where(inner, -x * _log2(x) - (1.0 - x) * _log2(1.0 - x), 0.0)
     if q <= 0.0 or q >= 1.0:
         return 0.0
     return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+
+
+def _log2(x: np.ndarray) -> np.ndarray:
+    """math.log2 of each element: np.log2 is not bit-equal to libm on every build."""
+    return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
 def matrix_entropy(m: np.ndarray) -> float:

@@ -1,6 +1,7 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import cqekit
-from cqekit import cli
+from cqekit import cli, closedform
 from cqekit.cli import build_parser, fmt, main
 from cqekit.errors import SpecFormatError
 
@@ -125,6 +126,49 @@ def test_curve_json_ds_zero_noise():
         mu, c, q = float(row[0]), float(row[1]), float(row[2])
         # noiseless: Q recovers the full input entropy
         assert c + q == pytest.approx(1.0, abs=1e-9)
+
+
+@pytest.mark.parametrize("argv", [("curve", "cef", "--p", "0.2"), ("compare", "--p", "0.2")])
+def test_grid_point_out_of_range_is_named(argv):
+    code, out, err = run_cli(*argv, "--grid=0:0.7:3")
+    assert (code, out, err) == (2, "", "config error: mu = 0.7 outside [0.0, 0.5]\n")
+
+
+def test_each_curve_is_evaluated_once_per_command(monkeypatch):
+    # the closed forms take the whole grid: `curve` makes one curve call, and
+    # `compare` three (the grid, the EAQ end and the HSW end), whatever the size
+    calls = []
+
+    def counted(name, func):
+        return lambda *args: calls.append(name) or func(*args)
+
+    for key, (name, func) in list(cli.CURVES.items()):
+        monkeypatch.setitem(cli.CURVES, key, (name, counted(key, func)))
+    for kind, (func, field) in list(closedform.CEF_CURVES.items()):
+        monkeypatch.setitem(closedform.CEF_CURVES, kind, (counted(kind, func), field))
+    for key in cli.CURVES:
+        calls.clear()
+        assert run_cli("curve", key, "--p", "0.2", "--grid", "0:0.5:1001")[0] == 0
+        assert calls == [key]
+    for n in (2, 101, 1001):
+        for argv, kind in ((("--p", "0.2"), "dephasing"), (("--channel", "erasure:0.25"), "erasure")):
+            calls.clear()
+            assert run_cli("compare", *argv, "--grid", f"0:0.5:{n}")[0] == 0
+            assert calls == [kind] * 3
+
+
+# SHA-256 of the stdout of `curve` and `compare` commands on 10001-point grids,
+# captured from the per-point implementation (one curve call per grid point, at
+# commit b584040): the golden pins use at most 101 points.
+LARGE_GRID_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "large-grid-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(LARGE_GRID_DIGESTS))
+def test_large_grid_output_digest(command):
+    code, out, _ = run_cli(*command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == LARGE_GRID_DIGESTS[command]
 
 
 def test_compare_dephasing_advantage_positive():

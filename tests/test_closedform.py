@@ -1,5 +1,7 @@
 """Tests for the closed-form curves, surfaces, and polyhedral descriptions."""
 
+from functools import partial
+
 import numpy as np
 import pytest
 
@@ -245,3 +247,52 @@ def test_cef_plus_super_dense_reaches_ce_curve():
         assert moved.as_array() == pytest.approx(
             cf.shor_ce_curve(0.2, mu).as_array(), abs=1e-12
         )
+
+
+def test_scalar_calls_return_floats():
+    # a float mu is a batch of one: every field is a Python float
+    for t in (cf.ds_curve(0.2, 0.1), cf.cef_curve(0.2, 0.1), cf.shor_ce_curve(0.2, 0.1),
+              cf.erasure_cef_curve(0.25, 0.1)):
+        assert {type(t.c), type(t.q), type(t.e)} == {float}
+    assert {type(x) for x in cf.compare_row(cf.cef_curve, 0.2, 0.1)} == {float}
+    assert type(cf.g(0.2, 0.1)) is float
+
+
+_RNG = np.random.default_rng(20)
+RANDOM_P, RANDOM_EPS = (float(x) for x in _RNG.uniform(size=2))
+RANDOM_SIZE = int(_RNG.integers(3, 3000))
+
+
+def grids():
+    """The mu grids of the bit-identity tests: linspace grids of 2, 101 and 1001
+    points, and RANDOM_SIZE seeded uniform points with both ends."""
+    yield from (np.linspace(0.0, 0.5, n) for n in (2, 101, 1001))
+    yield np.concatenate([[0.0, 0.5], np.random.default_rng(21).uniform(0.0, 0.5, RANDOM_SIZE)])
+
+
+def hex_columns(fields, n):
+    """float.hex of n values of each field, an array or a float shared by every point."""
+    return [[x.hex() for x in np.broadcast_to(f, n).tolist()] for f in fields]
+
+
+def assert_batch_equals_loop(func, param, mus):
+    """func(param, mus) equals, bit for bit, func(param, mu) at each mu in turn."""
+    batch, loop = func(param, mus), [func(param, mu) for mu in mus.tolist()]
+    if isinstance(batch, RateTriple):
+        batch, loop = (batch.c, batch.q, batch.e), [(t.c, t.q, t.e) for t in loop]
+    assert hex_columns(batch, len(mus)) == [[x.hex() for x in col] for col in zip(*loop)]
+
+
+@pytest.mark.parametrize("p", [0.0, 0.2, 0.5, 1.0, RANDOM_P])
+def test_batched_dephasing_curves_equal_scalar_loop(p):
+    for mus in grids():
+        for curve in (cf.ds_curve, cf.cef_curve, cf.shor_ce_curve):
+            assert_batch_equals_loop(curve, p, mus)
+        assert_batch_equals_loop(partial(cf.compare_row, cf.cef_curve), p, mus)
+
+
+@pytest.mark.parametrize("eps", [0.0, 0.25, 1.0, RANDOM_EPS])
+def test_batched_erasure_curve_equals_scalar_loop(eps):
+    for mus in grids():
+        assert_batch_equals_loop(cf.erasure_cef_curve, eps, mus)
+        assert_batch_equals_loop(partial(cf.compare_row, cf.erasure_cef_curve), eps, mus)

@@ -12,6 +12,7 @@ from cqekit.errors import (
     NotSquare,
     OutOfRange,
     UnknownLabel,
+    check_range,
 )
 from cqekit.qlinalg import (
     PureStateVector,
@@ -77,6 +78,32 @@ def test_binary_entropy_values():
         binary_entropy(-0.01)
     with pytest.raises(OutOfRange):
         binary_entropy(1.01)
+
+
+def test_binary_entropy_array_is_bit_equal_to_scalar_calls():
+    # math.log2 per element: np.log2 differs from libm in the last bit on some builds
+    edge = [0.0, 1.0, 0.5, 5e-324, 1e-300, 0.25, 1.0 - 2.0**-53, 2.0**-53]
+    q = np.concatenate([edge, np.random.default_rng(4).uniform(size=20000)])
+    batch = binary_entropy(q)
+    assert [x.hex() for x in batch.tolist()] == [binary_entropy(x).hex() for x in q.tolist()]
+    assert binary_entropy(q.reshape(2, -1)).tolist() == batch.reshape(2, -1).tolist()
+    assert type(binary_entropy(0.3)) is float
+    assert type(binary_entropy(0.0)) is float
+
+
+def test_check_range_array_fails_on_first_bad_element():
+    grid = np.array([0.1, 0.7, np.nan, -1.0])
+    with pytest.raises(OutOfRange, match=r"^mu = 0\.7 outside \[0\.0, 0\.5\]$"):
+        check_range("mu", grid, 0.0, 0.5)
+    with pytest.raises(OutOfRange, match=r"^mu = nan outside"):
+        check_range("mu", grid[[0, 2, 3]], 0.0, 0.5)
+    with pytest.raises(OutOfRange, match=r"^x = -1\.0 outside"):
+        check_range("x", grid.reshape(2, 2)[:, ::-1], -0.5, 0.8)
+    ok = np.linspace(0.0, 0.5, 7)
+    assert check_range("mu", ok, 0.0, 0.5) is ok
+    assert check_range("mu", 0.5, 0.0, 0.5) == 0.5
+    with pytest.raises(OutOfRange, match=r"^mu = 0\.7 outside \[0\.0, 0\.5\]$"):
+        check_range("mu", 0.7, 0.0, 0.5)
 
 
 @given(st.floats(min_value=0.0, max_value=1.0))
