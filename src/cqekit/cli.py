@@ -3,7 +3,7 @@
 Subcommands: region (one-shot constants, vertices, children), curve
 (dephasing trade-off curves), compare (CEF vs time-sharing), check
 (property sweeps of identities and bounds).  region, curve and compare
-format their values once and print them through one CSV/JSON writer.
+print through one CSV/JSON writer, with one `%` call per grid table.
 Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 dimension
 error.
 """
@@ -12,13 +12,14 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import os
 import re
 import sys
-from itertools import repeat
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -102,22 +103,50 @@ def _parse_grid(spec: str) -> np.ndarray:
     check_range("grid start", start, -FLOAT_MAX, FLOAT_MAX)
     check_range("grid stop", stop, -FLOAT_MAX, FLOAT_MAX)
     check_range("grid count", count, 2, MAX_GRID_COUNT, SpecFormatError)
+    # np.linspace computes its last point this way before setting it to stop
+    if not math.isfinite((stop - start) / (count - 1) * (count - 1)):
+        raise OutOfRange(f"grid span from {start} to {stop} overflows a float")
     return np.linspace(start, stop, count)
 
 
-def _emit(args, header, rows, doc, comments=()) -> int:
+def _csv(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def _grid_rows(columns, digits: int, as_json: bool) -> str:
+    """A grid table's rows by one `%` call on a row template: a float array column is
+    `%.{digits}g` (fmt's digits), and one value (a string, or a float fmt prints) for all
+    rows is a literal, JSON-encoded or quoted as csv.writer quotes it, with '%' doubled."""
+    spec, arrays, cells = f"%.{digits}g", [], []
+    for col in columns:
+        if np.ndim(col):
+            arrays.append(col + 0.0)  # x + 0.0 turns -0.0 into 0.0, as fmt does
+            cells.append(f'"{spec}"' if as_json else spec)
+        else:
+            text = col if isinstance(col, str) else fmt(col, digits)
+            cells.append((encode_basestring_ascii(text) if as_json else text).replace("%", "%%"))
+    row = "    [\n      " + ",\n      ".join(cells) + "\n    ]" if as_json else _csv([cells])
+    values = np.stack(arrays, axis=1).ravel().tolist()
+    return (",\n" if as_json else "").join([row] * len(arrays[0])) % tuple(values)
+
+
+def _emit(args, header, doc, rows=(), columns=(), comments=()) -> int:
     """Write `doc` as JSON (after schema_version and command) or `comments`,
-    `header` and `rows` as CSV, per --format, to --output or stdout."""
+    `header` and `rows` as CSV, per --format, to --output or stdout; a grid
+    table's `columns` (see `_grid_rows`) follow as the JSON key "rows" or as CSV rows."""
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
-        text = json.dumps(doc, indent=2) + "\n"
+        text = json.dumps(doc, indent=2)
+        if columns:  # "rows" goes last, before the closing brace
+            body = _grid_rows(columns, args.precision, True)
+            text = f'{text[:-2]},\n  "rows": [\n{body}\n  ]\n}}'
+        text += "\n"
     else:
-        buf = io.StringIO()
-        buf.writelines(f"# {line}\n" for line in comments)
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        text = buf.getvalue()
+        text = "".join(f"# {line}\n" for line in comments) + _csv([header, *rows])
+        if columns:
+            text += _grid_rows(columns, args.precision, False)
     if args.output is None:
         sys.stdout.write(text)
     else:
@@ -129,14 +158,6 @@ def _emit(args, header, rows, doc, comments=()) -> int:
 def _triple(t, digits: int) -> list[str]:
     """The (C, Q, E) of a rate triple as printed values."""
     return [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
-
-
-def _columns(values, n: int, digits: int) -> list[list[str]]:
-    """Each of `values` (an array of n values, or one value for all n) as n printed
-    values, the same as fmt's; x + 0.0 turns -0.0 into 0.0 as fmt does."""
-    spec = f".{digits}g"
-    return [[fmt(x, digits)] * n if np.ndim(x) == 0
-            else [format(v, spec) for v in (x + 0.0).tolist()] for x in values]
 
 
 def cmd_region(args) -> int:
@@ -152,7 +173,7 @@ def cmd_region(args) -> int:
     rows += [("child", name, *t) for name, t in children.items()]
     doc = {"channel": args.channel, "ensemble": args.ensemble, "e_max": float(args.e_max),
            "region": constants, "vertices": vertices, "children": children}
-    return _emit(args, ("record", "name", "c", "q", "e"), rows, doc)
+    return _emit(args, ("record", "name", "c", "q", "e"), doc, rows=rows)
 
 
 CURVES = {
@@ -170,15 +191,12 @@ def cmd_curve(args) -> int:
     grid = _parse_grid(args.grid)
     bound = fmt(closedform.solid_plane_bound(args.p), digits)
     t = func(args.p, grid)
-    rows = list(zip(*_columns((grid, t.c, t.q, t.e), len(grid), digits), repeat(name)))
-    del t  # the float columns are not needed while the rows are written
-    doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound, "rows": rows}
-    return _emit(args, ("mu", "C", "Q", "E", "curve_name"), rows, doc,
-                 (f"solid_plane_bound={bound}",))
+    doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound}
+    return _emit(args, ("mu", "C", "Q", "E", "curve_name"), doc,
+                 columns=(grid, t.c, t.q, t.e, name), comments=(f"solid_plane_bound={bound}",))
 
 
 def cmd_compare(args) -> int:
-    digits = args.precision
     grid = _parse_grid(args.grid)
     spec = ({"kind": "dephasing", "p": args.p} if args.channel is None
             else _channel_spec(args.channel))
@@ -186,10 +204,9 @@ def cmd_compare(args) -> int:
     if spec["kind"] not in closedform.CEF_CURVES or spec.get("d", 2) != 2:
         raise SpecFormatError(f"compare supports qubit dephasing/erasure, got {args.channel!r}")
     curve, field = closedform.CEF_CURVES[spec["kind"]]
-    rows = list(zip(*_columns((grid, *closedform.compare_row(curve, spec[field], grid)),
-                              len(grid), digits)))
     header = ("mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE")
-    return _emit(args, header, rows, {"rows": rows})
+    return _emit(args, header, {},
+                 columns=(grid, *closedform.compare_row(curve, spec[field], grid)))
 
 
 def _sweep(outcomes) -> tuple[bool, float]:
@@ -280,7 +297,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, built once per process (parse_args returns a new Namespace)."""
     parser = _Parser(prog="cqekit")
     sub = parser.add_subparsers(dest="subcommand", required=True)
 

@@ -1,12 +1,16 @@
 """Tests for the command-line interface: outputs, formats, and exit codes."""
 
+import argparse
 import contextlib
+import csv
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -428,3 +432,172 @@ def test_grid_count_cap():
     assert len(cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT}")) == cli.MAX_GRID_COUNT
     with pytest.raises(SpecFormatError):
         cli._parse_grid(f"0:1:{cli.MAX_GRID_COUNT + 1}")
+
+
+@pytest.mark.parametrize("grid", ["-1e308:1.7e308:5", "1.7e308:-1e308:5",
+                                  # a finite span whose last linspace point overflows
+                                  "-8.98846567431158e307:8.98846567431158e307:7"])
+def test_grid_span_overflow_is_named(grid):
+    # before the check, numpy warned twice and the error named mu = nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run_cli("curve", "ds", "--p", "0.2", f"--grid={grid}")
+    start, stop = (float(x) for x in grid.split(":")[:2])
+    assert (code, out) == (2, "")
+    assert err == f"config error: grid span from {start} to {stop} overflows a float\n"
+
+
+def formatter_samples(rng):
+    """Floats for the printf/format comparison: signed zeros, subnormals, the
+    extremes, non-finite values, seeded random values, and values whose digits
+    round up at a given significant digit."""
+    tiny = np.nextafter(0.0, 1.0)
+    values = [0.0, -0.0, tiny, -tiny, 2.2250738585072009e-308, 1e308, -1e308, sys.float_info.max,
+              math.inf, -math.inf, math.nan, 0.5, 1.0, 0.1, 1 / 3, 2 / 3, 1e-5, 123456.5]
+    values += [tiny * k for k in rng.integers(1, 2**52, 20)]
+    values += list(rng.standard_normal(50) * 10.0 ** rng.integers(-300, 300, 50))
+    values += list(rng.random(50))
+    for d in range(1, 18):
+        nines = 1.0 - 10.0 ** -d  # 0.99..9 with d nines, which rounds up below d digits
+        values += [nines, -nines, 9.5 * 10.0 ** -d, 0.5 + 5.0 * 10.0 ** -(d + 1)]
+    return [x + 0.0 for x in values]  # as the writer normalises -0.0
+
+
+def test_printf_template_equals_format():
+    samples = formatter_samples(np.random.default_rng(20611))
+    assert all(math.copysign(1.0, x) > 0 for x in samples if x == 0.0)
+    for d in [*range(26), 10**6]:
+        template = f"%.{d}g " * len(samples)
+        assert template % tuple(samples) == "".join(format(x, f".{d}g") + " " for x in samples)
+
+
+@pytest.mark.parametrize("argv", [("curve", "cef", "--p", "0.2"), ("compare", "--p", "0.2"),
+                                  ("compare", "--channel", "erasure:0.25")])
+def test_precision_beyond_the_formatter_exit_code(argv, monkeypatch):
+    monkeypatch.setenv("CQEKIT_PRECISION", "2147483648")
+    for fmt_name in ("csv", "json"):
+        code, out, err = run_cli(*argv, "--format", fmt_name)
+        assert code == 2 and out == ""
+        assert "config error" in err
+
+
+def reference_output(argv, digits):
+    """The bytes of a `curve` or `compare` command, written the way the writer
+    wrote them before its row templates: `format` per value, then csv.writer or
+    json.dumps(indent=2)."""
+    args = build_parser().parse_args(argv)
+    start, stop, n = args.grid.split(":")
+    grid = np.linspace(float(start), float(stop), int(n))
+
+    def printed(x):
+        return format(x + 0.0, f".{digits}g")
+
+    def column(values):
+        return [printed(v) for v in np.broadcast_to(values, grid.shape).tolist()]
+
+    if args.subcommand == "curve":
+        name, func = cli.CURVES[args.curve]
+        t = func(args.p, grid)
+        bound = printed(closedform.solid_plane_bound(args.p))
+        rows = [list(r) + [name] for r in zip(*map(column, (grid, t.c, t.q, t.e)))]
+        doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound, "rows": rows}
+        header = ["mu", "C", "Q", "E", "curve_name"]
+        comments = [f"# solid_plane_bound={bound}\n"]
+    else:
+        curve, param = ((closedform.cef_curve, args.p) if args.channel is None else
+                        (closedform.erasure_cef_curve, float(args.channel.split(":")[1])))
+        columns = (grid, *closedform.compare_row(curve, param, grid))
+        rows = [list(r) for r in zip(*map(column, columns))]
+        doc = {"rows": rows}
+        header, comments = ["mu", "C", "Q_cef", "E_cef", "Q_ts", "E_ts", "dQ", "dE"], []
+    if args.format == "json":
+        doc = {"schema_version": 1, "command": args.subcommand, **doc}
+        return json.dumps(doc, indent=2) + "\n"
+    buf = io.StringIO()
+    buf.writelines(comments)
+    csv.writer(buf, lineterminator="\n").writerows([header, *rows])
+    return buf.getvalue()
+
+
+def test_writer_equals_per_value_reference(monkeypatch, tmp_path):
+    rng = np.random.default_rng(20612)
+    params = [0.0, 0.5, 1.0, float(rng.random())]
+    commands = [("curve", "ds", "--p"), ("curve", "cef", "--p"), ("curve", "ce", "--p"),
+                ("compare", "--p"), ("compare", "--channel")]
+    target = tmp_path / "out"
+    for digits in (0, 1, 6, 12, 17, 25):
+        monkeypatch.setenv("CQEKIT_PRECISION", str(digits))
+        for n in (2, 3, 101):
+            for *command, option in commands:
+                for param in params:
+                    value = repr(param) if option == "--p" else f"erasure:{param!r}"
+                    for fmt_name in ("csv", "json"):
+                        argv = [*command, option, value, "--grid", f"0:0.5:{n}",
+                                "--format", fmt_name]
+                        code, out, err = run_cli(*argv)
+                        assert (code, err) == (0, "")
+                        assert out == reference_output(argv, digits), argv
+                        assert run_cli(*argv, "--output", str(target))[:2] == (0, "")
+                        assert target.read_bytes() == out.encode()
+
+
+def test_emit_escapes_constant_cells_and_normalises_negative_zero():
+    # constant cells that need escaping in the template, in CSV and in JSON
+    grid = np.array([-0.0, 1.5, -2.5e-300, 0.1])
+    constants = ['a,b"%s%%\u00e9\n', "%(x)d", "", -0.0, 1 / 3]
+    printed = [[fmt(x) for x in grid.tolist()]] + [
+        [c if isinstance(c, str) else fmt(c)] * len(grid) for c in constants]
+    rows = [list(r) for r in zip(*printed)]
+    for fmt_name in ("csv", "json"):
+        args = argparse.Namespace(format=fmt_name, output=None, subcommand="curve",
+                                  precision=cli.DEFAULT_PRECISION)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli._emit(args, ("h",) * 6, {"k": "%v"}, columns=(grid, *constants)) == 0
+        if fmt_name == "json":
+            doc = {"schema_version": 1, "command": "curve", "k": "%v", "rows": rows}
+            assert out.getvalue() == json.dumps(doc, indent=2) + "\n"
+        else:
+            buf = io.StringIO()
+            csv.writer(buf, lineterminator="\n").writerows([("h",) * 6, *rows])
+            assert out.getvalue() == buf.getvalue()
+
+
+PARSER_REUSE_COMMANDS = [
+    ("curve", "ce", "--p", "0.3", "--grid", "0:0.5:5", "--format", "json"),
+    ("check", "--suite", "fannes", "--trials", "3", "--seed", "5"),
+    ("compare", "--p", "0.2", "--channel", "erasure:0.25"),  # argparse exits 2
+    ("compare", "--p", "0.2", "--grid", "0:0.5:4"),
+    ("region", "--channel", "erasure:0.25", "--ensemble", "mu:0.5", "--format", "csv"),
+    ("curve", "ds", "--p", "0.3", "--grid", "0:0.5:5"),
+    ("compare", "--channel", "erasure:0.25", "--grid", "0:0.5:4", "--format", "json"),
+]
+
+
+def run_or_exit(argv):
+    """run_cli's (code, stdout, stderr), also for an argparse error's SystemExit."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(list(argv))
+        except SystemExit as exc:
+            code = ("exit", exc.code)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reused():
+    assert build_parser() is build_parser()
+    first = {}
+    for argv in PARSER_REUSE_COMMANDS:
+        cli.build_parser.cache_clear()
+        first[argv] = run_or_exit(argv)  # each command on a new parser
+    assert first[PARSER_REUSE_COMMANDS[2]][0] == ("exit", 2)
+    cli.build_parser.cache_clear()
+    parser = build_parser()
+    for _ in range(2):
+        for argv in PARSER_REUSE_COMMANDS:
+            assert run_or_exit(argv) == first[argv], argv
+    assert build_parser() is parser
+    one, other = (parser.parse_args(["compare", "--p", "0.2"]),
+                  parser.parse_args(["compare", "--channel", "erasure:0.25"]))
+    assert one is not other and (one.p, one.channel) == (0.2, None)
