@@ -18,7 +18,7 @@ import numpy as np
 from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
 from .errors import check_complex, check_int, check_real
 
-TP_TOL = 1e-9
+TP_TOL = 2e-11  # on the entries of sum K^dag K - I (V^dag V - I): see entropics.STATE_NORM_TOL
 MAX_DIM = 16  # largest built-in channel dimension: the depolarizing Kraus set is then 1 MB
 
 I2 = np.eye(2, dtype=complex)

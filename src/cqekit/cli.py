@@ -209,82 +209,72 @@ def cmd_compare(args) -> int:
                  columns=(grid, *closedform.compare_row(curve, spec[field], grid)))
 
 
-def _sweep(outcomes) -> tuple[bool, float]:
-    """(all satisfied, worst slack) over a suite's (satisfied, slack) pairs."""
-    ok, worst = True, math.inf
-    for satisfied, slack in outcomes:
-        ok = ok and satisfied
-        worst = min(worst, slack)
-    return ok, worst
+@functools.cache
+def _isometries() -> tuple:
+    """The identities suite's channels, built on first use; dpi reuses the first."""
+    return (builtin_isometry("dephasing", 0.2), builtin_isometry("erasure", 0.25),
+            builtin_isometry("depolarizing"))
 
 
-def _suite_identities(trials: int, rng: np.random.Generator):
-    isometries = [
-        builtin_isometry("dephasing", 0.2),
-        builtin_isometry("erasure", 0.25),
-        builtin_isometry("depolarizing"),
-    ]
-    for _ in range(trials):
-        ens = bounds.random_ensemble(rng)
-        for iso in isometries:
-            residual = verify_identities(channel_output_ensemble(ens, iso)).max_residual
-            yield residual <= IDENTITY_TOL, IDENTITY_TOL - residual
+def _identities(rng):
+    ens = bounds.random_ensemble(rng)
+    for iso in _isometries():
+        residual = verify_identities(channel_output_ensemble(ens, iso)).max_residual
+        yield residual <= IDENTITY_TOL, IDENTITY_TOL - residual
 
 
-def _suite_pairwise(trials, rng, checker, dim, *extra):
-    """checker(rho, sigma, *extra) on pairs of random density matrices of size dim."""
-    for _ in range(trials):
-        rho = bounds.random_density(dim, rng)
-        sigma = bounds.random_density(dim, rng)
-        report = checker(rho, sigma, *extra)
-        yield report.satisfied, report.slack
+def _pairwise(rng, checker, dim, *extra):
+    """checker(rho, sigma, *extra) on a pair of random density matrices of size dim."""
+    report = checker(bounds.random_density(dim, rng), bounds.random_density(dim, rng), *extra)
+    return [(report.satisfied, report.slack)]
 
 
-def _suite_gentle(trials, rng):
-    for _ in range(trials):
-        dim = int(rng.integers(2, 4))
-        n = int(rng.integers(1, 4))
-        probs = rng.random(n)
-        probs /= probs.sum()
-        ens = [(float(p), bounds.random_density(dim, rng)) for p in probs]
-        gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        unitary, _ = np.linalg.qr(gauss)
-        x = (unitary * rng.random(dim)) @ unitary.conj().T
-        report = bounds.gentle_measurement_check(ens, x)
-        yield report.satisfied, report.slack
+def _gentle(rng):
+    dim = int(rng.integers(2, 4))
+    probs = rng.random(int(rng.integers(1, 4)))
+    probs /= probs.sum()
+    ens = [(float(p), bounds.random_density(dim, rng)) for p in probs]
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary = np.linalg.qr(gauss)[0]
+    report = bounds.gentle_measurement_check(ens, (unitary * rng.random(dim)) @ unitary.conj().T)
+    return [(report.satisfied, report.slack)]
 
 
-def _suite_dpi(trials, rng):
-    iso = builtin_isometry("dephasing", 0.2)
-    for _ in range(trials):
-        sigma = channel_output_ensemble(bounds.random_ensemble(rng), iso)
-        for report in bounds.dpi_check(sigma).values():
-            yield report.satisfied, report.slack
+def _dpi(rng):
+    sigma = channel_output_ensemble(bounds.random_ensemble(rng), _isometries()[0])
+    return [(report.satisfied, report.slack) for report in bounds.dpi_check(sigma).values()]
+
+
+# Each check suite: one trial's (satisfied, slack) outcomes from an rng.  A suite's rng
+# is seeded with [seed, its index here], so --suite NAME replays NAME's line of --suite all.
+SUITES = {
+    "identities": _identities,
+    "fannes": lambda rng: _pairwise(rng, bounds.check_fannes, 2),
+    "af": lambda rng: _pairwise(rng, bounds.check_af, 4, (2, 2)),
+    "mi": lambda rng: _pairwise(rng, bounds.check_mi, 4, (2, 2)),
+    "gentle": _gentle,
+    "dpi": _dpi,
+}
 
 
 def cmd_check(args) -> int:
-    digits = args.precision
-    suites = {
-        "identities": _suite_identities,
-        "fannes": lambda t, r: _suite_pairwise(t, r, bounds.check_fannes, 2),
-        "af": lambda t, r: _suite_pairwise(t, r, bounds.check_af, 4, (2, 2)),
-        "mi": lambda t, r: _suite_pairwise(t, r, bounds.check_mi, 4, (2, 2)),
-        "gentle": _suite_gentle,
-        "dpi": _suite_dpi,
-    }
-    if args.trials < 1:
-        raise SpecFormatError(f"--trials {args.trials} must be at least 1")
-    if args.suite != "all":
-        if args.suite not in suites:
-            raise SpecFormatError(f"unknown suite {args.suite!r}")
-        suites = {args.suite: suites[args.suite]}
+    for option, value, least in (("--trials", args.trials, 1), ("--seed", args.seed, 0)):
+        if value < least:
+            raise SpecFormatError(f"{option} {value} must be at least {least}")
+    if args.suite != "all" and args.suite not in SUITES:
+        raise SpecFormatError(f"unknown suite {args.suite!r}")
     all_ok = True
-    for i, (name, runner) in enumerate(suites.items()):
-        rng = np.random.default_rng([args.seed, i])
-        ok, worst = _sweep(runner(args.trials, rng))
+    for index, (name, suite) in enumerate(SUITES.items()):
+        if args.suite not in ("all", name):
+            continue
+        rng = np.random.default_rng([args.seed, index])
+        ok, worst = True, math.inf
+        for _ in range(args.trials):
+            for satisfied, slack in suite(rng):
+                ok, worst = ok and satisfied, min(worst, slack)
         all_ok = all_ok and ok
-        status = "pass" if ok else "FAIL"
-        print(f"{name}: {status} trials={args.trials} worst_slack={fmt(worst, digits)}")
+        print(f"{name}: {'pass' if ok else 'FAIL'} trials={args.trials} "
+              f"worst_slack={fmt(worst, args.precision)}")
     return 0 if all_ok else 1
 
 

@@ -1,9 +1,6 @@
-"""Dense complex linear algebra for small labeled Hilbert spaces.
-
-Everything works on plain numpy arrays in row-major order; the labeled
-wrapper type `PureStateVector` carries subsystem dimensions and names so
-that marginals can be requested by label.  All entropies are in bits (log
-base 2).
+"""Dense complex linear algebra for small Hilbert spaces, on plain numpy arrays in
+row-major order: entropies (in bits), norms, square roots and bipartite marginals.
+`PureStateVector` is a state vector whose subsystems carry dimensions and labels.
 """
 
 from __future__ import annotations
@@ -92,21 +89,10 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
     return (rows.conj()[:, None, :] @ rows[:, :, None]).real.reshape(-1)
 
 
-def partial_trace_mat(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Partial trace of a square matrix over the subsystems not in `keep`.
-
-    `dims` are the subsystem dimensions in tensor order and `keep` are the
-    indices (into `dims`) of the subsystems to retain, in original order.
-    """
-    dims = list(dims)
-    keep_set = set(keep)
-    t = mat.reshape(tuple(dims) + tuple(dims))
-    for i in reversed(range(len(dims))):
-        if i not in keep_set:
-            t = np.trace(t, axis1=i, axis2=i + len(dims))
-            del dims[i]
-    d = int(np.prod(dims)) if dims else 1
-    return t.reshape(d, d)
+def marginals(rho: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
+    """(rho_A, rho_B) of a matrix on A (x) B, with dims = (d_A, d_B) in tensor order."""
+    t = rho.reshape(dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
 
 
 @dataclass(frozen=True, eq=False)

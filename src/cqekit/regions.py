@@ -24,6 +24,10 @@ ENTROPIC_TOL = 1e-9
 VERTEX_FEAS_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-7
 SINGULAR_TOL = 1e-12
+# Largest e_max of corner_points: over the 3-row bases S of its seven rows, every |entry| of
+# x = A_S^-1 b_S, of an LU (partial pivoting) intermediate and of a partial sum of a row
+# product a . x is at most 4 sum_S |b_k|: FLOAT_MAX / 2 + 8 |largest constant| at most.
+E_MAX_LIMIT = FLOAT_MAX / 8
 
 
 @dataclass(frozen=True)
@@ -128,7 +132,7 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     The feasible basic solutions of the seven bounding planes, less each one
     within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
     """
-    check_range("e_max", e_max, 0.0, FLOAT_MAX)
+    check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     x = _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL)
     near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
     kept: list[int] = []

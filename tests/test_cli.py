@@ -18,8 +18,10 @@ import pytest
 
 import cqekit
 from cqekit import cli, closedform
+from cqekit.channels import TP_TOL, load_channel
 from cqekit.cli import build_parser, fmt, main
-from cqekit.errors import SpecFormatError
+from cqekit.errors import FLOAT_MAX, SpecFormatError
+from cqekit.regions import E_MAX_LIMIT
 
 
 def run_cli(*argv):
@@ -234,6 +236,33 @@ def test_check_all_suites_small():
     assert names == ["identities", "fannes", "af", "mi", "gentle", "dpi"]
 
 
+CHECK_SUITES = ("identities", "fannes", "af", "mi", "gentle", "dpi")
+
+
+@pytest.mark.parametrize("seed", ["3", "1234"])
+@pytest.mark.parametrize("suite", CHECK_SUITES)
+def test_single_suite_replays_its_line_of_all(suite, seed):
+    # a suite is seeded by its index in the suite table, alone or inside --suite all
+    argv = ("check", "--trials", "5", "--seed", seed)
+    _, out_all, _ = run_cli(*argv)
+    line = next(x for x in out_all.splitlines(keepends=True) if x.startswith(f"{suite}:"))
+    assert run_cli(*argv, "--suite", suite) == (0, line, "")
+
+
+def test_import_builds_no_channel():
+    # the check suites build their isometries on first use, not at import
+    code = ("import cqekit.channels as ch\n"
+            "built, init = [], ch.KrausChannel.__post_init__\n"
+            "ch.KrausChannel.__post_init__ = lambda self: built.append(self) or init(self)\n"
+            "import cqekit.cli\n"
+            "assert not built and cqekit.cli._isometries.cache_info().currsize == 0\n"
+            "cqekit.cli.main(['check', '--suite', 'dpi', '--trials', '1'])\n"
+            "assert len(built) == 3\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cqekit.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+
+
 def test_check_unknown_suite_exit_code():
     code, _, err = run_cli("check", "--suite", "nope")
     assert code == 2
@@ -396,6 +425,50 @@ def test_nonpositive_trials_exit_code(trials):
     code, out, err = run_cli("check", "--trials", trials)
     assert code == 2 and out == ""
     assert "config error" in err
+
+
+def test_negative_seed_is_named():
+    # numpy's own "expected non-negative integer" used to be the message
+    code, out, err = run_cli("check", "--seed", "-1")
+    assert (code, out) == (2, "")
+    assert err == "config error: --seed -1 must be at least 0\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("e_max", ["9e307", "1.7e308", repr(FLOAT_MAX)])
+def test_overflowing_e_max_is_named(e_max):
+    # numpy warned of overflow in the row products, then exit 0
+    code, out, err = run_cli("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.3",
+                             f"--e-max={e_max}")
+    assert (code, out) == (2, "")
+    assert err == f"config error: e_max = {float(e_max)} outside [0.0, {E_MAX_LIMIT}]\n"
+
+
+@pytest.mark.filterwarnings("error")
+def test_largest_e_max_prints_finite_vertices():
+    code, out, _ = run_cli("region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.3",
+                           f"--e-max={E_MAX_LIMIT!r}", "--format", "csv")
+    assert code == 0 and "nan" not in out and "inf" not in out
+    assert f",{fmt(E_MAX_LIMIT)}\n" in out
+
+
+def one_row_kraus(scale: float) -> dict:
+    """The channel with Kraus operators scale <0| and scale <1|: sum K^dag K = scale^2 I."""
+    return {"kind": "kraus", "ops": [[[[scale, 0], [0, 0]]], [[[0, 0], [scale, 0]]]]}
+
+
+def test_channel_off_trace_preserving_is_rejected_at_load(tmp_path):
+    # TP deviation 8e-10 used to pass the channel check and fail the state check
+    # ("letter squared norms [1. 1.] differ from 1")
+    path = tmp_path / "kraus.json"
+    path.write_text(json.dumps(one_row_kraus(1.0000000004)))
+    argv = ("region", "--channel", str(path), "--ensemble", "mu:0.3", "--format", "csv")
+    code, out, err = run_cli(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("config error: Kraus set is not trace preserving: sum K^dag K "
+                          "deviates from I by 8.00000")
+    path.write_text(json.dumps(one_row_kraus(math.sqrt(1.0 + 0.9 * TP_TOL))))
+    assert load_channel(str(path)).in_dim == 2
 
 
 def test_precision_is_read_from_the_environment_per_call(monkeypatch):

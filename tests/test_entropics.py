@@ -1,14 +1,17 @@
 """Tests for ensembles, the one-shot joint state, and its entropic quantities."""
 
 import json
+import math
 
 import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_state_vector
 from cqekit import entropics
-from cqekit.channels import builtin_isometry
+from cqekit.channels import MAX_DIM, TP_TOL, KrausChannel, builtin_isometry, isometric_extension
 from cqekit.entropics import (
+    NORM_TOL,
+    STATE_NORM_TOL,
     CQEJointState,
     CQEnsemble,
     EntropyProfile,
@@ -28,7 +31,7 @@ from cqekit.entropics import (
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
 from cqekit.cli import main
-from cqekit.regions import corner_points, derive_children, region_from_state
+from cqekit.regions import ENTROPIC_TOL, corner_points, derive_children, region_from_state
 
 H2_09 = 0.4689955935892812
 I_AXB_DEPH = 1.5310044064107187  # 2 - H2(0.9) for p = 0.2, mu = 1/2
@@ -293,6 +296,30 @@ def test_joint_state_validation():
         CQEJointState([float("nan")], block[None])
     with pytest.raises(InvalidState):
         CQEnsemble([0.5, 0.5], np.stack([block[:, :, 0], np.full((2, 2), np.nan)]))
+
+
+def test_invalid_norm_message_names_the_largest_deviation():
+    amps = np.array([[[1.0, 0.0]], [[0.0, math.sqrt(1.0 + 3e-10)]]])
+    with pytest.raises(InvalidState, match=r"deviate from 1 by up to 3\.0000\d*e-10 > 1e-10$"):
+        CQEnsemble([0.5, 0.5], amps)
+
+
+def test_accepted_channel_and_ensemble_give_an_accepted_region():
+    # the far end of the tolerance chain: a trace channel on MAX_DIM dimensions whose
+    # V^dag V - I is nearly TP_TOL in every entry, so its operator norm is nearly
+    # MAX_DIM * TP_TOL along the all-ones vector, and a letter along that vector whose
+    # squared norm is nearly 1 + NORM_TOL
+    w, u = np.linalg.eigh(np.eye(MAX_DIM) + 0.999 * TP_TOL * np.ones((MAX_DIM, MAX_DIM)))
+    root = (u * np.sqrt(w)) @ u.T
+    iso = isometric_extension(KrausChannel(tuple(root[j:j + 1] + 0j for j in range(MAX_DIM))))
+    letter = np.full((1, 1, MAX_DIM), math.sqrt((1.0 + 0.999 * NORM_TOL) / MAX_DIM))
+    sigma = channel_output_ensemble(CQEnsemble([1.0], letter), iso)
+    deviation = np.vdot(sigma.psi, sigma.psi).real - 1.0
+    assert 0.98 * (NORM_TOL + MAX_DIM * TP_TOL) < deviation <= STATE_NORM_TOL
+    # a one-dimensional B gives I(A;B|X) = -(1 + d) log2(1 + d), the largest shift
+    region = region_from_state(sigma)
+    assert region.i_axb - region.i_xb == pytest.approx(-deviation / math.log(2), rel=1e-3)
+    assert STATE_NORM_TOL / math.log(2) < ENTROPIC_TOL
 
 
 def test_ensemble_from_spec_and_file(tmp_path):

@@ -18,9 +18,9 @@ from cqekit.qlinalg import (
     PureStateVector,
     binary_entropy,
     is_hermitian,
+    marginals,
     matrix_entropy,
     matrix_sqrt_psd,
-    partial_trace_mat,
     shannon_entropy,
     trace_norm,
 )
@@ -47,8 +47,9 @@ def test_tensor_dimensions_and_values():
     t = np.kron(a, b)
     assert t.shape == (6, 6)
     assert np.allclose(np.diag(t), [3, 4, 5, 6, 8, 10])
-    assert np.allclose(partial_trace_mat(t, (2, 3), (0,)), 12.0 * a)
-    assert np.allclose(partial_trace_mat(t, (2, 3), (1,)), 3.0 * b)
+    rho_a, rho_b = marginals(t, (2, 3))
+    assert np.allclose(rho_a, 12.0 * a)
+    assert np.allclose(rho_b, 3.0 * b)
 
 
 def test_matrix_sqrt_psd_rejects_bad_input():
@@ -184,26 +185,37 @@ def test_partial_trace_mat_bell_and_product():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     rho = np.outer(bell, bell.conj())
-    assert np.allclose(partial_trace_mat(rho, (2, 2), (0,)), np.eye(2) / 2)
-    assert np.allclose(partial_trace_mat(rho, (2, 2), (1,)), np.eye(2) / 2)
-    assert np.allclose(partial_trace_mat(rho, (2, 2), (0, 1)), rho)
+    rho_a, rho_b = marginals(rho, (2, 2))
+    assert np.allclose(rho_a, np.eye(2) / 2)
+    assert np.allclose(rho_b, np.eye(2) / 2)
 
     a = np.diag([0.7, 0.3]).astype(complex)
     b = np.diag([0.2, 0.8]).astype(complex)
-    assert np.allclose(partial_trace_mat(np.kron(a, b), (2, 2), (0,)), a)
-    assert np.allclose(partial_trace_mat(np.kron(a, b), (2, 2), (1,)), b)
+    assert np.allclose(marginals(np.kron(a, b), (2, 2))[0], a)
+    assert np.allclose(marginals(np.kron(a, b), (2, 2))[1], b)
+
+
+def test_marginals_are_bit_equal_to_np_trace():
+    rng = np.random.default_rng(31)
+    for dims in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(50):
+            m = random_hermitian(dims[0] * dims[1], rng)
+            t = m.reshape(dims * 2)
+            rho_a, rho_b = marginals(m, dims)
+            assert np.array_equal(rho_a, np.trace(t, axis1=1, axis2=3))
+            assert np.array_equal(rho_b, np.trace(t, axis1=0, axis2=2))
 
 
 def test_partial_trace_mat_three_parties():
     rng = np.random.default_rng(17)
     psi = random_state_vector(2 * 3 * 2, rng)
     rho = np.outer(psi, psi.conj())
-    keep_b = partial_trace_mat(rho, (2, 3, 2), (1,))
+    keep_b = marginals(marginals(rho, (2, 6))[1], (3, 2))[0]  # trace out A, then C
     assert keep_b.shape == (3, 3)
     assert np.trace(keep_b).real == pytest.approx(1.0, abs=1e-12)
-    # tracing out in two stages matches tracing out in one
-    step = partial_trace_mat(rho, (2, 3, 2), (0, 1))
-    assert np.allclose(partial_trace_mat(step, (2, 3), (1,)), keep_b)
+    # tracing out C first gives the same marginal
+    step = marginals(rho, (6, 2))[0]
+    assert np.allclose(marginals(step, (2, 3))[1], keep_b)
 
 
 def test_von_neumann_entropy_of_operator():

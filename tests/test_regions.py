@@ -3,22 +3,26 @@
 import os
 import subprocess
 import sys
-from itertools import combinations_with_replacement
+import warnings
+from itertools import combinations, combinations_with_replacement
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
+from scipy.linalg import lu
 from scipy.optimize import linprog
 
 import cqekit
 from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
-from cqekit.errors import EmptyInput, InvalidRegion, NegativeRate, OutOfRange
+from cqekit.errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
 from cqekit.regions import (
     ARITH_TOL,
+    E_MAX_LIMIT,
     ENT_DISTRIBUTION,
+    SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
     VERTEX_FEAS_TOL,
     SUPER_DENSE,
@@ -176,6 +180,37 @@ def test_corner_points_degenerate_region():
     assert np.all(np.abs(arr[:, :2]) < 1e-9)
     with pytest.raises(OutOfRange):
         corner_points(OneShotRegion(1.0, 0.5, 0.5), -1.0)
+
+
+def test_e_max_limit_derivation():
+    # per unit |b_k|, the largest |entry| of each LU intermediate, of x = A_S^-1 b_S and of
+    # each partial sum of a row product, over the nonsingular 3-row bases of the seven rows
+    a, _ = halfspaces(OneShotRegion(0.0, 0.0, 0.0), 1.0)
+    worst = 0.0
+    for rows in combinations(range(7), 3):
+        m = a[list(rows)]
+        if abs(np.linalg.det(m)) < SINGULAR_TOL:
+            continue
+        perm, lower, upper = lu(m)
+        for b in np.eye(3):
+            y, x = np.linalg.solve(lower, perm.T @ b), np.linalg.solve(m, b)
+            bounds = (y, np.abs(lower) @ np.abs(y), x, np.abs(upper) @ np.abs(x),
+                      np.abs(a) @ np.abs(x))
+            worst = max(worst, *(float(np.max(np.abs(v))) for v in bounds))
+    assert worst == 4.0
+    assert 4 * E_MAX_LIMIT <= FLOAT_MAX / 2
+
+
+def test_e_max_limit_is_the_largest_accepted_cap():
+    r = OneShotRegion(1.2, 0.4, 0.3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vertices = np.array([v.as_array() for v in corner_points(r, E_MAX_LIMIT)])
+    assert np.all(np.isfinite(vertices)) and vertices[:, 2].max() == E_MAX_LIMIT
+    # without the bound, from 9e307 up the row products overflowed (numpy RuntimeWarnings)
+    for e_max in (np.nextafter(E_MAX_LIMIT, np.inf), 9e307, 1.7e308, FLOAT_MAX):
+        with pytest.raises(OutOfRange, match="^e_max = "):
+            corner_points(r, e_max)
 
 
 def _reference_corner_points(r, e_max):

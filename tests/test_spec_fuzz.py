@@ -1,12 +1,13 @@
 """Bounded, derandomized fuzz of the CLI boundary.
 
-Generated channel and ensemble objects, written as JSON files, and generated
-`KIND:A:B:C` channel strings go through `cqekit region`; generated `curve`,
-`compare` and `check` argument lists, with grids and `CQEKIT_PRECISION`, go
-through the other subcommands.  Every run must end in a documented exit code
-(0 ok, 1 a failed check, 2 config, 3 dimension) with no uncaught exception,
-and nothing printed may be NaN or infinite.  Values are passed as
-`--opt=VALUE`, so that argparse does not take a negative one for an option.
+Generated channel and ensemble objects, written as JSON files, generated
+`KIND:A:B:C` channel strings and generated `--e-max` values go through
+`cqekit region`; generated `curve`, `compare` and `check` argument lists, with
+grids and `CQEKIT_PRECISION`, go through the other subcommands.  Every run
+must end in a documented exit code (0 ok, 1 a failed check, 2 config, 3
+dimension) with no uncaught exception, and nothing printed may be NaN or
+infinite.  Values are passed as `--opt=VALUE`, so that argparse does not take
+a negative one for an option.
 Dimensions stay at most 17, one above `channels.MAX_DIM`, grid counts at
 most 1000 or just above the cap, and `check` runs at most 3 trials, so no
 example allocates or runs for long.
@@ -24,6 +25,7 @@ from hypothesis import given, settings, strategies as st
 
 from cqekit.channels import CHANNEL_KINDS
 from cqekit.cli import main
+from cqekit.errors import FLOAT_MAX
 
 FUZZ = settings(derandomize=True, max_examples=80, deadline=None)
 
@@ -139,6 +141,20 @@ TOKENS = st.one_of(
 @given(KINDS, st.lists(TOKENS, max_size=3))
 def test_fuzz_channel_strings(kind, values):
     run_region(":".join([kind, *values]), "mu:0.5")
+
+
+E_MAX = st.one_of(
+    st.floats(), st.floats(0.0, FLOAT_MAX),
+    st.sampled_from([-1.0, -0.0, 0.0, 5e-324, 2.2e-308, 9e307, 1.7e308, FLOAT_MAX,
+                     float("nan"), float("inf"), float("-inf")]),
+)
+
+
+@FUZZ
+@given(E_MAX, st.sampled_from(["csv", "json"]))
+def test_fuzz_region_e_max(e_max, fmt):
+    argv = ["region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.3", f"--e-max={e_max!r}"]
+    assert run_cli([*argv, "--format", fmt]) in (0, 2)
 
 
 def test_fuzz_reaches_every_exit_code():
