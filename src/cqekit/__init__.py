@@ -2,7 +2,6 @@
 
 from .channels import (
     IsometricExtension,
-    KrausChannel,
     apply_isometry,
     builtin_isometry,
     dephasing,

@@ -1,10 +1,11 @@
-"""Channel models as Kraus sets and isometric extensions A' -> B (x) E.
+"""Channel models as isometric extensions V: A' -> B (x) E.
 
-Built-in constructors cover the qubit dephasing channel, the quantum
-erasure channel, the completely depolarizing channel and the identity, each
-as a Kraus set; every isometry is the lift of a Kraus set by
-`isometric_extension`.  `channel_from_spec` is the one builder from a spec
-object, whose kinds and fields are the table `CHANNEL_KINDS`.
+A channel is its isometry.  A Kraus set is an input format, lifted once by
+`isometric_extension`, and the isometry's construction is the one
+trace-preservation check.  Built-in constructors cover the qubit dephasing
+channel, the quantum erasure channel, the completely depolarizing channel and
+the identity.  `channel_from_spec` is the one builder from a spec object,
+whose kinds and fields are the table `CHANNEL_KINDS`.
 """
 
 from __future__ import annotations
@@ -18,40 +19,17 @@ import numpy as np
 from .errors import DimMismatch, NotTracePreserving, OutOfRange, SpecFormatError
 from .errors import check_complex, check_int, check_real
 
-TP_TOL = 2e-11  # on the entries of sum K^dag K - I (V^dag V - I): see entropics.STATE_NORM_TOL
-MAX_DIM = 16  # largest built-in channel dimension: the depolarizing Kraus set is then 1 MB
+TP_TOL = 2e-11  # on the entries of V^dag V - I (= sum K^dag K - I): see entropics.STATE_NORM_TOL
+MAX_DIM = 16  # largest built-in channel dimension: the depolarizing isometry is then 1 MB
 
 I2 = np.eye(2, dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def tp_deviation(kraus: Sequence[np.ndarray]) -> float:
-    """Max entrywise deviation of sum K^dag K from the identity."""
-    in_dim = kraus[0].shape[1]
-    acc = sum(k.conj().T @ k for k in kraus)
-    return float(np.max(np.abs(acc - np.eye(in_dim))))
-
-
-@dataclass(frozen=True, eq=False)
-class KrausChannel:
-    """CPTP map given by Kraus operators of one shape (out_dim, in_dim)."""
-
-    kraus: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        if len({k.shape for k in self.kraus}) != 1 or self.kraus[0].ndim != 2:
-            raise DimMismatch(f"Kraus operators of shapes {[k.shape for k in self.kraus]}")
-        dev = tp_deviation(self.kraus)
-        if not dev <= TP_TOL:  # NaN fails too
-            raise NotTracePreserving(f"sum K^dag K deviates from I by {dev}")
-
-    out_dim = property(lambda self: self.kraus[0].shape[0])
-    in_dim = property(lambda self: self.kraus[0].shape[1])
-
-
 @dataclass(frozen=True, eq=False)
 class IsometricExtension:
-    """Isometry V: A' -> B (x) E with the B factor major in the output ordering."""
+    """Isometry V: A' -> B (x) E with the B factor major in the output ordering; its E
+    slices are the Kraus operators, so V^dag V = sum K^dag K."""
 
     matrix: np.ndarray
     env_dim: int
@@ -61,16 +39,18 @@ class IsometricExtension:
             raise DimMismatch(f"isometry shape {self.matrix.shape} is not (d_B*{self.env_dim}, d)")
         dev = np.max(np.abs(self.matrix.conj().T @ self.matrix - np.eye(self.in_dim)))
         if not dev <= TP_TOL:  # NaN fails too
-            raise NotTracePreserving(f"V^dag V deviates from I by {dev}")
+            raise NotTracePreserving(f"sum K^dag K deviates from I by {dev}")
 
     out_dim = property(lambda self: self.matrix.shape[0] // self.env_dim)
     in_dim = property(lambda self: self.matrix.shape[1])
 
 
-def isometric_extension(ch: KrausChannel) -> IsometricExtension:
-    """Lift a Kraus set to V|psi> = sum_k (K_k|psi>)_B (x) |k>_E."""
-    v = np.stack(ch.kraus, axis=1).reshape(-1, ch.in_dim) + 0j  # + 0j: complex, no -0.0
-    return IsometricExtension(v, len(ch.kraus))
+def isometric_extension(kraus: Sequence[np.ndarray]) -> IsometricExtension:
+    """Lift Kraus operators of one shape (d_B, d_A') to V|psi> = sum_k (K_k|psi>)_B (x) |k>_E."""
+    if len({k.shape for k in kraus}) != 1 or kraus[0].ndim != 2:
+        raise DimMismatch(f"Kraus operators of shapes {[k.shape for k in kraus]}")
+    v = np.stack(kraus, axis=1).reshape(-1, kraus[0].shape[1]) + 0j  # + 0j: complex, no -0.0
+    return IsometricExtension(v, len(kraus))
 
 
 def apply_isometry(v: IsometricExtension, amps: np.ndarray) -> np.ndarray:
@@ -81,12 +61,12 @@ def apply_isometry(v: IsometricExtension, amps: np.ndarray) -> np.ndarray:
     return (amps @ v.matrix.T).reshape(*amps.shape[:-1], v.out_dim, v.env_dim)
 
 
-def identity_channel(d: int = 2) -> KrausChannel:
+def identity_channel(d: int = 2) -> IsometricExtension:
     check_int("dimension", d, 1, MAX_DIM)
-    return KrausChannel((np.eye(d, dtype=complex),))
+    return isometric_extension((np.eye(d, dtype=complex),))
 
 
-def dephasing(p: float, d: int = 2) -> KrausChannel:
+def dephasing(p: float, d: int = 2) -> IsometricExtension:
     """Qubit dephasing with parameter p: rho -> (1 - p/2) rho + (p/2) Z rho Z.
 
     The phase flip is applied with probability p/2, so p = 1 is the completely
@@ -98,44 +78,38 @@ def dephasing(p: float, d: int = 2) -> KrausChannel:
     check_real("dephasing parameter", p, 0.0, 1.0)
     check_int("dimension", d, 2, 2)
     q = p / 2.0
-    return KrausChannel((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z))
+    return isometric_extension((np.sqrt(1.0 - q) * I2, np.sqrt(q) * PAULI_Z))
 
 
-def depolarizing_complete(d: int = 2) -> KrausChannel:
+def depolarizing_complete(d: int = 2) -> IsometricExtension:
     """Channel with output I/d for every input (Weyl-operator Kraus set)."""
     check_int("dimension", d, 2, MAX_DIM)
     omega = np.exp(2j * np.pi / d)
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(omega ** np.arange(d))
-    kraus = tuple(
-        (np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)) / d
-        for a in range(d)
-        for b in range(d)
-    )
-    return KrausChannel(kraus)
+    return isometric_extension([np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b)
+                                / d for a in range(d) for b in range(d)])
 
 
-def erasure_kraus(epsilon: float, d: int = 2) -> KrausChannel:
-    """Kraus form of the erasure channel; B has dimension d+1 (flag |e> = index d)."""
+def erasure_kraus(epsilon: float, d: int = 2) -> IsometricExtension:
+    """The erasure channel, lifted from its Kraus form; B has dimension d+1 (flag |e> =
+    index d), E index 0 is the no-erasure branch and index 1 + j carries input j."""
     check_real("erasure probability", epsilon, 0.0, 1.0)
     check_int("dimension", d, 1, MAX_DIM)
-    embed = np.zeros((d + 1, d), dtype=complex)
-    embed[:d, :] = np.eye(d)
-    kraus = [np.sqrt(1.0 - epsilon) * embed]
-    for i in range(d):
-        k = np.zeros((d + 1, d), dtype=complex)
-        k[d, i] = np.sqrt(epsilon)
-        kraus.append(k)
-    return KrausChannel(tuple(kraus))
+    flags = np.zeros((d, d + 1, d), dtype=complex)  # flags[j] = sqrt(epsilon) |e><j|
+    flags[np.arange(d), d, np.arange(d)] = np.sqrt(epsilon)
+    return isometric_extension([np.sqrt(1.0 - epsilon) * np.eye(d + 1, d, dtype=complex), *flags])
 
 
-def tensor_product(a: KrausChannel, b: KrausChannel) -> KrausChannel:
-    """Parallel composition; Kraus set is all Kronecker pairs."""
-    kraus = tuple(np.kron(ka, kb) for ka in a.kraus for kb in b.kraus)
-    return KrausChannel(kraus)
+def tensor_product(a: IsometricExtension, b: IsometricExtension) -> IsometricExtension:
+    """Parallel composition: kron(V_a, V_b), its output reordered from (B_a, E_a, B_b, E_b)
+    to (B_a, B_b, E_a, E_b), so E index k_a * b.env_dim + k_b is the Kraus pair (k_a, k_b)."""
+    v = np.kron(a.matrix, b.matrix).reshape(a.out_dim, a.env_dim, b.out_dim, b.env_dim, -1)
+    v = v.transpose(0, 2, 1, 3, 4).reshape(-1, a.in_dim * b.in_dim) + 0j  # + 0j: no -0.0
+    return IsometricExtension(v, a.env_dim * b.env_dim)
 
 
-def tensor_power(ch: KrausChannel, k: int) -> KrausChannel:
+def tensor_power(ch: IsometricExtension, k: int) -> IsometricExtension:
     """k-fold parallel copy; intended for small k (explicit Kronecker products)."""
     if k < 1:
         raise OutOfRange(f"tensor power {k} must be positive")
@@ -156,14 +130,15 @@ def _complex_matrix(rows) -> np.ndarray:
     return arr
 
 
-def kraus_from_ops(ops) -> KrausChannel:
-    """Channel of a nonempty list of Kraus matrices in `_complex_matrix` form;
-    a set that is not trace preserving raises SpecFormatError."""
+def kraus_from_ops(ops) -> IsometricExtension:
+    """Channel of a nonempty list of at most MAX_DIM**2 Kraus matrices in `_complex_matrix`
+    form (a channel's Choi rank is at most d_in * d_out, so every admitted channel has
+    a Kraus set that small); a set that is not trace preserving raises SpecFormatError."""
     if not isinstance(ops, list) or not ops:
         raise SpecFormatError(f"kraus spec requires a nonempty 'ops' list, got {ops!r:.40}")
-    kraus = tuple(_complex_matrix(m) for m in ops)
+    check_int("Kraus operator count", len(ops), 1, MAX_DIM**2)
     try:
-        return KrausChannel(kraus)
+        return isometric_extension([_complex_matrix(m) for m in ops])
     except NotTracePreserving as exc:
         raise SpecFormatError(f"Kraus set is not trace preserving: {exc}") from exc
 
@@ -187,7 +162,7 @@ def channel_kind(kind) -> tuple:
     return CHANNEL_KINDS[kind]
 
 
-def channel_from_spec(spec: dict) -> KrausChannel:
+def channel_from_spec(spec: dict) -> IsometricExtension:
     """Build a channel from a spec object {"kind": KIND, FIELD: value, ...}.
 
     The fields of each kind are in CHANNEL_KINDS; "ops" holds matrices of
@@ -206,14 +181,10 @@ def channel_from_spec(spec: dict) -> KrausChannel:
 
 def builtin_isometry(kind: str, param: float | None = None, d: int = 2) -> IsometricExtension:
     """Isometric extension of the channel `kind` of dimension `d` whose other
-    field, if it has one (p of dephasing, epsilon of erasure), is `param`.
-
-    For erasure, E index 0 is the no-erasure branch and index 1 + j carries
-    input j.
-    """
+    field, if it has one (p of dephasing, epsilon of erasure), is `param`."""
     spec = {"kind": kind, "d": d}
     spec.update(zip([f for f in channel_kind(kind)[1] if f != "d"], [param]))  # p or epsilon
-    return isometric_extension(channel_from_spec(spec))
+    return channel_from_spec(spec)
 
 
 def read_spec(path: str):
@@ -225,5 +196,5 @@ def read_spec(path: str):
             raise SpecFormatError(f"invalid JSON in {path}: {exc}") from exc
 
 
-def load_channel(path: str) -> KrausChannel:
+def load_channel(path: str) -> IsometricExtension:
     return channel_from_spec(read_spec(path))

@@ -24,8 +24,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from . import bounds, closedform
-from .channels import builtin_isometry, channel_from_spec, channel_kind, isometric_extension
-from .channels import load_channel
+from .channels import builtin_isometry, channel_from_spec, channel_kind, load_channel
 from .entropics import (
     IDENTITY_TOL,
     CQEnsemble,
@@ -81,8 +80,7 @@ def _channel_spec(spec: str) -> dict:
 def _parse_channel(spec: str):
     """Channel argument: a path to a JSON channel spec, or a `KIND[:A[:B]]`
     string (see `_channel_spec`)."""
-    channel = load_channel(spec) if os.path.exists(spec) else channel_from_spec(_channel_spec(spec))
-    return isometric_extension(channel)
+    return load_channel(spec) if os.path.exists(spec) else channel_from_spec(_channel_spec(spec))
 
 
 def _parse_ensemble(spec: str) -> CQEnsemble:

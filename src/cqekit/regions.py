@@ -9,6 +9,7 @@ of a small system A x <= b, from one enumerator.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations
@@ -16,7 +17,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropics import CQEJointState
+from .entropics import STATE_NORM_TOL, CQEJointState
 from .errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_range
 
 ARITH_TOL = 1e-12
@@ -24,6 +25,11 @@ ENTROPIC_TOL = 1e-9
 VERTEX_FEAS_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-7
 SINGULAR_TOL = 1e-12
+# A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
+# (1 + d) log2(1 + d) ~ d log2(e) off I(A;B|X), I(A;E|X) and H(A|X) where they are 0, and
+# derive_children passes half of each as a rate: an accepted state (d <= STATE_NORM_TOL)
+# gives rates down to about -STATE_NORM_TOL log2(e) / 2 = -3.75e-10, less roundoff.
+RATE_TOL = STATE_NORM_TOL / math.log(4) + ARITH_TOL
 # Largest e_max of corner_points: over the 3-row bases S of its seven rows, every |entry| of
 # x = A_S^-1 b_S, of an LU (partial pivoting) intermediate and of a partial sum of a row
 # product a . x is at most 4 sum_S |b_k|: FLOAT_MAX / 2 + 8 |largest constant| at most.
@@ -126,8 +132,16 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return x[np.all(x @ a.T <= b + tol, axis=1)]
 
 
+def _step(t: float) -> float:
+    """t to its nearest multiple of VERTEX_DEDUP_TOL, without t / VERTEX_DEDUP_TOL, which
+    overflows from FLOAT_MAX * VERTEX_DEDUP_TOL up."""
+    t += VERTEX_DEDUP_TOL / 2
+    return t - t % VERTEX_DEDUP_TOL
+
+
 def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
-    """Vertices of the capped polytope, sorted lexicographically.
+    """Vertices of the capped polytope, sorted by C, then Q, then E, where C and Q
+    are rounded to VERTEX_DEDUP_TOL steps, so rounding noise cannot order them.
 
     The feasible basic solutions of the seven bounding planes, less each one
     within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
@@ -139,8 +153,10 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     for i, row in enumerate(near):
         if not any(row[j] for j in kept):
             kept.append(i)
-    x = x[kept]
-    return [RateTriple(*v) for v in x[np.lexsort(x.T[::-1])].tolist()]
+    # E is compared raw: kept vertices whose C and Q steps tie are more than
+    # VERTEX_DEDUP_TOL apart in E.
+    verts = sorted(x[kept].tolist(), key=lambda v: (_step(v[0]), _step(v[1]), v[2]))
+    return [RateTriple(*v) for v in verts]
 
 
 def cef_point(sigma: CQEJointState) -> RateTriple:
@@ -152,9 +168,9 @@ def cef_point(sigma: CQEJointState) -> RateTriple:
 def apply_unit(t: RateTriple, delta: RateTriple, rate: float) -> RateTriple:
     """t + rate * delta; negative intermediate components are allowed.
 
-    Rates within roundoff of zero are clamped; genuinely negative rates raise.
+    Rates within RATE_TOL of zero are clamped; genuinely negative rates raise.
     """
-    if rate < -ARITH_TOL:
+    if rate < -RATE_TOL:
         raise NegativeRate(f"unit-protocol rate {rate} is negative")
     return t + delta.scaled(max(rate, 0.0))
 

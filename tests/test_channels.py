@@ -1,4 +1,4 @@
-"""Tests for channel constructors, Kraus/isometry validation, and spec loading."""
+"""Tests for channel constructors, the isometry's trace-preservation check, and spec loading."""
 
 import json
 
@@ -10,7 +10,6 @@ from cqekit.channels import (
     MAX_DIM,
     TP_TOL,
     IsometricExtension,
-    KrausChannel,
     apply_isometry,
     builtin_isometry,
     channel_from_spec,
@@ -22,7 +21,6 @@ from cqekit.channels import (
     load_channel,
     tensor_power,
     tensor_product,
-    tp_deviation,
 )
 from cqekit.errors import (
     DimMismatch,
@@ -45,26 +43,49 @@ def outputs(v, rho):
     return psi.marginal_mat({"B"}), psi.marginal_mat({"E"})
 
 
-def channel_output(ch, rho):
-    """Bob's output of the Kraus channel `ch` through its isometric extension."""
-    return outputs(isometric_extension(ch), rho)[0]
+def channel_output(v, rho):
+    """Bob's output of the channel `v`, read from a purification through the isometry."""
+    return outputs(v, rho)[0]
 
 
-def kraus_sum(ch, rho):
-    return sum(k @ rho @ k.conj().T for k in ch.kraus)
+def kraus_ops(v):
+    """The Kraus operators of the isometry `v`: its E slices, K_k[b, a] = V[b * d_E + k, a]."""
+    return list(v.matrix.reshape(v.out_dim, v.env_dim, v.in_dim).transpose(1, 0, 2))
+
+
+def kraus_sum(v, rho):
+    return sum(k @ rho @ k.conj().T for k in kraus_ops(v))
+
+
+def stacked(kraus):
+    """The reference lift of a Kraus set: row b * len(kraus) + k of V is row b of K_k."""
+    return np.stack(kraus, axis=1).reshape(-1, kraus[0].shape[1]) + 0j
 
 
 def test_tp_deviation():
-    assert tp_deviation(dephasing(0.3).kraus) <= TP_TOL
-    assert tp_deviation([np.eye(2, dtype=complex)]) <= TP_TOL
-    assert tp_deviation([0.5 * np.eye(2, dtype=complex)]) == pytest.approx(0.75, abs=1e-14)
+    # the isometry's construction is the one check: max |V^dag V - I| <= TP_TOL
+    v = dephasing(0.3)
+    assert np.max(np.abs(v.matrix.conj().T @ v.matrix - np.eye(2))) <= TP_TOL
+    assert isometric_extension([np.eye(2, dtype=complex)]).env_dim == 1
+    with pytest.raises(NotTracePreserving, match="^sum K\\^dag K deviates from I by 0.75$"):
+        isometric_extension([0.5 * np.eye(2, dtype=complex)])
+    with pytest.raises(NotTracePreserving, match="by 0.75$"):
+        IsometricExtension(0.5 * np.eye(2, dtype=complex), 1)
+    edge = np.sqrt(1.0 + 0.9 * TP_TOL) * np.eye(2, dtype=complex)
+    assert IsometricExtension(edge, 1).in_dim == 2
+    with pytest.raises(NotTracePreserving):
+        IsometricExtension(np.sqrt(1.0 + 1.1 * TP_TOL) * np.eye(2, dtype=complex), 1)
 
 
 def test_kraus_channel_rejects_non_tp():
     with pytest.raises(NotTracePreserving):
-        KrausChannel((0.5 * np.eye(2, dtype=complex),))
+        isometric_extension((0.5 * np.eye(2, dtype=complex),))
     with pytest.raises(DimMismatch):
-        KrausChannel((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)))
+        isometric_extension((np.eye(2, dtype=complex), np.zeros((3, 2), dtype=complex)))
+    with pytest.raises(DimMismatch):
+        isometric_extension((np.ones(2, dtype=complex),))
+    with pytest.raises(DimMismatch):
+        isometric_extension(())
 
 
 def test_dephasing_action():
@@ -104,11 +125,10 @@ def test_depolarizing_complete_maps_everything_to_maximally_mixed():
 
 
 def test_isometric_extension_shapes_and_consistency():
-    ch = dephasing(0.2)
-    v = isometric_extension(ch)
+    v = dephasing(0.2)
     assert v.in_dim == 2 and v.out_dim == 2 and v.env_dim == 2
     # dimensions are read from the array shapes
-    w = isometric_extension(erasure_kraus(0.25, 3))
+    w = erasure_kraus(0.25, 3)
     assert (w.in_dim, w.out_dim, w.env_dim) == (3, 4, 4) and w.matrix.shape == (16, 3)
     with pytest.raises(DimMismatch):
         IsometricExtension(np.eye(5, 2, dtype=complex), 2)
@@ -117,11 +137,11 @@ def test_isometric_extension_shapes_and_consistency():
     for _ in range(10):
         psi = random_state_vector(2, rng)
         rho = np.outer(psi, psi.conj())
-        assert np.allclose(outputs(v, rho)[0], kraus_sum(ch, rho), atol=1e-12)
+        assert np.allclose(outputs(v, rho)[0], kraus_sum(v, rho), atol=1e-12)
 
 
 def test_identity_channel_isometry_has_trivial_environment():
-    v = isometric_extension(identity_channel(3))
+    v = identity_channel(3)
     assert v.env_dim == 1
     psi = np.array([1.0, 0.0, 0.0], dtype=complex)
     rho = np.outer(psi, psi.conj())
@@ -130,7 +150,7 @@ def test_identity_channel_isometry_has_trivial_environment():
 
 def test_apply_isometry_keeps_reference_and_relabels():
     bell = np.eye(2, dtype=complex) / np.sqrt(2)  # amplitudes on A (x) A'
-    v = isometric_extension(dephasing(0.2))
+    v = dephasing(0.2)
     out = apply_isometry(v, bell)
     assert out.shape == (2, 2, 2)  # A kept, A' split into B, E
     psi = PureStateVector(out.reshape(-1), out.shape, ("A", "B", "E"))
@@ -190,10 +210,52 @@ def test_tensor_product_and_power():
     ch = tensor_product(dephasing(0.2), identity_channel(3))
     assert ch.in_dim == 6 and ch.out_dim == 6
     ch2 = tensor_power(dephasing(0.2), 2)
-    assert ch2.in_dim == 4 and len(ch2.kraus) == 4
-    assert tp_deviation(ch2.kraus) <= TP_TOL
+    assert ch2.in_dim == 4 and ch2.env_dim == 4
+    assert np.max(np.abs(ch2.matrix.conj().T @ ch2.matrix - np.eye(4))) <= TP_TOL
     with pytest.raises(OutOfRange):
         tensor_power(dephasing(0.2), 0)
+    # V is the lift of the Kronecker pairs (K_a, K_b), a-major, bit for bit
+    parts = (dephasing(0.2), erasure_kraus(0.3, 2), depolarizing_complete(3),
+             identity_channel(3), erasure_kraus(0.25, 1), dephasing(1.0))
+    for a in parts:
+        for b in parts:
+            want = stacked([np.kron(ka, kb) for ka in kraus_ops(a) for kb in kraus_ops(b)])
+            got = tensor_product(a, b)
+            assert got.env_dim == a.env_dim * b.env_dim
+            assert got.matrix.tobytes() == want.tobytes()
+    for v in (dephasing(0.2), erasure_kraus(0.25, 2)):
+        power = [v]
+        for _ in range(2):
+            power.append(tensor_product(power[-1], v))
+            pairs = [np.kron(ka, kb) for ka in kraus_ops(power[-2]) for kb in kraus_ops(v)]
+            assert power[-1].matrix.tobytes() == stacked(pairs).tobytes()
+        for k, want in enumerate(power, start=1):
+            assert tensor_power(v, k).matrix.tobytes() == want.matrix.tobytes()
+
+
+def test_builtin_channels_are_the_lift_of_their_kraus_sets():
+    # each constructor's V equals, bit for bit, the stack of its textbook Kraus operators
+    for d in range(1, MAX_DIM + 1):
+        assert identity_channel(d).matrix.tobytes() == stacked([np.eye(d, dtype=complex)]).tobytes()
+        embed = np.eye(d + 1, d, dtype=complex)
+        for eps in (0.0, 0.25, 1.0):
+            flags = []
+            for i in range(d):
+                k = np.zeros((d + 1, d), dtype=complex)
+                k[d, i] = np.sqrt(eps)
+                flags.append(k)
+            want = stacked([np.sqrt(1.0 - eps) * embed, *flags])
+            assert erasure_kraus(eps, d).matrix.tobytes() == want.tobytes()
+    for d in range(2, MAX_DIM + 1):
+        shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+        clock = np.diag(np.exp(2j * np.pi / d) ** np.arange(d))
+        weyl = [np.linalg.matrix_power(shift, a) @ np.linalg.matrix_power(clock, b) / d
+                for a in range(d) for b in range(d)]
+        assert depolarizing_complete(d).matrix.tobytes() == stacked(weyl).tobytes()
+    z = np.diag([1.0, -1.0]).astype(complex)
+    for p in (0.0, 0.2, 0.5, 1.0):
+        want = stacked([np.sqrt(1.0 - p / 2) * np.eye(2, dtype=complex), np.sqrt(p / 2) * z])
+        assert dephasing(p).matrix.tobytes() == want.tobytes()
 
 
 def test_builtin_isometry_dispatch():
@@ -205,11 +267,11 @@ def test_builtin_isometry_dispatch():
         builtin_isometry("amplitude-damping", 0.2)
     with pytest.raises(SpecFormatError):
         builtin_isometry("dephasing")  # p is required
-    # each is the lift of the channel_from_spec channel, Kraus operator for operator
+    # each is the channel_from_spec channel
     for args, spec in ((("dephasing", 0.2), {"kind": "dephasing", "p": 0.2}),
                        (("erasure", 0.3, 3), {"kind": "erasure", "epsilon": 0.3, "d": 3}),
                        (("depolarizing", None, 3), {"kind": "depolarizing", "d": 3})):
-        want = isometric_extension(channel_from_spec(spec)).matrix
+        want = channel_from_spec(spec).matrix
         assert np.array_equal(builtin_isometry(*args).matrix, want)
 
 
@@ -252,7 +314,7 @@ def test_channel_from_spec_builtins_and_kraus():
     assert channel_from_spec({"kind": "depolarizing", "d": 3}).in_dim == 3
     assert channel_from_spec({"kind": "identity", "d": 3}).in_dim == 3
     assert channel_from_spec({"kind": "dephasing", "p": 0.2, "d": 2}).in_dim == 2
-    assert channel_from_spec({"kind": "dephasing", "p": 1}).kraus[1][0, 0] == np.sqrt(0.5)
+    assert kraus_ops(channel_from_spec({"kind": "dephasing", "p": 1}))[1][0, 0] == np.sqrt(0.5)
     ident = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]
     ch = channel_from_spec({"kind": "kraus", "ops": [ident]})
     assert ch.in_dim == 2 and ch.out_dim == 2
@@ -290,7 +352,7 @@ def test_load_channel_roundtrip(tmp_path):
     path = tmp_path / "channel.json"
     path.write_text(json.dumps({"kind": "dephasing", "p": 0.2}))
     ch = load_channel(str(path))
-    assert np.allclose(ch.kraus[0], np.sqrt(0.9) * np.eye(2))
+    assert np.allclose(kraus_ops(ch)[0], np.sqrt(0.9) * np.eye(2))
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     with pytest.raises(SpecFormatError):

@@ -20,6 +20,7 @@ import cqekit
 from cqekit import cli, closedform
 from cqekit.channels import TP_TOL, load_channel
 from cqekit.cli import build_parser, fmt, main
+from cqekit.entropics import NORM_TOL
 from cqekit.errors import FLOAT_MAX, SpecFormatError
 from cqekit.regions import E_MAX_LIMIT
 
@@ -252,8 +253,8 @@ def test_single_suite_replays_its_line_of_all(suite, seed):
 def test_import_builds_no_channel():
     # the check suites build their isometries on first use, not at import
     code = ("import cqekit.channels as ch\n"
-            "built, init = [], ch.KrausChannel.__post_init__\n"
-            "ch.KrausChannel.__post_init__ = lambda self: built.append(self) or init(self)\n"
+            "built, init = [], ch.IsometricExtension.__post_init__\n"
+            "ch.IsometricExtension.__post_init__ = lambda self: built.append(self) or init(self)\n"
             "import cqekit.cli\n"
             "assert not built and cqekit.cli._isometries.cache_info().currsize == 0\n"
             "cqekit.cli.main(['check', '--suite', 'dpi', '--trials', '1'])\n"
@@ -284,6 +285,7 @@ def ensemble_spec(dim_a, dim_ap, p=1.0):
 # JSON specs written by test_out_of_range_parameter_exit_code.  {"p": NaN} is
 # what Python's json module writes and reads for float("nan"); the "d-" channels
 # have a "d" that int() would coerce, kraus-17 an operator side above MAX_DIM,
+# kraus-257 one operator more than MAX_DIM**2 (a trace-preserving qubit channel),
 # the "dim-" ensembles a dimension above MAX_DIM, amps-nan a NaN amplitude, and
 # amps-bool, amps-string and kraus-bool [re, im] pairs that are not numbers.
 # The other channels miss a field, have one their kind does not take, or have
@@ -307,6 +309,8 @@ SPEC_FILES = {
     "p-string": {"kind": "dephasing", "p": "0.2"},
     "epsilon-list": {"kind": "erasure", "epsilon": [0.2]},
     "ops-5": {"kind": "kraus", "ops": 5},
+    "kraus-257": {"kind": "kraus", "ops": [
+        [[[257 ** -0.5 if i == j else 0.0, 0.0] for j in range(2)] for i in range(2)]] * 257},
     "dephasing-d-3": {"kind": "dephasing", "p": 0.2, "d": 3},
     "depolarizing-p": {"kind": "depolarizing", "d": 2, "p": 0.1},
     "dim-a-17": ensemble_spec(17, 2),
@@ -325,7 +329,7 @@ SPEC_FILES = {
 }
 CHANNEL_FILES = ("d-2.9", "d-true", "d-string", "kraus-17", "no-p", "p-null", "p-true",
                  "p-string", "epsilon-list", "ops-5", "dephasing-d-3", "depolarizing-p",
-                 "kraus-bool")
+                 "kraus-bool", "kraus-257")
 ENSEMBLE_FILES = ("dim-a-17", "dim-aprime-17", "entry-p-true", "entry-p-string", "amps-nan",
                   "amps-bool", "amps-string")
 
@@ -469,6 +473,24 @@ def test_channel_off_trace_preserving_is_rejected_at_load(tmp_path):
                           "deviates from I by 8.00000")
     path.write_text(json.dumps(one_row_kraus(math.sqrt(1.0 + 0.9 * TP_TOL))))
     assert load_channel(str(path)).in_dim == 2
+
+
+def test_accepted_letter_through_the_trace_channel_gives_a_region(tmp_path):
+    # a one-dimensional B gives I(A;B|X) = -(1 + d) log2(1 + d) for a letter of squared
+    # norm 1 + d: at 1 + 5e-11 the unit-protocol rate -3.6e-11 used to exit 2 as negative;
+    # 1 + 0.999 NORM_TOL is the edge of what an ensemble file accepts
+    channel = tmp_path / "trace.json"
+    channel.write_text(json.dumps(one_row_kraus(1.0)))
+    ensemble = tmp_path / "letter.json"
+    for excess in (5e-11, 0.999 * NORM_TOL):
+        amps = [[math.sqrt(1.0 + excess), 0], [0, 0]]
+        ensemble.write_text(json.dumps({"dim_A": 1, "dim_Aprime": 2,
+                                        "entries": [{"p": 1.0, "amps": amps}]}))
+        code, out, err = run_cli("region", "--channel", str(channel), "--ensemble",
+                                 str(ensemble), "--format", "csv")
+        assert (code, err) == (0, "")
+        children = [row for row in out.splitlines() if row.startswith("child,")]
+        assert len(children) == 7
 
 
 def test_precision_is_read_from_the_environment_per_call(monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 
 from conftest import random_ensemble, random_state_vector
 from cqekit import entropics
-from cqekit.channels import MAX_DIM, TP_TOL, KrausChannel, builtin_isometry, isometric_extension
+from cqekit.channels import MAX_DIM, TP_TOL, builtin_isometry, isometric_extension
 from cqekit.entropics import (
     NORM_TOL,
     STATE_NORM_TOL,
@@ -311,7 +311,7 @@ def test_accepted_channel_and_ensemble_give_an_accepted_region():
     # squared norm is nearly 1 + NORM_TOL
     w, u = np.linalg.eigh(np.eye(MAX_DIM) + 0.999 * TP_TOL * np.ones((MAX_DIM, MAX_DIM)))
     root = (u * np.sqrt(w)) @ u.T
-    iso = isometric_extension(KrausChannel(tuple(root[j:j + 1] + 0j for j in range(MAX_DIM))))
+    iso = isometric_extension([root[j:j + 1] + 0j for j in range(MAX_DIM)])
     letter = np.full((1, 1, MAX_DIM), math.sqrt((1.0 + 0.999 * NORM_TOL) / MAX_DIM))
     sigma = channel_output_ensemble(CQEnsemble([1.0], letter), iso)
     deviation = np.vdot(sigma.psi, sigma.psi).real - 1.0

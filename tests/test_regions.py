@@ -16,12 +16,13 @@ from scipy.optimize import linprog
 import cqekit
 from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
-from cqekit.entropics import channel_output_ensemble, mu_ensemble
+from cqekit.entropics import STATE_NORM_TOL, channel_output_ensemble, mu_ensemble
 from cqekit.errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
 from cqekit.regions import (
     ARITH_TOL,
     E_MAX_LIMIT,
     ENT_DISTRIBUTION,
+    RATE_TOL,
     SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
     VERTEX_FEAS_TOL,
@@ -84,6 +85,17 @@ def test_teleportation_and_super_dense_cancel():
 def test_apply_unit_rejects_negative_rate():
     with pytest.raises(NegativeRate):
         apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, -0.5)
+
+
+def test_rate_tolerance_covers_accepted_states():
+    # a block of squared norm 1 + STATE_NORM_TOL through a channel with a one-dimensional B
+    # gives I(A;B|X) = -(1 + d) log2(1 + d), the most negative rate an accepted state gives
+    d = STATE_NORM_TOL
+    rate = -0.5 * (1 + d) * np.log2(1 + d)
+    assert -RATE_TOL < rate < -0.99 * RATE_TOL + ARITH_TOL
+    assert apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, rate) == RateTriple(0, 0, 0)
+    with pytest.raises(NegativeRate):
+        apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, -2 * RATE_TOL)
 
 
 def test_one_shot_region_invariants():
@@ -213,13 +225,20 @@ def test_e_max_limit_is_the_largest_accepted_cap():
             corner_points(r, e_max)
 
 
+def _step(x):
+    """x to its nearest multiple of VERTEX_DEDUP_TOL, as a float."""
+    y = float(x) + VERTEX_DEDUP_TOL / 2
+    return y - y % VERTEX_DEDUP_TOL
+
+
 def _reference_corner_points(r, e_max):
-    """Dedup by a loop over the kept points, then a sort on tuples."""
+    """Dedup by a loop over the kept points, then a sort on C and Q rounded to
+    VERTEX_DEDUP_TOL steps, then E."""
     found = []
     for x in _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL):
         if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
             found.append(x)
-    found.sort(key=tuple)
+    found.sort(key=lambda x: (_step(x[0]), _step(x[1]), x[2]))
     return [RateTriple(*x) for x in found]
 
 
@@ -251,6 +270,22 @@ def test_corner_points_equals_loop_reference():
         cases.append((OneShotRegion(i_axb, i_xb, i_coh), e_max))
     for r, e_max in cases:
         assert _bits(corner_points(r, e_max)) == _bits(_reference_corner_points(r, e_max))
+
+
+def test_vertex_order_ignores_rounding_noise_in_c():
+    # two vertices whose C is i_xb in exact arithmetic, 0.10751041044637893 and
+    # 0.10751041044637899 as computed: Q orders them, not the last bit of C
+    r = OneShotRegion(0.5222377707429697, 0.10751041044637899, 0.02013523289632215)
+    verts = corner_points(r, 2.0)
+    tied = [v for v in verts if abs(v.c - r.i_xb) <= VERTEX_DEDUP_TOL]
+    assert len(tied) == 2 and tied[0].c > tied[1].c
+    assert [v.q for v in tied] == sorted(v.q for v in tied)
+    assert verts.index(tied[1]) == verts.index(tied[0]) + 1
+    # constants past FLOAT_MAX * VERTEX_DEDUP_TOL still sort by C without overflow
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        huge = corner_points(OneShotRegion(1e305, 1e305, 0.0), 1.0)
+    assert [v.c for v in huge] == sorted(v.c for v in huge) and huge[-1].c == 1e305
 
 
 def test_cef_point_examples():
