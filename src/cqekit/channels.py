@@ -174,8 +174,8 @@ def channel_from_spec(spec: dict) -> IsometricExtension:
     build, fields = channel_kind(spec.get("kind"))
     values = {key: value for key, value in spec.items() if key != "kind"}
     if set(values) - set(fields) or set(fields) - {"d"} - set(values):
-        raise SpecFormatError(f"{spec['kind']} spec takes the fields {fields} (d may be left "
-                              f"out), got {list(values)}")
+        raise SpecFormatError(f"{spec['kind']} spec takes the fields {fields}"
+                              f"{' (d may be left out)' * ('d' in fields)}, got {list(values)}")
     return build(**values)
 
 

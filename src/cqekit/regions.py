@@ -26,10 +26,10 @@ VERTEX_FEAS_TOL = 1e-9
 VERTEX_DEDUP_TOL = 1e-7
 SINGULAR_TOL = 1e-12
 # A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
-# (1 + d) log2(1 + d) ~ d log2(e) off I(A;B|X), I(A;E|X) and H(A|X) where they are 0, and
-# derive_children passes half of each as a rate: an accepted state (d <= STATE_NORM_TOL)
-# gives rates down to about -STATE_NORM_TOL log2(e) / 2 = -3.75e-10, less roundoff.
-RATE_TOL = STATE_NORM_TOL / math.log(4) + ARITH_TOL
+# (1 + d) log2(1 + d) ~ d log2(e) off I(AX;B), I(X;B), I(A;B|X), I(A;E|X) and H(A|X) where
+# they are 0: an accepted state (d <= STATE_NORM_TOL) gives each of them down to about
+# -STATE_NORM_TOL log2(e) = -7.5e-10, less roundoff.  See _rate.
+RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
 # Largest e_max of corner_points: over the 3-row bases S of its seven rows, every |entry| of
 # x = A_S^-1 b_S, of an LU (partial pivoting) intermediate and of a partial sum of a row
 # product a . x is at most 4 sum_S |b_k|: FLOAT_MAX / 2 + 8 |largest constant| at most.
@@ -78,9 +78,17 @@ class OneShotRegion:
             raise InvalidRegion("i_axb below i_xb + i_coh beyond tolerance")
 
 
+def _rate(x: float) -> float:
+    """A profile quantity that is >= 0 in exact arithmetic, as a rate: the region layer's one
+    clamp.  Values down to -RATE_TOL are rounding and read 0; below it NegativeRate."""
+    if x < -RATE_TOL:
+        raise NegativeRate(f"rate quantity {x} is negative")
+    return max(x, 0.0)
+
+
 def region_from_state(sigma: CQEJointState) -> OneShotRegion:
-    prof = sigma.profile
-    return OneShotRegion(i_axb=prof.i_axb, i_xb=prof.i_xb, i_coh=prof.i_coh)
+    prof = sigma.profile  # i_coh may be negative: it is no rate and is not clamped
+    return OneShotRegion(i_axb=_rate(prof.i_axb), i_xb=_rate(prof.i_xb), i_coh=prof.i_coh)
 
 
 def contains(r: OneShotRegion, t: RateTriple, tol: float = ARITH_TOL) -> bool:
@@ -160,43 +168,23 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
 
 
 def cef_point(sigma: CQEJointState) -> RateTriple:
-    """Rate triple of the classically-enhanced father protocol."""
+    """Rate triple (I(X;B), I(A;B|X)/2, I(A;E|X)/2) of the classically-enhanced father."""
     prof = sigma.profile
-    return RateTriple(prof.i_xb, 0.5 * prof.i_ab_given_x, 0.5 * prof.i_ae_given_x)
-
-
-def apply_unit(t: RateTriple, delta: RateTriple, rate: float) -> RateTriple:
-    """t + rate * delta; negative intermediate components are allowed.
-
-    Rates within RATE_TOL of zero are clamped; genuinely negative rates raise.
-    """
-    if rate < -RATE_TOL:
-        raise NegativeRate(f"unit-protocol rate {rate} is negative")
-    return t + delta.scaled(max(rate, 0.0))
+    return RateTriple(_rate(prof.i_xb), 0.5 * _rate(prof.i_ab_given_x),
+                      0.5 * _rate(prof.i_ae_given_x))
 
 
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
     """All corner protocols reachable from CEF via unit-resource arithmetic."""
     prof = sigma.profile
     cef = cef_point(sigma)
-    ceq = apply_unit(cef, ENT_DISTRIBUTION, 0.5 * prof.i_ae_given_x)
-    eac = apply_unit(cef, SUPER_DENSE, 0.5 * prof.i_ab_given_x)
-    # SD rate is i_coh / 2, which can be negative (e.g. completely depolarizing
-    # input ensembles); the signed arithmetic is applied directly in that case.
-    signed_sd = SUPER_DENSE.scaled(0.5 * prof.i_coh)
-    cef_sd_ed = apply_unit(cef, ENT_DISTRIBUTION, 0.5 * prof.h_a_given_x) + signed_sd
-    cef_tp = apply_unit(cef, TELEPORTATION, 0.5 * prof.i_xb)
-    lsd = RateTriple(0.0, ceq.q, ceq.e)
-    eaq = RateTriple(0.0, cef.q, cef.e)
-    return {
-        "CEF": cef,
-        "CEQ": ceq,
-        "EAC": eac,
-        "CEF-SD-ED": cef_sd_ed,
-        "CEF-TP": cef_tp,
-        "LSD": lsd,
-        "EAQ": eaq,
-    }
+    ceq = cef + ENT_DISTRIBUTION.scaled(cef.e)
+    # CEF-SD-ED's SD rate i_coh / 2 is signed: completely depolarizing ensembles make it < 0
+    cef_ed = cef + ENT_DISTRIBUTION.scaled(0.5 * _rate(prof.h_a_given_x))
+    return {"CEF": cef, "CEQ": ceq, "EAC": cef + SUPER_DENSE.scaled(cef.q),
+            "CEF-SD-ED": cef_ed + SUPER_DENSE.scaled(0.5 * prof.i_coh),
+            "CEF-TP": cef + TELEPORTATION.scaled(0.5 * cef.c),
+            "LSD": RateTriple(0.0, ceq.q, ceq.e), "EAQ": RateTriple(0.0, cef.q, cef.e)}
 
 
 def union_membership(

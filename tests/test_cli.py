@@ -5,6 +5,7 @@ import contextlib
 import csv
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -365,6 +366,7 @@ ENSEMBLE_FILES = ("dim-a-17", "dim-aprime-17", "entry-p-true", "entry-p-string",
         *(pytest.param(("region", "--channel", spec, "--ensemble", "mu:0.5"), id=spec)
           for spec in ("dephasing:0.2:3", "depolarizing:2:7", "identity:2:9",
                        "erasure:0.25:3:1")),
+        pytest.param(("region", "--channel", "kraus", "--ensemble", "mu:0.5"), id="kraus"),
         *(pytest.param(("region", "--channel", f"{{tmp}}/{name}.json", "--ensemble", "mu:0.5"),
                        id=f"channel-{name}")
           for name in CHANNEL_FILES),
@@ -381,6 +383,16 @@ def test_out_of_range_parameter_exit_code(argv, tmp_path):
     code, out, err = run_cli(*(arg.format(tmp=tmp_path) for arg in argv))
     assert code == 2 and out == ""
     assert "error: " in err
+
+
+@pytest.mark.parametrize("kind, fields", [
+    ("kraus", "('ops',)"),  # used to add "(d may be left out)", a field kraus does not have
+    ("dephasing", "('p', 'd') (d may be left out)"),
+])
+def test_missing_field_names_the_fields_of_the_kind(kind, fields):
+    code, out, err = run_cli("region", "--channel", kind, "--ensemble", "mu:0.5")
+    assert (code, out) == (2, "")
+    assert err == f"config error: {kind} spec takes the fields {fields}, got []\n"
 
 
 UNUSABLE_PATHS = {
@@ -476,21 +488,30 @@ def test_channel_off_trace_preserving_is_rejected_at_load(tmp_path):
 
 
 def test_accepted_letter_through_the_trace_channel_gives_a_region(tmp_path):
-    # a one-dimensional B gives I(A;B|X) = -(1 + d) log2(1 + d) for a letter of squared
-    # norm 1 + d: at 1 + 5e-11 the unit-protocol rate -3.6e-11 used to exit 2 as negative;
+    # a one-dimensional B gives I(A;B|X) = I(AX;B) = -(1 + d) log2(1 + d) for a letter of
+    # squared norm 1 + d: at 1 + 5e-11 the unit-protocol rate -3.6e-11 used to exit 2 as
+    # negative, and then i_axb and the CEF, EAC, CEF-TP and EAQ Q printed negative;
     # 1 + 0.999 NORM_TOL is the edge of what an ensemble file accepts
     channel = tmp_path / "trace.json"
     channel.write_text(json.dumps(one_row_kraus(1.0)))
     ensemble = tmp_path / "letter.json"
     for excess in (5e-11, 0.999 * NORM_TOL):
-        amps = [[math.sqrt(1.0 + excess), 0], [0, 0]]
-        ensemble.write_text(json.dumps({"dim_A": 1, "dim_Aprime": 2,
-                                        "entries": [{"p": 1.0, "amps": amps}]}))
-        code, out, err = run_cli("region", "--channel", str(channel), "--ensemble",
-                                 str(ensemble), "--format", "csv")
-        assert (code, err) == (0, "")
-        children = [row for row in out.splitlines() if row.startswith("child,")]
-        assert len(children) == 7
+        # one letter on A' alone, and one maximally entangled with a qubit A
+        half = math.sqrt((1.0 + excess) / 2)
+        for dim_a, amps in ((1, [[math.sqrt(1.0 + excess), 0], [0, 0]]),
+                            (2, [[half, 0], [0, 0], [0, 0], [half, 0]])):
+            ensemble.write_text(json.dumps({"dim_A": dim_a, "dim_Aprime": 2,
+                                            "entries": [{"p": 1.0, "amps": amps}]}))
+            code, out, err = run_cli("region", "--channel", str(channel), "--ensemble",
+                                     str(ensemble), "--format", "csv")
+            assert (code, err) == (0, "")
+            rows = [row.split(",") for row in out.splitlines()]
+            assert len([row for row in rows if row[0] == "child"]) == 7
+            rates = [cell for _, name, *cells in rows
+                     if name in ("i_axb", "i_xb", "CEF", "EAC", "CEF-TP", "EAQ")
+                     for cell in cells]
+            assert len(rates) == 2 * 3 + 4 * 3
+            assert not any(cell.startswith("-") for cell in rates), out
 
 
 def test_precision_is_read_from_the_environment_per_call(monkeypatch):
@@ -619,7 +640,9 @@ def test_writer_equals_per_value_reference(monkeypatch, tmp_path):
     params = [0.0, 0.5, 1.0, float(rng.random())]
     commands = [("curve", "ds", "--p"), ("curve", "cef", "--p"), ("curve", "ce", "--p"),
                 ("compare", "--p"), ("compare", "--channel")]
-    target = tmp_path / "out"
+    # a fresh --output path per call: truncating an existing file costs tens of ms on some
+    # filesystems, which made this test most of the suite's wall time
+    outputs = (tmp_path / f"out{i}" for i in itertools.count())
     for digits in (0, 1, 6, 12, 17, 25):
         monkeypatch.setenv("CQEKIT_PRECISION", str(digits))
         for n in (2, 3, 101):
@@ -632,6 +655,7 @@ def test_writer_equals_per_value_reference(monkeypatch, tmp_path):
                         code, out, err = run_cli(*argv)
                         assert (code, err) == (0, "")
                         assert out == reference_output(argv, digits), argv
+                        target = next(outputs)
                         assert run_cli(*argv, "--output", str(target))[:2] == (0, "")
                         assert target.read_bytes() == out.encode()
 

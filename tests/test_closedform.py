@@ -239,11 +239,11 @@ def test_cef_curve_monotone_along_mu():
 
 def test_cef_plus_super_dense_reaches_ce_curve():
     # spending the remaining qubits on super-dense coding lands on the CE curve
-    from cqekit.regions import SUPER_DENSE, apply_unit
+    from cqekit.regions import SUPER_DENSE
 
     for mu in (0.1, 0.25, 0.5):
         cef = cf.cef_curve(0.2, mu)
-        moved = apply_unit(cef, SUPER_DENSE, cef.q)
+        moved = cef + SUPER_DENSE.scaled(cef.q)
         assert moved.as_array() == pytest.approx(
             cf.shor_ce_curve(0.2, mu).as_array(), abs=1e-12
         )

@@ -31,7 +31,7 @@ from cqekit.entropics import (
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
 from cqekit.cli import main
-from cqekit.regions import ENTROPIC_TOL, corner_points, derive_children, region_from_state
+from cqekit.regions import ENTROPIC_TOL, RATE_TOL, corner_points, derive_children, region_from_state
 
 H2_09 = 0.4689955935892812
 I_AXB_DEPH = 1.5310044064107187  # 2 - H2(0.9) for p = 0.2, mu = 1/2
@@ -316,9 +316,13 @@ def test_accepted_channel_and_ensemble_give_an_accepted_region():
     sigma = channel_output_ensemble(CQEnsemble([1.0], letter), iso)
     deviation = np.vdot(sigma.psi, sigma.psi).real - 1.0
     assert 0.98 * (NORM_TOL + MAX_DIM * TP_TOL) < deviation <= STATE_NORM_TOL
-    # a one-dimensional B gives I(A;B|X) = -(1 + d) log2(1 + d), the largest shift
+    # a one-dimensional B gives I(A;B|X) = -(1 + d) log2(1 + d), the largest shift; the
+    # region reads it as rounding and clamps its constants to 0
+    prof = sigma.profile
+    assert prof.i_axb - prof.i_xb == pytest.approx(-deviation / math.log(2), rel=1e-3)
+    assert -RATE_TOL < prof.i_axb < 0.0
     region = region_from_state(sigma)
-    assert region.i_axb - region.i_xb == pytest.approx(-deviation / math.log(2), rel=1e-3)
+    assert (region.i_axb, region.i_xb) == (0.0, 0.0)
     assert STATE_NORM_TOL / math.log(2) < ENTROPIC_TOL
 
 

@@ -31,7 +31,7 @@ from cqekit.regions import (
     OneShotRegion,
     RateTriple,
     _basic_feasible,
-    apply_unit,
+    _rate,
     cef_point,
     contains,
     corner_points,
@@ -76,26 +76,27 @@ def test_unit_protocol_table():
 
 def test_teleportation_and_super_dense_cancel():
     t = RateTriple(3.0, 1.0, 0.5)
-    roundtrip = apply_unit(apply_unit(t, TELEPORTATION, 1.0), SUPER_DENSE, 1.0)
+    roundtrip = t + TELEPORTATION + SUPER_DENSE
     assert roundtrip.c == pytest.approx(t.c)
     assert roundtrip.q == pytest.approx(t.q)
     assert roundtrip.e == pytest.approx(t.e + 2.0)  # both consume one ebit
 
 
-def test_apply_unit_rejects_negative_rate():
+def test_rate_rejects_negative_quantity():
     with pytest.raises(NegativeRate):
-        apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, -0.5)
+        _rate(-0.5)
+    assert _rate(0.5) == 0.5
 
 
 def test_rate_tolerance_covers_accepted_states():
     # a block of squared norm 1 + STATE_NORM_TOL through a channel with a one-dimensional B
-    # gives I(A;B|X) = -(1 + d) log2(1 + d), the most negative rate an accepted state gives
+    # gives I(A;B|X) = -(1 + d) log2(1 + d), the most negative value an accepted state gives
     d = STATE_NORM_TOL
-    rate = -0.5 * (1 + d) * np.log2(1 + d)
-    assert -RATE_TOL < rate < -0.99 * RATE_TOL + ARITH_TOL
-    assert apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, rate) == RateTriple(0, 0, 0)
+    quantity = -(1 + d) * np.log2(1 + d)
+    assert -RATE_TOL < quantity < -0.99 * RATE_TOL + ARITH_TOL
+    assert _rate(quantity) == 0.0
     with pytest.raises(NegativeRate):
-        apply_unit(RateTriple(0, 0, 0), SUPER_DENSE, -2 * RATE_TOL)
+        _rate(-2 * RATE_TOL)
 
 
 def test_one_shot_region_invariants():
