@@ -3,8 +3,9 @@
 A one-shot region is the set of rate triples (C, Q, E) with C, Q, E >= 0,
 C + 2Q <= i_axb, Q <= i_coh + E, and C + Q <= i_xb + i_coh + E.  The region
 is unbounded in +E, so vertex enumeration takes an explicit e_max cap.
-Vertices and time-sharing membership are both read off the basic solutions
-of a small system A x <= b, from one enumerator.
+Vertices are the feasible basic solutions of the seven capped planes, each one
+V[s] @ b for a constant table V of basis inverses built at import.  Time-sharing
+membership is read off the basic solutions of a per-pair system, solved per call.
 """
 
 from __future__ import annotations
@@ -30,10 +31,14 @@ SINGULAR_TOL = 1e-12
 # they are 0: an accepted state (d <= STATE_NORM_TOL) gives each of them down to about
 # -STATE_NORM_TOL log2(e) = -7.5e-10, less roundoff.  See _rate.
 RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
-# Largest e_max of corner_points: over the 3-row bases S of its seven rows, every |entry| of
-# x = A_S^-1 b_S, of an LU (partial pivoting) intermediate and of a partial sum of a row
-# product a . x is at most 4 sum_S |b_k|: FLOAT_MAX / 2 + 8 |largest constant| at most.
+# Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
+# computes x = V[s] @ b and A @ x (_BASIS_TABLE, _CAPPED_A), b = (0, 0, 0, i_axb, i_coh,
+# i_xb + i_coh, e_max).  Written in (i_axb, i_xb, i_coh, e_max), a row of |V| has an e_max
+# coefficient of at most 2 and constant coefficients summing to at most 5; a row of |A| |V|,
+# which bounds every partial sum of A @ x, at most 4 and 11.  So 4 E_MAX_LIMIT = FLOAT_MAX / 2
+# and 11 REGION_LIMIT < FLOAT_MAX / 2 keep every entry finite.
 E_MAX_LIMIT = FLOAT_MAX / 8
+REGION_LIMIT = FLOAT_MAX / 32
 
 
 @dataclass(frozen=True)
@@ -70,6 +75,8 @@ class OneShotRegion:
     i_coh: float
 
     def __post_init__(self):
+        for name in ("i_axb", "i_xb", "i_coh"):  # NaN and the infinities fail too
+            check_range(name, getattr(self, name), -REGION_LIMIT, REGION_LIMIT, InvalidRegion)
         if self.i_xb < -ENTROPIC_TOL:
             raise InvalidRegion(f"i_xb = {self.i_xb} is negative")
         if self.i_axb < self.i_xb - ENTROPIC_TOL:
@@ -109,13 +116,18 @@ _REGION_A = np.array(
 )
 
 
-def _region_b(r: OneShotRegion) -> np.ndarray:
-    return np.array([0.0, 0.0, 0.0, r.i_axb, r.i_coh, r.i_xb + r.i_coh])
+def _region_b(r: OneShotRegion, *cap: float) -> np.ndarray:
+    """b of the six rows of _REGION_A, then the cap e_max if one is given."""
+    return np.array([0.0, 0.0, 0.0, r.i_axb, r.i_coh, r.i_xb + r.i_coh, *cap])
+
+
+# The seven planes of a region capped at E <= e_max: the rows of _REGION_A, then the cap.
+_CAPPED_A = np.vstack([_REGION_A, [0.0, 0.0, 1.0]])
 
 
 def halfspaces(r: OneShotRegion, e_max: float) -> tuple[np.ndarray, np.ndarray]:
     """Bounding planes as (A, b) with A @ (c, q, e) <= b; the last row is E <= e_max."""
-    return np.vstack([_REGION_A, [0.0, 0.0, 1.0]]), np.append(_region_b(r), e_max)
+    return _CAPPED_A.copy(), _region_b(r, e_max)
 
 
 @lru_cache(maxsize=None)
@@ -140,6 +152,26 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     return x[np.all(x @ a.T <= b + tol, axis=1)]
 
 
+def _basis_table() -> np.ndarray:
+    """V of shape (26, 3, 7): for each nonsingular 3-row basis S of _CAPPED_A, in
+    combinations order, the inverse of _CAPPED_A[S] in columns S and 0 elsewhere, so that
+    V[s] @ b is the basic solution on S.  The inverse is the adjugate, whose columns are
+    cross products of the integer rows, over det = +-1 or +-2: exact multiples of 1/2."""
+    idx = _row_subsets(*_CAPPED_A.shape)
+    rows = _CAPPED_A[idx]
+    adj = np.cross(rows[:, [1, 2, 0]], rows[:, [2, 0, 1]]).transpose(0, 2, 1)
+    det = np.einsum("sj,sj->s", rows[:, 0], adj[:, :, 0])
+    keep = det != 0
+    inv = adj[keep] / det[keep, None, None]
+    table = np.zeros(inv.shape[:2] + (len(_CAPPED_A),))
+    np.put_along_axis(table, np.broadcast_to(idx[keep][:, None], inv.shape), inv, axis=2)
+    table.setflags(write=False)
+    return table
+
+
+_BASIS_TABLE = _basis_table()
+
+
 def _step(t: float) -> float:
     """t to its nearest multiple of VERTEX_DEDUP_TOL, without t / VERTEX_DEDUP_TOL, which
     overflows from FLOAT_MAX * VERTEX_DEDUP_TOL up."""
@@ -151,11 +183,14 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     """Vertices of the capped polytope, sorted by C, then Q, then E, where C and Q
     are rounded to VERTEX_DEDUP_TOL steps, so rounding noise cannot order them.
 
-    The feasible basic solutions of the seven bounding planes, less each one
-    within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
+    The basic solutions _BASIS_TABLE @ b of the seven bounding planes that satisfy
+    every plane within VERTEX_FEAS_TOL, less each one within VERTEX_DEDUP_TOL (max
+    norm) of an earlier kept one.
     """
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
-    x = _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL)
+    b = _region_b(r, e_max)
+    x = _BASIS_TABLE @ b
+    x = x[np.all(x @ _CAPPED_A.T <= b + VERTEX_FEAS_TOL, axis=1)]
     near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
     kept: list[int] = []
     for i, row in enumerate(near):

@@ -1,16 +1,16 @@
 """Tests for rate polytopes, vertex enumeration, and unit-resource arithmetic."""
 
 import os
+import re
 import subprocess
 import sys
 import warnings
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
-from scipy.linalg import lu
 from scipy.optimize import linprog
 
 import cqekit
@@ -23,6 +23,7 @@ from cqekit.regions import (
     E_MAX_LIMIT,
     ENT_DISTRIBUTION,
     RATE_TOL,
+    REGION_LIMIT,
     SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
     VERTEX_FEAS_TOL,
@@ -30,6 +31,8 @@ from cqekit.regions import (
     TELEPORTATION,
     OneShotRegion,
     RateTriple,
+    _BASIS_TABLE,
+    _CAPPED_A,
     _basic_feasible,
     _rate,
     cef_point,
@@ -195,23 +198,90 @@ def test_corner_points_degenerate_region():
         corner_points(OneShotRegion(1.0, 0.5, 0.5), -1.0)
 
 
-def test_e_max_limit_derivation():
-    # per unit |b_k|, the largest |entry| of each LU intermediate, of x = A_S^-1 b_S and of
-    # each partial sum of a row product, over the nonsingular 3-row bases of the seven rows
-    a, _ = halfspaces(OneShotRegion(0.0, 0.0, 0.0), 1.0)
-    worst = 0.0
-    for rows in combinations(range(7), 3):
-        m = a[list(rows)]
-        if abs(np.linalg.det(m)) < SINGULAR_TOL:
+def test_region_rejects_non_finite_and_overflowing_constants():
+    for k, name in enumerate(("i_axb", "i_xb", "i_coh")):
+        for bad in (np.nan, np.inf, -np.inf, np.nextafter(REGION_LIMIT, np.inf),
+                    -np.nextafter(REGION_LIMIT, np.inf)):
+            fields = [1.0, 0.5, 0.25]
+            fields[k] = bad
+            with pytest.raises(InvalidRegion, match=re.escape(f"{name} = {bad} outside ")):
+                OneShotRegion(*fields)
+
+
+def test_largest_accepted_constants_give_finite_vertices():
+    # the three regions with i_coh = -REGION_LIMIT are empty at e_max = 0 (Q <= i_coh + E)
+    accepted, nonempty = 0, 0
+    for fields in product((-REGION_LIMIT, 0.0, REGION_LIMIT), repeat=3):
+        try:
+            r = OneShotRegion(*fields)
+        except InvalidRegion:
             continue
-        perm, lower, upper = lu(m)
-        for b in np.eye(3):
-            y, x = np.linalg.solve(lower, perm.T @ b), np.linalg.solve(m, b)
-            bounds = (y, np.abs(lower) @ np.abs(y), x, np.abs(upper) @ np.abs(x),
-                      np.abs(a) @ np.abs(x))
-            worst = max(worst, *(float(np.max(np.abs(v))) for v in bounds))
-    assert worst == 4.0
-    assert 4 * E_MAX_LIMIT <= FLOAT_MAX / 2
+        accepted += 1
+        for e_max in (0.0, REGION_LIMIT, E_MAX_LIMIT):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                verts = np.array([v.as_array() for v in corner_points(r, e_max)])
+            assert np.all(np.isfinite(verts)), (fields, e_max)
+            nonempty += len(verts) > 0
+    assert accepted == 7 and nonempty == 7 * 3 - 3
+
+
+def _bases():
+    """The nonsingular 3-row bases of the seven capped planes, in combinations order."""
+    return [list(rows) for rows in combinations(range(7), 3)
+            if abs(np.linalg.det(_CAPPED_A[list(rows)])) >= SINGULAR_TOL]
+
+
+def test_basis_table_is_exact():
+    bases = _bases()
+    assert len(bases) == 26 and _BASIS_TABLE.shape == (26, 3, 7)
+    for v, rows in zip(_BASIS_TABLE, bases):
+        assert np.array_equal(v @ _CAPPED_A, np.eye(3))  # V[s] @ A[rows] = I, no rounding
+        assert not np.any(np.delete(v, rows, axis=1))
+    assert set(_BASIS_TABLE.ravel().tolist()) == {0.0, 0.5, -0.5, 1.0, -1.0, 2.0, -2.0}
+
+
+def test_basis_table_matches_per_basis_solve():
+    # on random b, on b near a coarse grid (several planes through one point) and on b
+    # spanning 300 decades, V[s] @ b and the LU solve of A[rows] x = b[rows] agree to
+    # 4 ulps of the basis's largest |V[s]| @ |b| (3 seen); the table's C = b5 - b4 is
+    # exact where LU's cancels to 0 (i_axb 8e117 beside i_xb + i_coh 7e-71)
+    rng = np.random.default_rng(20315)
+    bases = _bases()
+    for k in range(600):
+        i_axb, i_xb, i_coh, e_max = (
+            rng.uniform(-1.0, 1.0, 4),
+            rng.integers(-3, 4, 4) / 4 + rng.choice([0.0, 1e-15, 1e-9]) * rng.uniform(-1, 1, 4),
+            rng.uniform(-1.0, 1.0, 4) * 10.0 ** rng.integers(-150, 150, 4),
+        )[k % 3]
+        b = np.array([0.0, 0.0, 0.0, i_axb, i_coh, i_xb + i_coh, abs(e_max)])
+        for v, x, rows in zip(_BASIS_TABLE, _BASIS_TABLE @ b, bases):
+            lu = np.linalg.solve(_CAPPED_A[rows], b[rows])
+            assert np.all(np.abs(x - lu) <= 4 * np.spacing(np.max(np.abs(v) @ np.abs(b))))
+
+
+def test_corner_points_calls_no_linalg(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg called")
+
+    for name in ("det", "solve", "inv"):
+        monkeypatch.setattr(np.linalg, name, refuse)
+    for r in (OneShotRegion(1.2, 0.4, 0.3), OneShotRegion(0.0, 0.0, 0.0),
+              OneShotRegion(1.0, 1.0, -0.5)):
+        assert corner_points(r, 2.0)
+
+
+def test_e_max_limit_derivation():
+    # b = w @ (i_axb, i_xb, i_coh, e_max); rows of |V| and of |A| |V| in those four
+    w = np.zeros((7, 4))
+    w[3, 0] = w[4, 2] = w[5, 1] = w[5, 2] = w[6, 3] = 1.0
+    v = np.abs(_BASIS_TABLE)
+    av = np.abs(_CAPPED_A) @ v
+    for coeffs, cap, constants in ((v @ w, 2.0, 5.0), (av @ w, 4.0, 11.0)):
+        assert coeffs[..., 3].max() == cap and coeffs[..., :3].sum(-1).max() == constants
+    # summed over the columns of b, the cap column included
+    assert v.sum(-1).max() == 5.0 and av.sum(-1).max() == 11.0
+    assert 4 * E_MAX_LIMIT == FLOAT_MAX / 2 and 11 * REGION_LIMIT < FLOAT_MAX / 2
 
 
 def test_e_max_limit_is_the_largest_accepted_cap():
@@ -232,11 +302,11 @@ def _step(x):
     return y - y % VERTEX_DEDUP_TOL
 
 
-def _reference_corner_points(r, e_max):
-    """Dedup by a loop over the kept points, then a sort on C and Q rounded to
-    VERTEX_DEDUP_TOL steps, then E."""
+def _reference_corner_points(basic):
+    """Dedup of the feasible basic solutions by a loop over the kept points, then a
+    sort on C and Q rounded to VERTEX_DEDUP_TOL steps, then E."""
     found = []
-    for x in _basic_feasible(*halfspaces(r, e_max), VERTEX_FEAS_TOL):
+    for x in basic:
         if not any(np.max(np.abs(x - y)) <= VERTEX_DEDUP_TOL for y in found):
             found.append(x)
     found.sort(key=lambda x: (_step(x[0]), _step(x[1]), x[2]))
@@ -270,16 +340,26 @@ def test_corner_points_equals_loop_reference():
         i_axb = max(i_xb, i_xb + i_coh) + rng.choice([0.0, 1e-8, rng.uniform(0, 1)])
         cases.append((OneShotRegion(i_axb, i_xb, i_coh), e_max))
     for r, e_max in cases:
-        assert _bits(corner_points(r, e_max)) == _bits(_reference_corner_points(r, e_max))
+        a, b = halfspaces(r, e_max)
+        x = _BASIS_TABLE @ b
+        got = corner_points(r, e_max)
+        feasible = x[np.all(x @ a.T <= b + VERTEX_FEAS_TOL, axis=1)]
+        assert _bits(got) == _bits(_reference_corner_points(feasible))
+        # the per-call LU path: the same vertices in the same order, to rounding
+        lu = _reference_corner_points(_basic_feasible(a, b, VERTEX_FEAS_TOL))
+        assert len(got) == len(lu)
+        assert np.allclose([v.as_array() for v in got], [v.as_array() for v in lu],
+                           rtol=0.0, atol=1e-15)
 
 
 def test_vertex_order_ignores_rounding_noise_in_c():
-    # two vertices whose C is i_xb in exact arithmetic, 0.10751041044637893 and
-    # 0.10751041044637899 as computed: Q orders them, not the last bit of C
+    # two vertices whose C is i_xb in exact arithmetic: per-basis LU solves computed
+    # 0.10751041044637893 and 0.10751041044637899, the basis table gives both the same
+    # bits, and Q orders them either way, not the last bit of C
     r = OneShotRegion(0.5222377707429697, 0.10751041044637899, 0.02013523289632215)
     verts = corner_points(r, 2.0)
     tied = [v for v in verts if abs(v.c - r.i_xb) <= VERTEX_DEDUP_TOL]
-    assert len(tied) == 2 and tied[0].c > tied[1].c
+    assert len(tied) == 2 and tied[0].c == tied[1].c
     assert [v.q for v in tied] == sorted(v.q for v in tied)
     assert verts.index(tied[1]) == verts.index(tied[0]) + 1
     # constants past FLOAT_MAX * VERTEX_DEDUP_TOL still sort by C without overflow
