@@ -17,8 +17,8 @@ import numpy as np
 
 from .entropics import CQEJointState, CQEnsemble, make_ensemble
 from .errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
-from .qlinalg import binary_entropy, marginals, matrix_entropy, matrix_sqrt_psd, squared_norms
-from .qlinalg import trace_norm
+from .qlinalg import binary_entropy, marginals, matrix_entropies, matrix_sqrt_psd, squared_norms
+from .qlinalg import trace_norm, trace_norms
 
 REPORT_TOL = 1e-12
 
@@ -40,17 +40,20 @@ def fannes_bound(eps: float, dim_a: int) -> float:
     return eps * math.log2(dim_a) + binary_entropy(min(eps, 1.0))
 
 
-def _continuity(rho: np.ndarray, sigma: np.ndarray, quantity, bound) -> BoundReport:
-    """|quantity(rho) - quantity(sigma)| against bound(trace distance of rho and sigma)."""
+def _continuity(rho: np.ndarray, sigma: np.ndarray, quantity, bound):
+    """|quantity(rho) - quantity(sigma)| against bound(trace distance of rho and sigma): a
+    report for two matrices, a list of reports for two stacks (N, d, d) of them."""
     if rho.shape != sigma.shape:
         raise DimMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    eps = trace_norm(rho - sigma)
-    return _report(abs(quantity(rho) - quantity(sigma)), bound(eps))
+    eps = np.ravel(trace_norms(rho - sigma)).tolist()
+    lhs = np.ravel(np.abs(np.subtract(*quantity(np.stack([rho, sigma]))))).tolist()
+    reports = [_report(d, bound(e)) for d, e in zip(lhs, eps)]
+    return reports if rho.ndim > 2 else reports[0]
 
 
 def check_fannes(rho: np.ndarray, sigma: np.ndarray) -> BoundReport:
     """|H(rho) - H(sigma)| against the entropy-continuity bound."""
-    return _continuity(rho, sigma, matrix_entropy, lambda eps: fannes_bound(eps, rho.shape[0]))
+    return _continuity(rho, sigma, matrix_entropies, lambda eps: fannes_bound(eps, rho.shape[-1]))
 
 
 def alicki_fannes_bound(eps: float, dim_a: int) -> float:
@@ -58,15 +61,15 @@ def alicki_fannes_bound(eps: float, dim_a: int) -> float:
     return 4.0 * eps * math.log2(dim_a) + 2.0 * binary_entropy(min(eps, 1.0))
 
 
-def coherent_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
-    """I(A>B) = H(B) - H(AB) of a bipartite density matrix."""
-    return matrix_entropy(marginals(rho_ab, dims)[1]) - matrix_entropy(rho_ab)
+def coherent_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
+    """I(A>B) = H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
+    return (matrix_entropies(marginals(rho_ab, dims)[1]) - matrix_entropies(rho_ab)).tolist()
 
 
-def mutual_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]) -> float:
-    """I(A;B) = H(A) + H(B) - H(AB) of a bipartite density matrix."""
+def mutual_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
+    """I(A;B) = H(A) + H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
     rho_a, rho_b = marginals(rho_ab, dims)
-    return matrix_entropy(rho_a) + matrix_entropy(rho_b) - matrix_entropy(rho_ab)
+    return (matrix_entropies(rho_a) + matrix_entropies(rho_b) - matrix_entropies(rho_ab)).tolist()
 
 
 def check_af(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) -> BoundReport:
@@ -107,8 +110,8 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     return _report(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
 
 
-def dpi_check(sigma: CQEJointState) -> dict[str, BoundReport]:
-    """Data-processing checks after dephasing the whole environment.
+def dephase_environment(sigma: CQEJointState) -> CQEJointState:
+    """sigma after dephasing the whole environment.
 
     Each block splits into one branch per E basis state, of weight
     p(x) |<e|phi_x>|^2; branches of weight at most 1e-15 are dropped.
@@ -121,7 +124,12 @@ def dpi_check(sigma: CQEJointState) -> dict[str, BoundReport]:
     keep = weights > 1e-15
     probs = (np.repeat(sigma.probs, de) * weights)[keep]
     psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
-    before, after = sigma.profile, CQEJointState(probs, psi).profile
+    return CQEJointState(probs, psi)
+
+
+def dpi_check(sigma: CQEJointState, dephased=None) -> dict[str, BoundReport]:
+    """Data-processing checks of sigma against `dephased`, by default its dephase_environment."""
+    before, after = sigma.profile, (dephased or dephase_environment(sigma)).profile
     return {
         "holevo": _report(before.i_xb, after.i_xb),
         "mutual": _report(before.i_axb, after.i_axb),

@@ -23,7 +23,7 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import bounds, closedform
+from . import bounds, closedform, entropics
 from .channels import builtin_isometry, channel_from_spec, channel_kind, load_channel
 from .entropics import (
     IDENTITY_TOL,
@@ -214,17 +214,19 @@ def _isometries() -> tuple:
             builtin_isometry("depolarizing"))
 
 
-def _identities(rng):
-    ens = bounds.random_ensemble(rng)
-    for iso in _isometries():
-        residual = verify_identities(channel_output_ensemble(ens, iso)).max_residual
-        yield residual <= IDENTITY_TOL, IDENTITY_TOL - residual
+def _identities(rng, k):
+    ensembles = [bounds.random_ensemble(rng) for _ in range(k)]
+    batches = [[channel_output_ensemble(ens, iso) for ens in ensembles] for iso in _isometries()]
+    for states in batches:
+        entropics.profiles(states)
+    residuals = [verify_identities(s).max_residual for trial in zip(*batches) for s in trial]
+    return [(r <= IDENTITY_TOL, IDENTITY_TOL - r) for r in residuals]
 
 
-def _pairwise(rng, checker, dim, *extra):
-    """checker(rho, sigma, *extra) on a pair of random density matrices of size dim."""
-    report = checker(bounds.random_density(dim, rng), bounds.random_density(dim, rng), *extra)
-    return [(report.satisfied, report.slack)]
+def _pairwise(rng, k, checker, dim, *extra):
+    """checker(rho, sigma, *extra) on stacks of k pairs of random density matrices of size dim."""
+    pairs = np.array([[bounds.random_density(dim, rng) for _ in range(2)] for _ in range(k)])
+    return [(r.satisfied, r.slack) for r in checker(pairs[:, 0], pairs[:, 1], *extra)]
 
 
 def _gentle(rng):
@@ -235,24 +237,31 @@ def _gentle(rng):
     gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     unitary = np.linalg.qr(gauss)[0]
     report = bounds.gentle_measurement_check(ens, (unitary * rng.random(dim)) @ unitary.conj().T)
-    return [(report.satisfied, report.slack)]
+    return report.satisfied, report.slack
 
 
-def _dpi(rng):
-    sigma = channel_output_ensemble(bounds.random_ensemble(rng), _isometries()[0])
-    return [(report.satisfied, report.slack) for report in bounds.dpi_check(sigma).values()]
+def _dpi(rng, k):
+    iso = _isometries()[0]
+    states = [channel_output_ensemble(bounds.random_ensemble(rng), iso) for _ in range(k)]
+    dephased = [bounds.dephase_environment(sigma) for sigma in states]
+    for batch in (states, dephased):
+        entropics.profiles(batch)
+    return [(r.satisfied, r.slack) for pair in zip(states, dephased)
+            for r in bounds.dpi_check(*pair).values()]
 
 
-# Each check suite: one trial's (satisfied, slack) outcomes from an rng.  A suite's rng
-# is seeded with [seed, its index here], so --suite NAME replays NAME's line of --suite all.
+# Each check suite: the (satisfied, slack) outcomes, in trial order, of k trials whose inputs
+# it draws from an rng in trial order before it evaluates them as one batch.  A suite's rng is
+# seeded with [seed, its index here], so --suite NAME replays NAME's line of --suite all.
 SUITES = {
     "identities": _identities,
-    "fannes": lambda rng: _pairwise(rng, bounds.check_fannes, 2),
-    "af": lambda rng: _pairwise(rng, bounds.check_af, 4, (2, 2)),
-    "mi": lambda rng: _pairwise(rng, bounds.check_mi, 4, (2, 2)),
-    "gentle": _gentle,
+    "fannes": lambda rng, k: _pairwise(rng, k, bounds.check_fannes, 2),
+    "af": lambda rng, k: _pairwise(rng, k, bounds.check_af, 4, (2, 2)),
+    "mi": lambda rng, k: _pairwise(rng, k, bounds.check_mi, 4, (2, 2)),
+    "gentle": lambda rng, k: [_gentle(rng) for _ in range(k)],  # the dimension varies
     "dpi": _dpi,
 }
+CHECK_CHUNK = 256  # trials per suite call: bounds the stacked arrays for any --trials
 
 
 def cmd_check(args) -> int:
@@ -267,8 +276,8 @@ def cmd_check(args) -> int:
             continue
         rng = np.random.default_rng([args.seed, index])
         ok, worst = True, math.inf
-        for _ in range(args.trials):
-            for satisfied, slack in suite(rng):
+        for start in range(0, args.trials, CHECK_CHUNK):
+            for satisfied, slack in suite(rng, min(CHECK_CHUNK, args.trials - start)):
                 ok, worst = ok and satisfied, min(worst, slack)
         all_ok = all_ok and ok
         print(f"{name}: {'pass' if ok else 'FAIL'} trials={args.trials} "

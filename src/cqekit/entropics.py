@@ -18,7 +18,7 @@ import numpy as np
 from .channels import MAX_DIM, TP_TOL, IsometricExtension, apply_isometry, read_spec
 from .errors import DimMismatch, InvalidState, SpecFormatError, check_complex, check_int
 from .errors import check_range, check_real
-from .qlinalg import matrix_entropy, shannon_entropy, squared_norms
+from .qlinalg import matrix_entropies, shannon_entropies, squared_norms
 
 IDENTITY_TOL = 1e-9
 NORM_TOL = 1e-10  # on the squared norm of an ensemble letter
@@ -102,8 +102,8 @@ class CQEJointState:
 
     @cached_property
     def profile(self) -> EntropyProfile:
-        """The entropy profile, built and cross-checked on first access."""
-        return _entropy_profile(self)
+        """The entropy profile, built and cross-checked on first access as a batch of one."""
+        return _entropy_profile([self])[0]
 
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
@@ -137,36 +137,49 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ m.conj().transpose(0, 2, 1)
 
 
-def _entropy_profile(sigma: CQEJointState) -> EntropyProfile:
-    """H(A)_x, H(B)_x, H(E)_x from one eigensolve per subsystem stacked over the blocks,
-    H(avg B) once, and the chain-rule I(AX;B) cross-checked against H(AX) + H(B) - H(AXB),
-    whose H(AX) and H(AXB) are entropies of the spectra of the blocks p rho_A, p rho_AB."""
-    psi, probs = sigma.psi, sigma.probs.tolist()
-    _, da, db, de = psi.shape
+def _entropy_profile(states) -> list[EntropyProfile]:
+    """The profiles of N states of one block shape, padded to one letter count with zero
+    blocks of weight 0: H(A)_x, H(B)_x, H(E)_x from one eigensolve per subsystem stacked over
+    all blocks, H(avg B) from one over the N averages, and each chain-rule I(AX;B) checked
+    against H(AX) + H(B) - H(AXB), the entropies of the spectra of the blocks p rho_A, p rho_AB."""
+    _, da, db, de = states[0].psi.shape
+    n, width = len(states), max(len(s.probs) for s in states)
+    psi, probs = states[0].psi, states[0].probs[None]
+    if n > 1:
+        if len({s.psi.shape[1:] for s in states}) > 1:  # padding would broadcast a block
+            raise DimMismatch("the states of one batch need one block shape (d_A, d_B, d_E)")
+        psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
+        for i, s in enumerate(states):
+            psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
     rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))
     rho_ab = _gram(psi.reshape(-1, da * db, de))
-    spectra = (np.linalg.eigvalsh(rho) for rho in (rho_a, rho_b, rho_e))
-    rows = [(p, *map(shannon_entropy, w)) for p, *w in zip(probs, *spectra)]
-    h_avg_b = matrix_entropy(sum(p * rho for p, rho in zip(probs, rho_b)))
-    i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
-    i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
-    chain = i_ab + i_xb
-    weights = sigma.probs[:, None, None]
-    h_ax, h_axb = (shannon_entropy(np.linalg.eigvalsh(weights * rho)) for rho in (rho_a, rho_ab))
-    direct = h_ax + h_avg_b - h_axb
-    if abs(direct - chain) > IDENTITY_TOL:
-        raise InvalidState(f"chain-rule value {chain} and direct value {direct} disagree "
-                           f"beyond {IDENTITY_TOL}")
-    return EntropyProfile(
-        h_a_given_x=sum(p * ha for p, ha, _, _ in rows),
-        i_ab_given_x=i_ab,
-        i_ae_given_x=sum(p * (ha + he - hb) for p, ha, hb, he in rows),
-        i_coh=sum(p * (hb - he) for p, _, hb, he in rows),
-        i_xb=i_xb,
-        i_axb=chain,
-    )
+    h_a, h_b, h_e = (shannon_entropies(np.linalg.eigvalsh(rho)) for rho in (rho_a, rho_b, rho_e))
+    weights = probs.reshape(-1, 1, 1)
+    h_ax, h_axb = (shannon_entropies(np.linalg.eigvalsh(weights * rho).reshape(n, -1))
+                   for rho in (rho_a, rho_ab))
+    h_avg_b = matrix_entropies((weights * rho_b).reshape(n, width, db, db).sum(1)).tolist()
+    out = []
+    for i, s in enumerate(states):
+        rows = list(zip(s.probs.tolist(), *(h[i * width:(i + 1) * width] for h in (h_a, h_b, h_e))))
+        i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
+        i_xb = h_avg_b[i] - sum(p * hb for p, _, hb, _ in rows)
+        chain, direct = i_ab + i_xb, h_ax[i] + h_avg_b[i] - h_axb[i]
+        if abs(direct - chain) > IDENTITY_TOL:
+            raise InvalidState(f"chain-rule value {chain} and direct value {direct} disagree "
+                               f"beyond {IDENTITY_TOL}")
+        out.append(EntropyProfile(  # H(A|X), I(A;B|X), I(A;E|X), I(A>BX), I(X;B), I(AX;B)
+            sum(p * ha for p, ha, _, _ in rows), i_ab,
+            sum(p * (ha + he - hb) for p, ha, hb, he in rows),
+            sum(p * (hb - he) for p, _, hb, he in rows), i_xb, chain))
+    return out
+
+
+def profiles(states) -> None:
+    """Build the profiles of states of one block shape as one batch, each cached as `profile`."""
+    for s, prof in zip(states, _entropy_profile(states)):
+        vars(s)["profile"] = prof  # the cache that the cached_property reads
 
 
 def cond_entropy_A_given_X(sigma: CQEJointState) -> float:

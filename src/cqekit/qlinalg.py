@@ -17,19 +17,27 @@ HERMITIAN_TOL = 1e-10
 EIG_CLAMP = 1e-9
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL) -> bool:
-    return m.shape[0] == m.shape[1] and np.max(np.abs(m - m.conj().T)) <= tol
+def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):  # a mask over a stack (..., d, d)
+    return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
+                                                 axis=(-2, -1)) <= tol
+
+
+def shannon_entropies(rows: np.ndarray) -> list[float]:
+    """-sum p log2 p of each row of a 2-d array, 0 log 0 := 0; small negatives clamp, NaN raises."""
+    out = []
+    for row in np.asarray(rows, dtype=float).tolist():
+        total = 0.0
+        for q in row:
+            if not q >= -EIG_CLAMP:
+                raise InvalidState(f"probability {q} below clamp threshold or NaN")
+            if q > 1e-15:
+                total -= q * math.log2(q)
+        out.append(total)
+    return out
 
 
 def shannon_entropy(p: Sequence[float]) -> float:
-    """-sum p log2 p with 0 log 0 := 0; small negatives are clamped, NaN raises."""
-    total = 0.0
-    for q in np.asarray(p, dtype=float).ravel().tolist():
-        if not q >= -EIG_CLAMP:
-            raise InvalidState(f"probability {q} below clamp threshold or NaN")
-        if q > 1e-15:
-            total -= q * math.log2(q)
-    return total
+    return shannon_entropies(np.reshape(p, (1, -1)))[0]
 
 
 def binary_entropy(q):
@@ -50,24 +58,33 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def matrix_entropy(m: np.ndarray) -> float:
-    """Von Neumann entropy in bits of a PSD Hermitian matrix.
+def matrix_entropies(m: np.ndarray) -> np.ndarray:
+    """Von Neumann entropy in bits of each PSD Hermitian matrix of a stack (..., d, d).
 
     Eigenvalues in [-1e-9, 0) count as 0; a lower one raises InvalidState, and so
     does a NaN or infinite entry (LAPACK can return finite eigenvalues for it).
     """
     if not np.all(np.isfinite(m)):
         raise InvalidState("matrix has a NaN or infinite entry")
-    return shannon_entropy(np.linalg.eigvalsh(m))
+    w = np.linalg.eigvalsh(m)
+    return np.array(shannon_entropies(w.reshape(-1, w.shape[-1]))).reshape(m.shape[:-2])
+
+
+def matrix_entropy(m: np.ndarray) -> float:
+    return float(matrix_entropies(m))
+
+
+def trace_norms(m: np.ndarray) -> np.ndarray:
+    """Sum of singular values of each matrix of a stack (..., d, d); |eigenvalues| if Hermitian."""
+    if m.shape[-2] != m.shape[-1]:
+        raise NotSquare(f"matrix has shape {m.shape}")
+    hermitian, norms = is_hermitian(m), np.abs(np.linalg.eigvalsh(m)).sum(-1)
+    return norms if hermitian.all() else np.where(
+        hermitian, norms, np.linalg.svd(m, compute_uv=False).sum(-1))
 
 
 def trace_norm(m: np.ndarray) -> float:
-    """Sum of singular values; via |eigenvalues| for Hermitian input."""
-    if m.shape[0] != m.shape[1]:
-        raise NotSquare(f"matrix has shape {m.shape}")
-    if is_hermitian(m):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(m))))
-    return float(np.sum(np.linalg.svd(m, compute_uv=False)))
+    return float(trace_norms(m))
 
 
 def matrix_sqrt_psd(x: np.ndarray) -> np.ndarray:
@@ -90,9 +107,10 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
 
 
 def marginals(rho: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
-    """(rho_A, rho_B) of a matrix on A (x) B, with dims = (d_A, d_B) in tensor order."""
-    t = rho.reshape(dims[0], dims[1], dims[0], dims[1])
-    return np.einsum("ijkj->ik", t), np.einsum("ijil->jl", t)
+    """(rho_A, rho_B) of a matrix on A (x) B, or of each of a stack (..., d_A d_B, d_A d_B),
+    with dims = (d_A, d_B) in tensor order."""
+    t = rho.reshape(*rho.shape[:-2], dims[0], dims[1], dims[0], dims[1])
+    return np.einsum("...ijkj->...ik", t), np.einsum("...ijil->...jl", t)
 
 
 @dataclass(frozen=True, eq=False)

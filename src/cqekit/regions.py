@@ -24,13 +24,15 @@ from .errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_ra
 ARITH_TOL = 1e-12
 ENTROPIC_TOL = 1e-9
 VERTEX_FEAS_TOL = 1e-9
-VERTEX_DEDUP_TOL = 1e-7
 SINGULAR_TOL = 1e-12
 # A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
 # (1 + d) log2(1 + d) ~ d log2(e) off I(AX;B), I(X;B), I(A;B|X), I(A;E|X) and H(A|X) where
 # they are 0: an accepted state (d <= STATE_NORM_TOL) gives each of them down to about
 # -STATE_NORM_TOL log2(e) = -7.5e-10, less roundoff.  See _rate.
 RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
+# Constants off by up to RATE_TOL move a vertex V[s] @ b by up to 5 RATE_TOL (a row of |V|
+# has constant coefficients summing to at most 5, see below): closer solutions merge.
+VERTEX_DEDUP_TOL = 5 * RATE_TOL  # 3.75e-9
 # Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
 # computes x = V[s] @ b and A @ x (_BASIS_TABLE, _CAPPED_A), b = (0, 0, 0, i_axb, i_coh,
 # i_xb + i_coh, e_max).  Written in (i_axb, i_xb, i_coh, e_max), a row of |V| has an e_max

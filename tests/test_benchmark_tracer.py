@@ -4,6 +4,7 @@ deleted or renamed fails here, not only in a full benchmark run."""
 import contextlib
 import importlib.util
 import io
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -33,3 +34,28 @@ def test_tracer_enters_counts_and_restores():
                  "channels.apply_isometry"):
         assert trace.calls[name] == 1, name
     assert trace.calls["qlinalg.eigvalsh"] > 0
+
+
+def test_tracer_counts_and_restores_the_check_path():
+    tracer = load_tracer()
+    traced = {f"{layer}.{name}": (sys.modules[f"cqekit.{layer}"], name)
+              for layer in ("bounds", "entropics") for name in tracer.TRACED[layer]}
+    originals = {key: getattr(module, name) for key, (module, name) in traced.items()}
+    with tracer.Tracer() as trace:
+        for key, (module, name) in traced.items():
+            assert getattr(module, name) is not originals[key], key
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["check", "--suite", "all", "--trials", "3"]) == 0
+    for key, (module, name) in traced.items():
+        assert getattr(module, name) is originals[key], key
+    # a stacked continuity check is one call for the 3 trials and the rest go per trial, so
+    # the per-layer counts keep measuring the check path; the entropic readers have no
+    # caller on it
+    expected = {"bounds.dpi_check": 3, "bounds.check_af": 1, "bounds.check_mi": 1,
+                "bounds.check_fannes": 1, "bounds.gentle_measurement_check": 3,
+                "entropics.channel_output_ensemble": 12, "entropics.verify_identities": 9}
+    for key in traced:
+        if key == "bounds.random_density":  # 2 per continuity trial, 1 to 3 per gentle trial
+            assert 20 <= trace.calls[key] <= 24
+        else:
+            assert trace.calls[key] == expected.get(key, 0), key

@@ -46,6 +46,18 @@ def test_check_fannes():
         bounds.check_fannes(np.diag([1.5, -0.5]).astype(complex), rho)
 
 
+@pytest.mark.parametrize("check, dim, extra", [
+    (bounds.check_fannes, 2, ()), (bounds.check_fannes, 3, ()),
+    (bounds.check_af, 4, ((2, 2),)), (bounds.check_mi, 6, ((2, 3),)),
+])
+def test_stacked_continuity_checks_equal_per_pair_calls(check, dim, extra):
+    rng = np.random.default_rng([dim, 43])
+    pairs = np.array([[bounds.random_density(dim, rng) for _ in range(2)] for _ in range(7)])
+    assert check(pairs[:, 0], pairs[:, 1], *extra) == [check(r, s, *extra) for r, s in pairs]
+    with pytest.raises(DimMismatch):
+        check(pairs[:, 0], pairs[:3, 1], *extra)
+
+
 def test_info_helpers_on_maximally_entangled_state():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
@@ -159,6 +171,7 @@ def test_dpi_check_equals_per_branch_reference(kind, param, d):
         sigma = channel_output_ensemble(ens, iso)
         reference = _dephased_reference(sigma).profile
         reports = bounds.dpi_check(sigma)
+        assert bounds.dpi_check(sigma, bounds.dephase_environment(sigma)) == reports
         for name, field in (("holevo", "i_xb"), ("mutual", "i_axb"), ("coherent", "i_coh")):
             assert reports[name].lhs == getattr(sigma.profile, field)
             assert reports[name].rhs == pytest.approx(getattr(reference, field), abs=1e-12)

@@ -225,6 +225,19 @@ def test_values_starting_with_a_dash_reach_the_range_checks():
     assert code == 2 and out == "" and "dephasing parameter = -0.001" in err
 
 
+@pytest.mark.parametrize("channel, ensemble, count", [
+    # i_coh = 7.2e-9: (0, i_coh, 0) and (i_coh, 0, 0) are vertices
+    ("dephasing:0.9999", "mu:0.5", 8),
+    # i_coh = 2e-8 and i_axb - i_xb = 5e-8: four vertices within 1e-7 of others
+    ("dephasing:0.2", "mu:1e-9", 10),
+])
+def test_region_prints_every_vertex_of_small_constants(channel, ensemble, count):
+    code, out, _ = run_cli("region", "--channel", channel, "--ensemble", ensemble,
+                           "--format", "csv")
+    assert code == 0
+    assert sum(line.startswith("vertex,") for line in out.splitlines()) == count
+
+
 def test_check_suite_passes():
     code, out, _ = run_cli("check", "--suite", "identities", "--trials", "5", "--seed", "7")
     assert code == 0
@@ -249,6 +262,44 @@ def test_single_suite_replays_its_line_of_all(suite, seed):
     _, out_all, _ = run_cli(*argv)
     line = next(x for x in out_all.splitlines(keepends=True) if x.startswith(f"{suite}:"))
     assert run_cli(*argv, "--suite", suite) == (0, line, "")
+
+
+# SHA-256 of the stdout of `check --suite all` for seeds 0-49 and four trial counts,
+# captured from the trial-by-trial implementation (one state profile, eigensolve and bound
+# call per trial, at commit 7653bc1) before the suites evaluated their trials as a batch.
+CHECK_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "check-all-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("trials", ["1", "3", "7", "20"])
+def test_check_output_digests(trials):
+    for seed in range(50):
+        command = f"check --suite all --trials {trials} --seed {seed}"
+        code, out, _ = run_cli(*command.split())
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[command], command
+
+
+@pytest.mark.parametrize("chunk", [1, 7])
+def test_check_output_does_not_depend_on_the_chunk(monkeypatch, chunk):
+    runs = [("check", "--trials", trials, "--seed", seed) for trials in ("1", "7", "20")
+            for seed in ("0", "5", "1234")]
+    want = [run_cli(*argv) for argv in runs]
+    monkeypatch.setattr(cli, "CHECK_CHUNK", chunk)
+    assert [run_cli(*argv) for argv in runs] == want
+
+
+@pytest.mark.parametrize("suite", ["identities", "dpi", "fannes", "af", "mi"])
+def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    counts = []
+    for trials in ("1", "20"):
+        calls.clear()
+        assert run_cli("check", "--suite", suite, "--trials", trials, "--seed", "3")[0] == 0
+        counts.append(len(calls))
+    assert 0 < counts[1] <= counts[0]
 
 
 def test_import_builds_no_channel():

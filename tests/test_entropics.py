@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_state_vector
-from cqekit import entropics
+from cqekit import closedform, entropics
+from cqekit.bounds import dephase_environment
 from cqekit.channels import MAX_DIM, TP_TOL, builtin_isometry, isometric_extension
 from cqekit.entropics import (
     NORM_TOL,
@@ -31,7 +32,8 @@ from cqekit.entropics import (
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
 from cqekit.cli import main
-from cqekit.regions import ENTROPIC_TOL, RATE_TOL, corner_points, derive_children, region_from_state
+from cqekit.regions import ENTROPIC_TOL, RATE_TOL, cef_point, corner_points, derive_children
+from cqekit.regions import region_from_state
 
 H2_09 = 0.4689955935892812
 I_AXB_DEPH = 1.5310044064107187  # 2 - H2(0.9) for p = 0.2, mu = 1/2
@@ -266,6 +268,85 @@ def test_profile_equals_per_block_reference(kind, param, d):
             reference, direct = _reference_profile(sigma)
             assert sigma.profile == reference  # every field bit for bit
             assert abs(direct - sigma.profile.i_axb) <= 1e-12
+
+
+def _random_kraus_channel(rng, ops=3, d=2):
+    """A channel on C^d with `ops` Kraus operators: the blocks of a random isometry."""
+    gauss = rng.standard_normal((ops * d, d)) + 1j * rng.standard_normal((ops * d, d))
+    q = np.linalg.qr(gauss)[0]
+    return isometric_extension([q[j * d:(j + 1) * d] for j in range(ops)])
+
+
+def _random_state(rng, letters, d, iso):
+    probs = rng.random(letters) + 0.05
+    probs /= probs.sum()
+    entries = [(p, random_state_vector(d * d, rng)) for p in probs]
+    return channel_output_ensemble(make_ensemble(entries, d, d), iso)
+
+
+def _hex(profile):
+    return [float(getattr(profile, f)).hex() for f in EntropyProfile.__dataclass_fields__]
+
+
+@pytest.mark.parametrize("kind, param, d", [
+    ("dephasing", 0.3, 2), ("erasure", 0.25, 2), ("erasure", 0.6, 3),
+    ("depolarizing", None, 2), ("depolarizing", None, 3), ("kraus", None, 2),
+])
+def test_batched_profiles_equal_per_state_reference(kind, param, d):
+    rng = np.random.default_rng([d, 29])
+    iso = _random_kraus_channel(rng) if kind == "kraus" else builtin_isometry(kind, param, d)
+    # one batch per letter count, then one that mixes 1 to 4 letters (padded blocks)
+    counts = [[letters] * 5 for letters in (1, 2, 3, 4)] + [[4, 1, 3, 1, 2, 4, 2, 3, 1]]
+    for batch in counts:
+        states = [_random_state(rng, letters, d, iso) for letters in batch]
+        batch = entropics._entropy_profile(states)
+        for sigma, profile in zip(states, batch):
+            assert _hex(profile) == _hex(_reference_profile(sigma)[0])
+        entropics.profiles(states)  # cached where `profile` reads it
+        assert [vars(sigma)["profile"] for sigma in states] == batch
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+@pytest.mark.parametrize("bad", [float("nan"), -1e-6])
+def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad):
+    rng = np.random.default_rng(31)
+    states = [_random_state(rng, 2, 2, DEPHASING) for _ in range(5)]
+    eigvalsh = np.linalg.eigvalsh
+
+    def corrupted(m):  # the solves stacked over the blocks: two rows per state
+        w = eigvalsh(m)
+        if len(w) == 10:
+            w[2 * k, 0] = bad
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
+    with pytest.raises(InvalidState):
+        entropics._entropy_profile(states)
+    monkeypatch.undo()
+    entropics._entropy_profile(states)  # the clean batch passes
+    states[k].psi[1, 0, 0, 0] = np.nan  # a NaN amplitude reaches the average of B
+    with pytest.raises(InvalidState):
+        entropics._entropy_profile(states)
+
+
+def test_batched_profile_rejects_mixed_block_shapes():
+    rng = np.random.default_rng(37)
+    sigma = _random_state(rng, 2, 2, DEPHASING)
+    # d_E = 1 would broadcast into a d_E = 2 slot; erasure's (2, 3, 3) would not fit
+    for other in (dephase_environment(sigma), _random_state(rng, 2, 2, ERASURE)):
+        with pytest.raises(DimMismatch):
+            entropics._entropy_profile([sigma, other])
+
+
+@pytest.mark.parametrize("p", [0.2, 0.9])
+def test_mu_family_batch_gives_the_cef_curve(p):
+    grid = np.linspace(0.0, 0.5, 10001)
+    iso = builtin_isometry("dephasing", p)
+    states = [channel_output_ensemble(mu_ensemble(mu), iso) for mu in grid.tolist()]
+    entropics.profiles(states)  # one batch of 10001 states
+    got = np.array([cef_point(sigma).as_array() for sigma in states])
+    want = closedform.cef_curve(p, grid)
+    assert np.max(np.abs(got - np.stack([want.c, want.q, want.e], axis=1))) <= 1e-12
 
 
 def test_profile_is_cached_and_cross_checked(monkeypatch):

@@ -19,10 +19,13 @@ from cqekit.qlinalg import (
     binary_entropy,
     is_hermitian,
     marginals,
+    matrix_entropies,
     matrix_entropy,
     matrix_sqrt_psd,
+    shannon_entropies,
     shannon_entropy,
     trace_norm,
+    trace_norms,
 )
 
 H2_09 = 0.4689955935892812  # H2(0.9) = H2(0.1)
@@ -160,6 +163,23 @@ def test_trace_norm():
         trace_norm(np.zeros((2, 3)))
 
 
+def test_stacked_entropies_and_trace_norms_equal_per_matrix_calls():
+    rng = np.random.default_rng(41)
+    for d in (2, 3, 4):
+        gauss = rng.standard_normal((9, d, 2 * d)) + 1j * rng.standard_normal((9, d, 2 * d))
+        states = gauss @ gauss.conj().transpose(0, 2, 1)
+        states /= np.trace(states, axis1=1, axis2=2).real[:, None, None]
+        spectra = np.linalg.eigvalsh(states)
+        assert shannon_entropies(spectra) == [shannon_entropy(w) for w in spectra]
+        assert matrix_entropies(states).tolist() == [matrix_entropy(m) for m in states]
+        assert matrix_entropies(states.reshape(3, 3, d, d)).shape == (3, 3)
+        # a stack mixing Hermitian and non-Hermitian matrices: SVD for the latter only
+        mixed = np.concatenate([states[:-1] - states[1:], gauss[:3, :, :d]])
+        assert trace_norms(mixed).tolist() == [trace_norm(m) for m in mixed]
+        with pytest.raises(NotSquare):
+            trace_norms(gauss)
+
+
 def test_trace_norm_properties():
     rng = np.random.default_rng(5)
     for _ in range(20):
@@ -204,6 +224,10 @@ def test_marginals_are_bit_equal_to_np_trace():
             rho_a, rho_b = marginals(m, dims)
             assert np.array_equal(rho_a, np.trace(t, axis1=1, axis2=3))
             assert np.array_equal(rho_b, np.trace(t, axis1=0, axis2=2))
+        stack = np.stack([random_hermitian(dims[0] * dims[1], rng) for _ in range(12)])
+        per_matrix = [marginals(m, dims) for m in stack]
+        for i, part in enumerate(marginals(stack.reshape(3, 4, *stack.shape[1:]), dims)):
+            assert np.array_equal(part.reshape(12, *part.shape[2:]), [p[i] for p in per_matrix])
 
 
 def test_partial_trace_mat_three_parties():

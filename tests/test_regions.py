@@ -322,22 +322,25 @@ def test_corner_points_equals_loop_reference():
     cases = [(OneShotRegion(0.0, 0.0, 0.0), e) for e in (0.0, 1.0)]
     # e_max = VERTEX_DEDUP_TOL: (0, 0, 0) and (0, 0, e_max) are exactly that far apart
     cases += [(OneShotRegion(1.0, 0.5, 0.0), e) for e in (0.0, VERTEX_DEDUP_TOL, 2.0)]
-    # a chain of three solutions under 1.75e-7 apart: the first-kept rule keeps
-    # the third, which a rule dropping anything near any earlier solution loses
-    cases.append((OneShotRegion(1.0000002701835853, 0.5000001882421155, 0.5), 1.7486e-7))
+    # a chain of three solutions under 1.75 tol apart (tol = VERTEX_DEDUP_TOL): the
+    # first-kept rule keeps the third, which a rule dropping anything near any earlier
+    # solution loses
+    tol = VERTEX_DEDUP_TOL
+    cases.append((OneShotRegion(1.0 + 2.701835853 * tol, 0.5 + 1.882421155 * tol, 0.5),
+                  1.7486 * tol))
     # i_coh < 0 and i_axb a few VERTEX_DEDUP_TOL above i_xb: the vertices at
     # C = i_xb (E = -i_coh) and C = i_axb are near-tied, merged or not by the dedup
-    for gap in (0.0, 1e-9, 5e-8, 1e-7, 1.5e-7, 3e-7):
-        for i_coh in (-0.5, -1e-8):
+    for gap in (0.0, 0.01 * tol, 0.5 * tol, tol, 1.5 * tol, 3 * tol):
+        for i_coh in (-0.5, -0.1 * tol):
             r = OneShotRegion(1.0 + gap, 1.0, i_coh)
             cases += [(r, e) for e in (0.0, -i_coh, 2.0)]
     for _ in range(400):
         i_xb, i_coh = rng.uniform(0, 2), rng.uniform(-1, 1)
-        e_max = rng.choice([0.0, 0.5, 2.0, rng.uniform(0, 3e-7)])
-        if rng.random() < 0.5:  # within 3e-7 of a coarse grid: (near-)coincidences
-            i_xb = rng.integers(0, 5) / 4 + rng.uniform(0, 3e-7)
-            i_coh = rng.integers(-4, 5) / 4 + rng.uniform(-3e-7, 3e-7)
-        i_axb = max(i_xb, i_xb + i_coh) + rng.choice([0.0, 1e-8, rng.uniform(0, 1)])
+        e_max = rng.choice([0.0, 0.5, 2.0, rng.uniform(0, 3 * tol)])
+        if rng.random() < 0.5:  # within 3 tol of a coarse grid: (near-)coincidences
+            i_xb = rng.integers(0, 5) / 4 + rng.uniform(0, 3 * tol)
+            i_coh = rng.integers(-4, 5) / 4 + rng.uniform(-3 * tol, 3 * tol)
+        i_axb = max(i_xb, i_xb + i_coh) + rng.choice([0.0, 0.1 * tol, rng.uniform(0, 1)])
         cases.append((OneShotRegion(i_axb, i_xb, i_coh), e_max))
     for r, e_max in cases:
         a, b = halfspaces(r, e_max)
@@ -350,6 +353,23 @@ def test_corner_points_equals_loop_reference():
         assert len(got) == len(lu)
         assert np.allclose([v.as_array() for v in got], [v.as_array() for v in lu],
                            rtol=0.0, atol=1e-15)
+
+
+def test_vertex_dedup_tolerance_derivation():
+    # b = (0, 0, 0, i_axb, i_coh, i_xb + i_coh, e_max): constants off by RATE_TOL each move
+    # a vertex V[s] @ b by at most 5 RATE_TOL
+    v = _BASIS_TABLE
+    per_constant = np.stack([v[:, :, 3], v[:, :, 5], v[:, :, 4] + v[:, :, 5]])
+    assert np.max(np.abs(per_constant).sum(axis=0)) == 5
+    assert VERTEX_DEDUP_TOL == 5 * RATE_TOL
+
+
+def test_vertex_dedup_keeps_vertices_of_small_constants():
+    # i_coh = 5e-8: a 1e-7 dedup merged (0, i_coh, 0) into the origin and (0.5, i_coh, 0)
+    # into (0.5 + i_coh, 0, 0)
+    verts = corner_points(OneShotRegion(1.0, 0.5, 5e-8), 2.0)
+    assert len(verts) == 10
+    assert {(0.0, 5e-8, 0.0), (0.5, 5e-8, 0.0)} <= {(v.c, v.q, v.e) for v in verts}
 
 
 def test_vertex_order_ignores_rounding_noise_in_c():
