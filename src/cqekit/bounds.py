@@ -17,8 +17,8 @@ import numpy as np
 
 from .entropics import CQEJointState, CQEnsemble, make_ensemble
 from .errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
-from .qlinalg import binary_entropy, marginals, matrix_entropies, matrix_sqrt_psd, squared_norms
-from .qlinalg import trace_norm, trace_norms
+from .qlinalg import EIG_CLAMP, binary_entropy, marginals, matrix_entropies, matrix_sqrt_psd
+from .qlinalg import squared_norms, trace_norms
 
 REPORT_TOL = 1e-12
 
@@ -35,19 +35,19 @@ def _report(lhs: float, rhs: float) -> BoundReport:
     return BoundReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + REPORT_TOL, slack=rhs - lhs)
 
 
-def fannes_bound(eps: float, dim_a: int) -> float:
-    """eps log2|A| + H2(min(eps, 1))."""
-    return eps * math.log2(dim_a) + binary_entropy(min(eps, 1.0))
+def fannes_bound(eps, dim_a: int):
+    """eps log2|A| + H2(min(eps, 1)), of a float eps or of each element of an eps array."""
+    return eps * math.log2(dim_a) + binary_entropy(np.minimum(eps, 1.0))
 
 
 def _continuity(rho: np.ndarray, sigma: np.ndarray, quantity, bound):
-    """|quantity(rho) - quantity(sigma)| against bound(trace distance of rho and sigma): a
+    """|quantity(rho) - quantity(sigma)| against bound(trace distances of rho and sigma): a
     report for two matrices, a list of reports for two stacks (N, d, d) of them."""
     if rho.shape != sigma.shape:
         raise DimMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    eps = np.ravel(trace_norms(rho - sigma)).tolist()
+    rhs = np.ravel(bound(trace_norms(rho - sigma))).tolist()
     lhs = np.ravel(np.abs(np.subtract(*quantity(np.stack([rho, sigma]))))).tolist()
-    reports = [_report(d, bound(e)) for d, e in zip(lhs, eps)]
+    reports = [_report(d, b) for d, b in zip(lhs, rhs)]
     return reports if rho.ndim > 2 else reports[0]
 
 
@@ -56,9 +56,9 @@ def check_fannes(rho: np.ndarray, sigma: np.ndarray) -> BoundReport:
     return _continuity(rho, sigma, matrix_entropies, lambda eps: fannes_bound(eps, rho.shape[-1]))
 
 
-def alicki_fannes_bound(eps: float, dim_a: int) -> float:
-    """4 eps log2|A| + 2 H2(min(eps, 1))."""
-    return 4.0 * eps * math.log2(dim_a) + 2.0 * binary_entropy(min(eps, 1.0))
+def alicki_fannes_bound(eps, dim_a: int):
+    """4 eps log2|A| + 2 H2(min(eps, 1)), of a float eps or of each element of an eps array."""
+    return 4.0 * eps * math.log2(dim_a) + 2.0 * binary_entropy(np.minimum(eps, 1.0))
 
 
 def coherent_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
@@ -78,9 +78,9 @@ def check_af(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) ->
                        lambda eps: alicki_fannes_bound(eps, dims[0]))
 
 
-def mi_continuity_bound(eps: float, dim_a: int) -> float:
-    """5 eps log2|A| + 3 H2(min(eps, 1))."""
-    return 5.0 * eps * math.log2(dim_a) + 3.0 * binary_entropy(min(eps, 1.0))
+def mi_continuity_bound(eps, dim_a: int):
+    """5 eps log2|A| + 3 H2(min(eps, 1)), of a float eps or of each element of an eps array."""
+    return 5.0 * eps * math.log2(dim_a) + 3.0 * binary_entropy(np.minimum(eps, 1.0))
 
 
 def check_mi(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) -> BoundReport:
@@ -94,12 +94,13 @@ def gentle_measurement_check(
 ) -> BoundReport:
     """Average disturbance of the ensemble under sqrt(X) . sqrt(X) vs sqrt(8 eps)."""
     w = np.linalg.eigvalsh((x + x.conj().T) / 2)
-    if np.min(w) < -1e-9 or np.max(w) > 1.0 + 1e-9:
+    if np.min(w) < -EIG_CLAMP or np.max(w) > 1.0 + EIG_CLAMP:
         raise NotValidPOVMElement(f"eigenvalues of X in [{np.min(w)}, {np.max(w)}]")
     avg = sum(p * rho for p, rho in ens)
     eps = max(0.0, 1.0 - float(np.trace(avg @ x).real))
     root = matrix_sqrt_psd((x + x.conj().T) / 2)
-    lhs = sum(p * trace_norm(rho - root @ rho @ root) for p, rho in ens)
+    probs, rhos = map(np.array, zip(*ens))
+    lhs = sum((probs * trace_norms(rhos - root @ rhos @ root)).tolist())
     return _report(lhs, math.sqrt(8.0 * eps))
 
 

@@ -26,15 +26,12 @@ def g(p: float, mu):
     """g(p, mu) = 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) mu (1 - mu))."""
     check_range("p", p, 0.0, 1.0)
     check_range("mu", mu, 0.0, 0.5)
-    radicand = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu)
-    if not isinstance(radicand, np.ndarray):
-        if radicand < RADICAND_CLAMP:
-            raise OutOfRange(f"radicand {radicand} below clamp threshold")
-        return 0.5 + 0.5 * math.sqrt(max(radicand, 0.0))
+    radicand = np.asarray(1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu))
     low = radicand < RADICAND_CLAMP
     if low.any():
         raise OutOfRange(f"radicand {radicand.flat[low.argmax()]} below clamp threshold")
-    return 0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0))
+    out = 0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0))
+    return out if isinstance(mu, np.ndarray) else float(out)
 
 
 def ds_curve(p: float, mu) -> RateTriple:

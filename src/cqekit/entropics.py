@@ -142,15 +142,13 @@ def _entropy_profile(states) -> list[EntropyProfile]:
     blocks of weight 0: H(A)_x, H(B)_x, H(E)_x from one eigensolve per subsystem stacked over
     all blocks, H(avg B) from one over the N averages, and each chain-rule I(AX;B) checked
     against H(AX) + H(B) - H(AXB), the entropies of the spectra of the blocks p rho_A, p rho_AB."""
+    if len({s.psi.shape[1:] for s in states}) > 1:  # padding would broadcast a block
+        raise DimMismatch("the states of one batch need one block shape (d_A, d_B, d_E)")
     _, da, db, de = states[0].psi.shape
     n, width = len(states), max(len(s.probs) for s in states)
-    psi, probs = states[0].psi, states[0].probs[None]
-    if n > 1:
-        if len({s.psi.shape[1:] for s in states}) > 1:  # padding would broadcast a block
-            raise DimMismatch("the states of one batch need one block shape (d_A, d_B, d_E)")
-        psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
-        for i, s in enumerate(states):
-            psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
+    psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
+    for i, s in enumerate(states):
+        psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
     rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))

@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -17,9 +17,9 @@ HERMITIAN_TOL = 1e-10
 EIG_CLAMP = 1e-9
 
 
-def is_hermitian(m: np.ndarray, tol: float = HERMITIAN_TOL):  # a mask over a stack (..., d, d)
+def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
     return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
-                                                 axis=(-2, -1)) <= tol
+                                                 axis=(-2, -1)) <= HERMITIAN_TOL
 
 
 def shannon_entropies(rows: np.ndarray) -> list[float]:
@@ -36,21 +36,14 @@ def shannon_entropies(rows: np.ndarray) -> list[float]:
     return out
 
 
-def shannon_entropy(p: Sequence[float]) -> float:
-    return shannon_entropies(np.reshape(p, (1, -1)))[0]
-
-
 def binary_entropy(q):
-    """H2(q) in bits; endpoints give 0.  An array q gives the array of its
-    elements' H2, each bit-equal to the scalar call; a float q gives a float."""
+    """H2(q) in bits; endpoints give 0.  An array q gives the array of its elements' H2;
+    a float q is a batch of one and gives a float."""
     check_range("binary entropy argument", q, 0.0, 1.0)
-    if isinstance(q, np.ndarray):
-        inner = (q > 0.0) & (q < 1.0)
-        x = np.where(inner, q, 0.5)
-        return np.where(inner, -x * _log2(x) - (1.0 - x) * _log2(1.0 - x), 0.0)
-    if q <= 0.0 or q >= 1.0:
-        return 0.0
-    return -q * math.log2(q) - (1.0 - q) * math.log2(1.0 - q)
+    inner = (q > 0.0) & (q < 1.0)
+    x = np.where(inner, q, 0.5)
+    h = np.where(inner, -x * _log2(x) - (1.0 - x) * _log2(1.0 - x), 0.0)
+    return h if isinstance(q, np.ndarray) else float(h)
 
 
 def _log2(x: np.ndarray) -> np.ndarray:
@@ -68,10 +61,6 @@ def matrix_entropies(m: np.ndarray) -> np.ndarray:
         raise InvalidState("matrix has a NaN or infinite entry")
     w = np.linalg.eigvalsh(m)
     return np.array(shannon_entropies(w.reshape(-1, w.shape[-1]))).reshape(m.shape[:-2])
-
-
-def matrix_entropy(m: np.ndarray) -> float:
-    return float(matrix_entropies(m))
 
 
 def trace_norms(m: np.ndarray) -> np.ndarray:

@@ -7,6 +7,7 @@ from cqekit import bounds
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import CQEJointState, channel_output_ensemble, make_ensemble, mu_ensemble
 from cqekit.errors import DimMismatch, InvalidState, NoEnvironmentSplit, NotValidPOVMElement
+from cqekit.qlinalg import matrix_sqrt_psd, trace_norm
 from conftest import random_ensemble
 
 
@@ -31,6 +32,17 @@ def test_bound_functions_shape():
             assert bounds.fannes_bound(e, 2) >= e * slope
             assert bounds.alicki_fannes_bound(e, 2) >= 4.0 * e
             assert bounds.mi_continuity_bound(e, 2) >= 5.0 * e
+
+
+def test_bound_functions_take_eps_arrays():
+    eps = np.concatenate([[0.0, 1.0, 1.7, 2.0**-53, 1.0 - 2.0**-53],
+                          np.random.default_rng(6).uniform(0.0, 2.0, 500)])
+    for func in (bounds.fannes_bound, bounds.alicki_fannes_bound, bounds.mi_continuity_bound):
+        for dim in (2, 3, 4):
+            batch = func(eps, dim)
+            assert batch.shape == eps.shape
+            assert batch.tolist() == [func(e, dim) for e in eps.tolist()], (func, dim)
+            assert all(type(func(e, dim)) is float for e in eps[:5].tolist())
 
 
 def test_check_fannes():
@@ -109,6 +121,20 @@ def test_gentle_measurement_random_povm_elements():
         unitary, _ = np.linalg.qr(gauss)
         x = (unitary * rng.random(dim)) @ unitary.conj().T
         assert bounds.gentle_measurement_check(ens, x).satisfied
+
+
+def test_gentle_measurement_lhs_is_the_per_letter_sum():
+    rng = np.random.default_rng(12)
+    for _ in range(200):
+        dim = int(rng.integers(2, 5))
+        probs = rng.dirichlet(np.ones(int(rng.integers(1, 5))))
+        ens = [(float(p), bounds.random_density(dim, rng)) for p in probs]
+        gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        unitary, _ = np.linalg.qr(gauss)
+        x = (unitary * rng.random(dim)) @ unitary.conj().T
+        root = matrix_sqrt_psd((x + x.conj().T) / 2)
+        per_letter = sum(p * trace_norm(rho - root @ rho @ root) for p, rho in ens)
+        assert bounds.gentle_measurement_check(ens, x).lhs == per_letter
 
 
 def test_gentle_measurement_rejects_bad_element():

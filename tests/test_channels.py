@@ -28,7 +28,7 @@ from cqekit.errors import (
     OutOfRange,
     SpecFormatError,
 )
-from cqekit.qlinalg import PureStateVector, matrix_entropy, matrix_sqrt_psd
+from cqekit.qlinalg import PureStateVector, matrix_entropies, matrix_sqrt_psd
 
 H2_09 = 0.4689955935892812
 
@@ -95,7 +95,7 @@ def test_dephasing_action():
     assert np.allclose(out, kraus_sum(ch, PLUS), atol=1e-12)
     assert np.allclose(out, [[0.5, 0.4], [0.4, 0.5]])
     assert sorted(np.linalg.eigvalsh(out)) == pytest.approx([0.1, 0.9], abs=1e-12)
-    assert matrix_entropy(out) == pytest.approx(H2_09, abs=1e-12)
+    assert matrix_entropies(out) == pytest.approx(H2_09, abs=1e-12)
     # p = 1 kills the off-diagonal entirely
     assert np.allclose(channel_output(dephasing(1.0), PLUS), np.eye(2) / 2)
     # p = 0 is the identity
@@ -156,7 +156,7 @@ def test_apply_isometry_keeps_reference_and_relabels():
     psi = PureStateVector(out.reshape(-1), out.shape, ("A", "B", "E"))
     # reference marginal is untouched
     assert np.allclose(psi.marginal_mat({"A"}), np.eye(2) / 2)
-    assert matrix_entropy(psi.marginal_mat({"E"})) == pytest.approx(H2_09, abs=1e-12)
+    assert matrix_entropies(psi.marginal_mat({"E"})) == pytest.approx(H2_09, abs=1e-12)
     # every leading axis is kept: a stack of letters is one product
     stacked = apply_isometry(v, np.stack([bell, bell[::-1]]))
     assert stacked.shape == (2, 2, 2, 2)

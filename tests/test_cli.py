@@ -302,6 +302,15 @@ def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
     assert 0 < counts[1] <= counts[0]
 
 
+def test_gentle_suite_solves_two_spectra_per_trial(monkeypatch):
+    # the POVM element's range check and one stacked trace norm over the trial's letters
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    assert run_cli("check", "--suite", "gentle", "--trials", "20", "--seed", "3")[0] == 0
+    assert len(calls) == 40
+
+
 def test_import_builds_no_channel():
     # the check suites build their isometries on first use, not at import
     code = ("import cqekit.channels as ch\n"

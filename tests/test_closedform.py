@@ -1,5 +1,6 @@
 """Tests for the closed-form curves, surfaces, and polyhedral descriptions."""
 
+import math
 from functools import partial
 
 import numpy as np
@@ -29,6 +30,20 @@ def test_g_values():
         cf.g(1.2, 0.3)
     with pytest.raises(OutOfRange):
         cf.g(0.2, 0.7)
+
+
+def test_g_array_is_bit_equal_to_scalar_calls():
+    rng = np.random.default_rng(8)
+    p = [0.0, 1.0, 0.2, 2.0**-53, 1.0 - 2.0**-53, *rng.uniform(size=200)]
+    mu = np.concatenate([[0.0, 0.5, 5e-324, 2.0**-53, 0.5 - 2.0**-54], rng.uniform(0, 0.5, 200)])
+    for param in p:
+        batch = cf.g(param, mu).tolist()
+        assert [x.hex() for x in batch] == [cf.g(param, m).hex() for m in mu.tolist()]
+        # each value is the libm float arithmetic of g
+        radicands = [1.0 - 16.0 * (param / 2.0) * (1.0 - param / 2.0) * m * (1.0 - m)
+                     for m in mu.tolist()]
+        assert batch == [0.5 + 0.5 * math.sqrt(max(r, 0.0)) for r in radicands]
+    assert all(type(cf.g(param, m)) is float for param in p[:5] for m in mu[:5].tolist())
 
 
 def test_curve_endpoints():

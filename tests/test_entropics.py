@@ -30,7 +30,7 @@ from cqekit.entropics import (
     verify_identities,
 )
 from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
-from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropy
+from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropies
 from cqekit.cli import main
 from cqekit.regions import ENTROPIC_TOL, RATE_TOL, cef_point, corner_points, derive_children
 from cqekit.regions import region_from_state
@@ -222,7 +222,7 @@ def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys
 
 
 def _reference_profile(sigma):
-    """The per-block path: marginal_mat and matrix_entropy for each block and
+    """The per-block path: marginal_mat and matrix_entropies for each block and
     subsystem, and the cross-check's H(AX) and H(AXB) from the assembled
     block-diagonal matrices.  Returns the profile and the direct I(AX;B)."""
     n, da = len(sigma.probs), sigma.dim_A
@@ -233,12 +233,12 @@ def _reference_profile(sigma):
     for i, (p, block) in enumerate(zip(sigma.probs.tolist(), sigma.psi)):
         psi = PureStateVector(block.reshape(-1), block.shape, ("A", "B", "E"))
         rho_a, rho_b = psi.marginal_mat({"A"}), psi.marginal_mat({"B"})
-        he = matrix_entropy(psi.marginal_mat({"E"}))
-        rows.append((p, matrix_entropy(rho_a), matrix_entropy(rho_b), he))
+        he = matrix_entropies(psi.marginal_mat({"E"}))
+        rows.append((p, matrix_entropies(rho_a), matrix_entropies(rho_b), he))
         weighted_b.append(p * rho_b)
         big_ax[i * da:(i + 1) * da, i * da:(i + 1) * da] = p * rho_a
         big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * psi.marginal_mat({"A", "B"})
-    h_avg_b = matrix_entropy(sum(weighted_b))
+    h_avg_b = matrix_entropies(sum(weighted_b))
     i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
     i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
     profile = EntropyProfile(
@@ -249,7 +249,7 @@ def _reference_profile(sigma):
         i_xb=i_xb,
         i_axb=i_ab + i_xb,
     )
-    return profile, matrix_entropy(big_ax) + h_avg_b - matrix_entropy(big_axb)
+    return profile, matrix_entropies(big_ax) + h_avg_b - matrix_entropies(big_axb)
 
 
 @pytest.mark.parametrize("kind, param, d", [
