@@ -16,11 +16,9 @@ from typing import Sequence
 import numpy as np
 
 from .entropics import CQEJointState, CQEnsemble, make_ensemble
-from .errors import DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
-from .qlinalg import EIG_CLAMP, binary_entropy, marginals, matrix_entropies, matrix_sqrt_psd
-from .qlinalg import squared_norms, trace_norms
-
-REPORT_TOL = 1e-12
+from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
+from .qlinalg import EIG_CLAMP, WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
+from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
 
 
 @dataclass(frozen=True)
@@ -32,7 +30,7 @@ class BoundReport:
 
 
 def _report(lhs: float, rhs: float) -> BoundReport:
-    return BoundReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + REPORT_TOL, slack=rhs - lhs)
+    return BoundReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + ARITH_TOL, slack=rhs - lhs)
 
 
 def fannes_bound(eps, dim_a: int):
@@ -115,14 +113,14 @@ def dephase_environment(sigma: CQEJointState) -> CQEJointState:
     """sigma after dephasing the whole environment.
 
     Each block splits into one branch per E basis state, of weight
-    p(x) |<e|phi_x>|^2; branches of weight at most 1e-15 are dropped.
+    p(x) |<e|phi_x>|^2; branches of weight at most WEIGHT_FLOOR are dropped.
     """
     if sigma.dim_E == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
     _, da, db, de = sigma.psi.shape
     branches = sigma.psi.transpose(0, 3, 1, 2).reshape(-1, da * db)  # letter-major, then E
     weights = squared_norms(branches)
-    keep = weights > 1e-15
+    keep = weights > WEIGHT_FLOOR
     probs = (np.repeat(sigma.probs, de) * weights)[keep]
     psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
     return CQEJointState(probs, psi)

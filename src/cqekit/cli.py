@@ -183,8 +183,6 @@ CURVES = {
 
 def cmd_curve(args) -> int:
     digits = args.precision
-    if args.curve not in CURVES:
-        raise SpecFormatError(f"unknown curve {args.curve!r}")
     name, func = CURVES[args.curve]
     grid = _parse_grid(args.grid)
     bound = fmt(closedform.solid_plane_bound(args.p), digits)

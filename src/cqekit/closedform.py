@@ -15,11 +15,9 @@ import math
 
 import numpy as np
 
-from .errors import OutOfRange, check_range
+from .errors import ARITH_TOL, OutOfRange, check_range
 from .qlinalg import binary_entropy
 from .regions import OneShotRegion, RateTriple, halfspaces
-
-RADICAND_CLAMP = -1e-12
 
 
 def g(p: float, mu):
@@ -27,7 +25,7 @@ def g(p: float, mu):
     check_range("p", p, 0.0, 1.0)
     check_range("mu", mu, 0.0, 0.5)
     radicand = np.asarray(1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu))
-    low = radicand < RADICAND_CLAMP
+    low = radicand < -ARITH_TOL
     if low.any():
         raise OutOfRange(f"radicand {radicand.flat[low.argmax()]} below clamp threshold")
     out = 0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0))

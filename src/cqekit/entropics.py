@@ -16,29 +16,29 @@ from functools import cached_property
 import numpy as np
 
 from .channels import MAX_DIM, TP_TOL, IsometricExtension, apply_isometry, read_spec
-from .errors import DimMismatch, InvalidState, SpecFormatError, check_complex, check_int
-from .errors import check_range, check_real
+from .errors import ARITH_TOL, NORM_TOL, DimMismatch, InvalidState, SpecFormatError
+from .errors import check_complex, check_int, check_range, check_real
 from .qlinalg import matrix_entropies, shannon_entropies, squared_norms
 
-IDENTITY_TOL = 1e-9
-NORM_TOL = 1e-10  # on the squared norm of an ensemble letter
+IDENTITY_TOL = 1e-9  # = regions.ENTROPIC_TOL, the slack of i_axb's row; measured gaps are < 1e-13
 # On a state's block: an accepted channel (input dimension <= MAX_DIM) moves a squared norm
 # by at most MAX_DIM * TP_TOL * (1 + NORM_TOL); a second NORM_TOL covers that and rounding.
 # A squared norm 1 + d takes about d log2(e) < ENTROPIC_TOL off a region row's margin.
 STATE_NORM_TOL = 2 * NORM_TOL + MAX_DIM * TP_TOL  # 5.2e-10
 
 
-def _check_letters(state, field: str, ndim: int, tol: float) -> None:
+def _check_letters(state, field: str, ndim: int) -> None:
     """Store `state.probs` and `state.<field>` as float and complex arrays; check that probs
-    is a probability vector and <field> has `ndim` axes, one letter per weight whose
-    squared norm is within `tol` of 1."""
+    is a probability vector and <field> has `ndim` axes, one letter per weight whose squared
+    norm is within NORM_TOL of 1 (an ensemble's letter) or STATE_NORM_TOL (a state's block)."""
+    tol = STATE_NORM_TOL if isinstance(state, CQEJointState) else NORM_TOL
     probs = np.asarray(state.probs, dtype=float)
     letters = np.asarray(getattr(state, field), dtype=complex)
     object.__setattr__(state, "probs", probs)
     object.__setattr__(state, field, letters)
     if probs.ndim != 1 or letters.ndim != ndim or len(letters) != len(probs):
         raise DimMismatch(f"{field} shape {letters.shape} is not (len(probs), ...) in {ndim} axes")
-    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= 1e-12):  # NaN fails both
+    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= ARITH_TOL):  # NaN fails both
         raise InvalidState(f"weights {probs} are negative, NaN or do not sum to 1")
     deviation = float(np.max(np.abs(squared_norms(letters.reshape(len(probs), -1)) - 1.0)))
     if not deviation <= tol:  # NaN fails too
@@ -54,7 +54,7 @@ class CQEnsemble:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_letters(self, "amps", 3, NORM_TOL)
+        _check_letters(self, "amps", 3)
         bound = min(self.dim_Aprime, self.dim_A) ** 2 + 1
         if len(self.probs) > bound:
             warnings.warn(f"ensemble has {len(self.probs)} letters; {bound} suffice for this "
@@ -94,7 +94,7 @@ class CQEJointState:
     psi: np.ndarray
 
     def __post_init__(self):
-        _check_letters(self, "psi", 4, STATE_NORM_TOL)
+        _check_letters(self, "psi", 4)
 
     dim_A = property(lambda self: self.psi.shape[1])
     dim_B = property(lambda self: self.psi.shape[2])

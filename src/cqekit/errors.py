@@ -1,4 +1,4 @@
-"""Exception types shared across the toolkit, and the range validators."""
+"""Exception types shared across the toolkit, the tolerance roots and the range validators."""
 
 import numbers
 import sys
@@ -6,6 +6,8 @@ import sys
 import numpy as np
 
 FLOAT_MAX = sys.float_info.max  # check_range(name, x, -FLOAT_MAX, FLOAT_MAX) rejects inf and NaN
+NORM_TOL = 1e-10  # tolerance root: the accepted |squared norm - 1| of an input vector
+ARITH_TOL = 1e-12  # tolerance root: the rounding of a sum or comparison of a few O(1) floats
 
 
 class CQEKitError(Exception):

@@ -11,10 +11,12 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import InvalidState, NotHermitian, NotPSD, NotSquare, UnknownLabel, check_range
+from .errors import NORM_TOL, InvalidState, NotHermitian, NotPSD, NotSquare, UnknownLabel
+from .errors import check_range
 
-HERMITIAN_TOL = 1e-10
-EIG_CLAMP = 1e-9
+HERMITIAN_TOL = NORM_TOL  # a caller's matrix gets the input slack; cqekit's are Hermitian to ulps
+EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, for n <= 16 * 17
+WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
 
 
 def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
@@ -30,7 +32,7 @@ def shannon_entropies(rows: np.ndarray) -> list[float]:
         for q in row:
             if not q >= -EIG_CLAMP:
                 raise InvalidState(f"probability {q} below clamp threshold or NaN")
-            if q > 1e-15:
+            if q > WEIGHT_FLOOR:
                 total -= q * math.log2(q)
         out.append(total)
     return out
@@ -54,7 +56,7 @@ def _log2(x: np.ndarray) -> np.ndarray:
 def matrix_entropies(m: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in bits of each PSD Hermitian matrix of a stack (..., d, d).
 
-    Eigenvalues in [-1e-9, 0) count as 0; a lower one raises InvalidState, and so
+    Eigenvalues in [-EIG_CLAMP, 0) count as 0; a lower one raises InvalidState, and so
     does a NaN or infinite entry (LAPACK can return finite eigenvalues for it).
     """
     if not np.all(np.isfinite(m)):
@@ -77,7 +79,7 @@ def trace_norm(m: np.ndarray) -> float:
 
 
 def matrix_sqrt_psd(x: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-9, 0) are clamped to 0."""
+    """Hermitian PSD square root; eigenvalues in [-EIG_CLAMP, 0) are clamped to 0."""
     if x.shape[0] != x.shape[1]:
         raise NotSquare(f"matrix has shape {x.shape}")
     if not is_hermitian(x):
@@ -116,7 +118,7 @@ class PureStateVector:
         if len(self.dims) != len(self.labels):
             raise InvalidState("dims and labels length mismatch")
         norm2 = float(np.vdot(self.vec, self.vec).real)
-        if not abs(norm2 - 1.0) <= 1e-10:  # NaN fails too
+        if not abs(norm2 - 1.0) <= NORM_TOL:  # NaN fails too
             raise InvalidState(f"squared norm {norm2} differs from 1")
 
     def marginal_mat(self, keep: Iterable[str]) -> np.ndarray:

@@ -19,12 +19,9 @@ from typing import Sequence
 import numpy as np
 
 from .entropics import STATE_NORM_TOL, CQEJointState
-from .errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_range
+from .errors import ARITH_TOL, FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_range
 
-ARITH_TOL = 1e-12
-ENTROPIC_TOL = 1e-9
-VERTEX_FEAS_TOL = 1e-9
-SINGULAR_TOL = 1e-12
+SINGULAR_TOL = ARITH_TOL  # a singular row subset's det is rounding of O(1) products, < ARITH_TOL
 # A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
 # (1 + d) log2(1 + d) ~ d log2(e) off I(AX;B), I(X;B), I(A;B|X), I(A;E|X) and H(A|X) where
 # they are 0: an accepted state (d <= STATE_NORM_TOL) gives each of them down to about
@@ -33,6 +30,7 @@ RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
 # Constants off by up to RATE_TOL move a vertex V[s] @ b by up to 5 RATE_TOL (a row of |V|
 # has constant coefficients summing to at most 5, see below): closer solutions merge.
 VERTEX_DEDUP_TOL = 5 * RATE_TOL  # 3.75e-9
+ENTROPIC_TOL = 1e-9  # row slack: > RATE_TOL + ARITH_TOL; > V[s] @ b's 4 ulps of 11 |b| if |b| < 1e5
 # Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
 # computes x = V[s] @ b and A @ x (_BASIS_TABLE, _CAPPED_A), b = (0, 0, 0, i_axb, i_coh,
 # i_xb + i_coh, e_max).  Written in (i_axb, i_xb, i_coh, e_max), a row of |V| has an e_max
@@ -100,14 +98,15 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
     return OneShotRegion(i_axb=_rate(prof.i_axb), i_xb=_rate(prof.i_xb), i_coh=prof.i_coh)
 
 
-def contains(r: OneShotRegion, t: RateTriple, tol: float = ARITH_TOL) -> bool:
+def contains(r: OneShotRegion, t: RateTriple) -> bool:
+    """Whether t satisfies every row of r within ARITH_TOL."""
     return (
-        t.c >= -tol
-        and t.q >= -tol
-        and t.e >= -tol
-        and t.c + 2 * t.q <= r.i_axb + tol
-        and t.q <= r.i_coh + t.e + tol
-        and t.c + t.q <= r.i_xb + r.i_coh + t.e + tol
+        t.c >= -ARITH_TOL
+        and t.q >= -ARITH_TOL
+        and t.e >= -ARITH_TOL
+        and t.c + 2 * t.q <= r.i_axb + ARITH_TOL
+        and t.q <= r.i_coh + t.e + ARITH_TOL
+        and t.c + t.q <= r.i_xb + r.i_coh + t.e + ARITH_TOL
     )
 
 
@@ -140,8 +139,8 @@ def _row_subsets(rows: int, cols: int) -> np.ndarray:
     return idx
 
 
-def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
-    """Basic solutions of a @ x <= b that satisfy every row within tol.
+def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Basic solutions of a @ x <= b that satisfy every row within ENTROPIC_TOL.
 
     A basic solution meets n of the m rows with equality.  One stacked det
     drops the singular row subsets and one stacked solve handles the rest;
@@ -151,7 +150,7 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray, tol: float) -> np.ndarray:
     sub_a = a[idx]
     keep = np.abs(np.linalg.det(sub_a)) >= SINGULAR_TOL
     x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
-    return x[np.all(x @ a.T <= b + tol, axis=1)]
+    return x[np.all(x @ a.T <= b + ENTROPIC_TOL, axis=1)]
 
 
 def _basis_table() -> np.ndarray:
@@ -186,13 +185,13 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     are rounded to VERTEX_DEDUP_TOL steps, so rounding noise cannot order them.
 
     The basic solutions _BASIS_TABLE @ b of the seven bounding planes that satisfy
-    every plane within VERTEX_FEAS_TOL, less each one within VERTEX_DEDUP_TOL (max
+    every plane within ENTROPIC_TOL, less each one within VERTEX_DEDUP_TOL (max
     norm) of an earlier kept one.
     """
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     b = _region_b(r, e_max)
     x = _BASIS_TABLE @ b
-    x = x[np.all(x @ _CAPPED_A.T <= b + VERTEX_FEAS_TOL, axis=1)]
+    x = x[np.all(x @ _CAPPED_A.T <= b + ENTROPIC_TOL, axis=1)]
     near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
     kept: list[int] = []
     for i, row in enumerate(near):
@@ -248,6 +247,6 @@ def union_membership(
     at = _REGION_A @ t.as_array()
     for bi, bj in combinations([_region_b(r) for r in regions], 2):
         a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
-        if len(_basic_feasible(a, b, ENTROPIC_TOL)):
+        if len(_basic_feasible(a, b)):
             return True
     return False

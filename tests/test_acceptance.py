@@ -174,7 +174,7 @@ def test_criterion_06_vertex_enumeration_oracle():
         bound = i_axb
         vertices = corner_points(r, bound)
         for v in vertices:
-            all_vertices_ok = all_vertices_ok and contains(r, v, tol=1e-9)
+            all_vertices_ok = all_vertices_ok and contains(r, v)
         hull = ConvexHull(np.array([v.as_array() for v in vertices]))
         axis = np.linspace(0.0, bound, 101)
         grid = np.stack(np.meshgrid(axis, axis, axis, indexing="ij"), axis=-1).reshape(-1, 3)

@@ -6,7 +6,8 @@ import pytest
 from cqekit import bounds
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import CQEJointState, channel_output_ensemble, make_ensemble, mu_ensemble
-from cqekit.errors import DimMismatch, InvalidState, NoEnvironmentSplit, NotValidPOVMElement
+from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit
+from cqekit.errors import NotValidPOVMElement
 from cqekit.qlinalg import matrix_sqrt_psd, trace_norm
 from conftest import random_ensemble
 
@@ -135,6 +136,13 @@ def test_gentle_measurement_lhs_is_the_per_letter_sum():
         root = matrix_sqrt_psd((x + x.conj().T) / 2)
         per_letter = sum(p * trace_norm(rho - root @ rho @ root) for p, rho in ens)
         assert bounds.gentle_measurement_check(ens, x).lhs == per_letter
+
+
+def test_report_satisfied_edge():
+    # a bound holds when lhs exceeds rhs by 0.9 ARITH_TOL, rounding, and fails at 1.1 ARITH_TOL
+    rhs = 0.5
+    assert bounds._report(rhs + 0.9 * ARITH_TOL, rhs).satisfied
+    assert not bounds._report(rhs + 1.1 * ARITH_TOL, rhs).satisfied
 
 
 def test_gentle_measurement_rejects_bad_element():

@@ -18,10 +18,10 @@ import numpy as np
 import pytest
 
 import cqekit
-from cqekit import cli, closedform
+from cqekit import cli, closedform, entropics
 from cqekit.channels import TP_TOL, load_channel
 from cqekit.cli import build_parser, fmt, main
-from cqekit.entropics import NORM_TOL
+from cqekit.entropics import IDENTITY_TOL, NORM_TOL
 from cqekit.errors import FLOAT_MAX, SpecFormatError
 from cqekit.regions import E_MAX_LIMIT
 
@@ -325,6 +325,24 @@ def test_import_builds_no_channel():
     assert proc.returncode == 0, proc.stderr
 
 
+def test_unknown_curve_exit_code():
+    # the curve positional takes only the CURVES names: argparse exits 2 before cmd_curve runs
+    err = io.StringIO()
+    with pytest.raises(SystemExit) as exc, contextlib.redirect_stderr(err):
+        main(["curve", "bogus", "--p", "0.2"])
+    assert exc.value.code == 2
+    assert "invalid choice: 'bogus'" in err.getvalue()
+
+
+def test_identities_suite_passes_within_identity_tol(monkeypatch):
+    # a residual 0.9 IDENTITY_TOL passes the identities suite; one 1.1 IDENTITY_TOL fails it
+    for k, code in ((0.9, 0), (1.1, 1)):
+        report = entropics.IdentityReport({}, k * IDENTITY_TOL)
+        monkeypatch.setattr(cli, "verify_identities", lambda sigma, report=report: report)
+        got, out, _ = run_cli("check", "--suite", "identities", "--trials", "2", "--seed", "7")
+        assert got == code, out
+
+
 def test_check_unknown_suite_exit_code():
     code, _, err = run_cli("check", "--suite", "nope")
     assert code == 2
@@ -572,6 +590,11 @@ def test_accepted_letter_through_the_trace_channel_gives_a_region(tmp_path):
                      for cell in cells]
             assert len(rates) == 2 * 3 + 4 * 3
             assert not any(cell.startswith("-") for cell in rates), out
+    # past the edge, 1 + 1.1 NORM_TOL, the ensemble file is rejected
+    ensemble.write_text(json.dumps({"dim_A": 1, "dim_Aprime": 2, "entries": [
+        {"p": 1.0, "amps": [[math.sqrt(1.0 + 1.1 * NORM_TOL), 0], [0, 0]]}]}))
+    code, out, err = run_cli("region", "--channel", str(channel), "--ensemble", str(ensemble))
+    assert (code, out) == (2, "") and "squared norms deviate from 1" in err
 
 
 def test_precision_is_read_from_the_environment_per_call(monkeypatch):

@@ -405,6 +405,11 @@ def test_accepted_channel_and_ensemble_give_an_accepted_region():
     region = region_from_state(sigma)
     assert (region.i_axb, region.i_xb) == (0.0, 0.0)
     assert STATE_NORM_TOL / math.log(2) < ENTROPIC_TOL
+    # a state's block is accepted within STATE_NORM_TOL: 0.9 of it past 1 passes, 1.1 raises
+    edge = np.full((1, 1, 1, 1), math.sqrt(1.0 + 0.9 * STATE_NORM_TOL), complex)
+    assert CQEJointState([1.0], edge).dim_E == 1
+    with pytest.raises(InvalidState, match="deviate from 1"):
+        CQEJointState([1.0], np.full((1, 1, 1, 1), math.sqrt(1.0 + 1.1 * STATE_NORM_TOL)))
 
 
 def test_ensemble_from_spec_and_file(tmp_path):

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from conftest import random_state_vector
 from cqekit.errors import (
+    NORM_TOL,
     InvalidState,
     NotHermitian,
     NotPSD,
@@ -17,6 +18,9 @@ from cqekit.errors import (
     check_range,
 )
 from cqekit.qlinalg import (
+    EIG_CLAMP,
+    HERMITIAN_TOL,
+    WEIGHT_FLOOR,
     PureStateVector,
     binary_entropy,
     is_hermitian,
@@ -60,6 +64,13 @@ def test_matrix_sqrt_psd_rejects_bad_input():
         matrix_sqrt_psd(np.zeros((2, 3)))
     with pytest.raises(NotHermitian):
         matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
+    # an asymmetry at 0.9 HERMITIAN_TOL (= NORM_TOL) is Hermitian; at 1.1 HERMITIAN_TOL it is not
+    assert HERMITIAN_TOL == NORM_TOL
+    near = np.array([[1.0, 0.9 * HERMITIAN_TOL], [0.0, 1.0]])
+    assert is_hermitian(near)
+    assert np.allclose(matrix_sqrt_psd(near), np.eye(2), rtol=0.0, atol=HERMITIAN_TOL)
+    with pytest.raises(NotHermitian):
+        matrix_sqrt_psd(np.array([[1.0, 1.1 * HERMITIAN_TOL], [0.0, 1.0]]))
 
 
 def test_shannon_entropy_basics():
@@ -69,6 +80,10 @@ def test_shannon_entropy_basics():
     assert shannon_entropies([[1.0, -1e-12]]) == [0.0]
     with pytest.raises(InvalidState):
         shannon_entropies([[0.5, 0.5], [1.1, -0.1]])
+    # a weight at 0.9 WEIGHT_FLOOR adds no entropy, one at 1.1 WEIGHT_FLOOR its q log2(1/q)
+    assert shannon_entropies([[1.0, 0.9 * WEIGHT_FLOOR]]) == [0.0]
+    q = 1.1 * WEIGHT_FLOOR
+    assert shannon_entropies([[1.0, q]]) == [-q * math.log2(q)]
 
 
 def test_binary_entropy_values():
@@ -127,10 +142,17 @@ def test_matrix_entropy_examples():
 def test_matrix_entropy_rejects_negative_eigenvalues():
     with pytest.raises(InvalidState):
         matrix_entropies(np.diag([1.5, -0.5]))
-    # eigenvalues in [-1e-9, 0) are rounding noise and count as 0
+    # eigenvalues in [-EIG_CLAMP, 0) are rounding noise and count as 0
     assert matrix_entropies(np.diag([1.0, -1e-12])) == 0.0
     noisy = matrix_entropies(np.diag([1.0 + 1e-12, -1e-12]))
     assert noisy == matrix_entropies(np.diag([1.0 + 1e-12, 0.0])) == pytest.approx(0.0, abs=1e-11)
+    # the edge: 0.9 EIG_CLAMP below 0 counts as 0, and 1.1 EIG_CLAMP below 0 is rejected
+    assert matrix_entropies(np.diag([1.0, -0.9 * EIG_CLAMP])) == 0.0
+    with pytest.raises(InvalidState):
+        matrix_entropies(np.diag([1.0, -1.1 * EIG_CLAMP]))
+    assert np.array_equal(matrix_sqrt_psd(np.diag([1.0, -0.9 * EIG_CLAMP])), np.diag([1.0, 0.0]))
+    with pytest.raises(NotPSD):
+        matrix_sqrt_psd(np.diag([1.0, -1.1 * EIG_CLAMP]))
 
 
 def test_entropies_reject_nan():
@@ -252,6 +274,11 @@ def test_von_neumann_entropy_of_operator():
 def test_pure_state_vector_validation_and_marginals():
     with pytest.raises(InvalidState):
         PureStateVector(np.array([1.0, 1.0], dtype=complex), (2,), ("A",))
+    # the squared norm is accepted within NORM_TOL of 1, as an ensemble letter's is
+    edge = PureStateVector(np.array([math.sqrt(1.0 + 0.9 * NORM_TOL), 0.0], complex), (2,), ("A",))
+    assert edge.dims == (2,)
+    with pytest.raises(InvalidState):
+        PureStateVector(np.array([math.sqrt(1.0 + 1.1 * NORM_TOL), 0.0], complex), (2,), ("A",))
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)
     phi = PureStateVector(bell, (2, 2), ("A", "B"))

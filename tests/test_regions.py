@@ -22,11 +22,11 @@ from cqekit.regions import (
     ARITH_TOL,
     E_MAX_LIMIT,
     ENT_DISTRIBUTION,
+    ENTROPIC_TOL,
     RATE_TOL,
     REGION_LIMIT,
     SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
-    VERTEX_FEAS_TOL,
     SUPER_DENSE,
     TELEPORTATION,
     OneShotRegion,
@@ -110,6 +110,16 @@ def test_one_shot_region_invariants():
         OneShotRegion(0.5, 1.0, 0.0)  # i_axb below i_xb
     with pytest.raises(InvalidRegion):
         OneShotRegion(1.0, 0.5, 0.8)  # i_axb below i_xb + i_coh
+    # each of the three rows accepts a constant 0.9 ENTROPIC_TOL past it and rejects one
+    # 1.1 ENTROPIC_TOL past it: i_xb >= 0, i_axb >= i_xb and i_axb >= i_xb + i_coh
+    for k in (0.9, 1.1):
+        for fields in ((1.0, -k * ENTROPIC_TOL, 0.25), (0.5 - k * ENTROPIC_TOL, 0.5, -0.25),
+                       (0.75 - k * ENTROPIC_TOL, 0.5, 0.25)):
+            if k < 1.0:
+                assert OneShotRegion(*fields).i_axb == fields[0]
+            else:
+                with pytest.raises(InvalidRegion):
+                    OneShotRegion(*fields)
 
 
 def test_region_from_state_examples():
@@ -186,7 +196,7 @@ def test_corner_points_dephasing_example():
     # sorted lexicographically, all feasible
     assert sorted(arr.tolist()) == arr.tolist()
     for v in verts:
-        assert contains(r, v, tol=1e-9)
+        assert contains(r, v)
 
 
 def test_corner_points_degenerate_region():
@@ -346,10 +356,10 @@ def test_corner_points_equals_loop_reference():
         a, b = halfspaces(r, e_max)
         x = _BASIS_TABLE @ b
         got = corner_points(r, e_max)
-        feasible = x[np.all(x @ a.T <= b + VERTEX_FEAS_TOL, axis=1)]
+        feasible = x[np.all(x @ a.T <= b + ENTROPIC_TOL, axis=1)]
         assert _bits(got) == _bits(_reference_corner_points(feasible))
         # the per-call LU path: the same vertices in the same order, to rounding
-        lu = _reference_corner_points(_basic_feasible(a, b, VERTEX_FEAS_TOL))
+        lu = _reference_corner_points(_basic_feasible(a, b))
         assert len(got) == len(lu)
         assert np.allclose([v.as_array() for v in got], [v.as_array() for v in lu],
                            rtol=0.0, atol=1e-15)
@@ -420,7 +430,7 @@ def test_children_lie_in_region():
             sigma = channel_output_ensemble(random_ensemble(rng), iso)
             r = region_from_state(sigma)
             for name, t in derive_children(sigma).items():
-                assert contains(r, t, tol=1e-9), (iso, name, t)
+                assert contains(r, t), (iso, name, t)
 
 
 def test_gf1_face_is_entanglement_invariant():
