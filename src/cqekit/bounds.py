@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .entropics import CQEJointState, CQEnsemble, make_ensemble
+from .entropics import CQEJointState, CQEnsemble
 from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
-from .qlinalg import EIG_CLAMP, WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
+from .qlinalg import WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
 from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
 
 
@@ -87,19 +86,20 @@ def check_mi(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) ->
                        lambda eps: mi_continuity_bound(eps, dims[0]))
 
 
-def gentle_measurement_check(
-    ens: Sequence[tuple[float, np.ndarray]], x: np.ndarray
-) -> BoundReport:
-    """Average disturbance of the ensemble under sqrt(X) . sqrt(X) vs sqrt(8 eps)."""
-    w = np.linalg.eigvalsh((x + x.conj().T) / 2)
-    if np.min(w) < -EIG_CLAMP or np.max(w) > 1.0 + EIG_CLAMP:
-        raise NotValidPOVMElement(f"eigenvalues of X in [{np.min(w)}, {np.max(w)}]")
-    avg = sum(p * rho for p, rho in ens)
-    eps = max(0.0, 1.0 - float(np.trace(avg @ x).real))
-    root = matrix_sqrt_psd((x + x.conj().T) / 2)
-    probs, rhos = map(np.array, zip(*ens))
-    lhs = sum((probs * trace_norms(rhos - root @ rhos @ root)).tolist())
-    return _report(lhs, math.sqrt(8.0 * eps))
+def gentle_measurement_check(ens, x: np.ndarray):
+    """Average disturbance of an ensemble [(p, rho), ...] under sqrt(X) . sqrt(X) vs sqrt(8 eps);
+    a list of reports for N ensembles and a stack x (N, d, d), padded with weight-0 letters."""
+    if x.ndim == 2:
+        return gentle_measurement_check([ens], x[None])[0]
+    probs = np.zeros((len(ens), max(map(len, ens))))
+    rhos = np.zeros(probs.shape + x.shape[-2:], complex)
+    for i, letters in enumerate(ens):
+        probs[i, :len(letters)], rhos[i, :len(letters)] = zip(*letters)
+    root = matrix_sqrt_psd((x + x.conj().swapaxes(-1, -2)) / 2, 1.0, NotValidPOVMElement)
+    avg = sum((probs[..., None, None] * rhos).swapaxes(0, 1))  # the letters in turn
+    eps = [max(0.0, 1.0 - t) for t in np.trace(avg @ x, axis1=-2, axis2=-1).real.tolist()]
+    lhs = (probs * trace_norms(rhos - root[:, None] @ rhos @ root[:, None])).tolist()
+    return [_report(sum(row), math.sqrt(8.0 * e)) for row, e in zip(lhs, eps)]
 
 
 def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
@@ -110,20 +110,22 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
 
 
 def dephase_environment(sigma: CQEJointState) -> CQEJointState:
-    """sigma after dephasing the whole environment.
-
-    Each block splits into one branch per E basis state, of weight
-    p(x) |<e|phi_x>|^2; branches of weight at most WEIGHT_FLOOR are dropped.
-    """
+    """sigma after dephasing the whole environment: each block splits into one branch per E
+    basis state, of weight p(x) |<e|phi_x>|^2, dropped if at most WEIGHT_FLOOR.  If the blocks'
+    norms put the weights' sum off 1 beyond ARITH_TOL, each letter's weights are divided by
+    |phi_x|^2 and its branches keep that norm."""
     if sigma.dim_E == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
     _, da, db, de = sigma.psi.shape
     branches = sigma.psi.transpose(0, 3, 1, 2).reshape(-1, da * db)  # letter-major, then E
     weights = squared_norms(branches)
     keep = weights > WEIGHT_FLOOR
-    probs = (np.repeat(sigma.probs, de) * weights)[keep]
+    probs = np.repeat(sigma.probs, de) * weights
+    if not abs(probs[keep].sum() - 1.0) <= ARITH_TOL:
+        norms = np.repeat(weights.reshape(-1, de).sum(1), de)
+        probs, weights = probs / norms, weights / norms
     psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
-    return CQEJointState(probs, psi)
+    return CQEJointState(probs[keep], psi)
 
 
 def dpi_check(sigma: CQEJointState, dephased=None) -> dict[str, BoundReport]:
@@ -136,10 +138,12 @@ def dpi_check(sigma: CQEJointState, dephased=None) -> dict[str, BoundReport]:
     }
 
 
-def random_pure(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Normalized standard-complex-Gaussian amplitude vector."""
-    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return v / np.linalg.norm(v)
+def random_pure(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Normalized standard-complex-Gaussian amplitude vector, or a stack (n, dim) of them from
+    one draw, the bits of n draws in turn; the row products give np.linalg.norm's bits."""
+    g = rng.standard_normal((2, dim) if n is None else (n, 2, dim))
+    v = g[..., 0, :] + 1j * g[..., 1, :]
+    return v / np.sqrt(sum(x[..., None, :] @ x[..., :, None] for x in (v.real, v.imag)))[..., 0]
 
 
 def random_ensemble(rng: np.random.Generator) -> CQEnsemble:
@@ -147,12 +151,12 @@ def random_ensemble(rng: np.random.Generator) -> CQEnsemble:
     n = int(rng.integers(1, 4))
     probs = rng.random(n)
     probs /= probs.sum()
-    entries = [(float(p), random_pure(4, rng)) for p in probs]
-    return make_ensemble(entries, 2, 2)
+    return CQEnsemble(probs, random_pure(4, rng, n).reshape(n, 2, 2)).pruned()
 
 
-def random_density(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Mixed state as the partial trace of a random pure state of doubled dimension."""
-    psi = random_pure(dim * dim, rng)
-    m = psi.reshape(dim, dim)
-    return m @ m.conj().T
+def random_density(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:
+    """Mixed state as the partial trace of a random pure state of doubled dimension, or a
+    stack (n, dim, dim) of them from one draw (see random_pure)."""
+    psi = random_pure(dim * dim, rng, n)
+    m = psi.reshape(*psi.shape[:-1], dim, dim)
+    return m @ m.conj().swapaxes(-1, -2)

@@ -223,19 +223,26 @@ def _identities(rng, k):
 
 def _pairwise(rng, k, checker, dim, *extra):
     """checker(rho, sigma, *extra) on stacks of k pairs of random density matrices of size dim."""
-    pairs = np.array([[bounds.random_density(dim, rng) for _ in range(2)] for _ in range(k)])
+    pairs = bounds.random_density(dim, rng, 2 * k).reshape(k, 2, dim, dim)
     return [(r.satisfied, r.slack) for r in checker(pairs[:, 0], pairs[:, 1], *extra)]
 
 
-def _gentle(rng):
-    dim = int(rng.integers(2, 4))
-    probs = rng.random(int(rng.integers(1, 4)))
-    probs /= probs.sum()
-    ens = [(float(p), bounds.random_density(dim, rng)) for p in probs]
-    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-    unitary = np.linalg.qr(gauss)[0]
-    report = bounds.gentle_measurement_check(ens, (unitary * rng.random(dim)) @ unitary.conj().T)
-    return report.satisfied, report.slack
+def _gentle(rng, k):
+    """k trials drawn in turn (each draws its dimension first), checked in a stack per dimension."""
+    groups = {}
+    for i in range(k):
+        dim = int(rng.integers(2, 4))
+        probs = rng.random(int(rng.integers(1, 4)))
+        probs /= probs.sum()
+        ens = list(zip(probs.tolist(), bounds.random_density(dim, rng, len(probs))))
+        gauss = rng.standard_normal((2, dim, dim))
+        groups.setdefault(dim, []).append((i, ens, gauss[0] + 1j * gauss[1], rng.random(dim)))
+    reports = {}
+    for idx, ens, gauss, spectra in (zip(*group) for group in groups.values()):
+        unitary = np.linalg.qr(np.array(gauss))[0]
+        x = (unitary * np.array(spectra)[:, None]) @ unitary.conj().swapaxes(-1, -2)
+        reports.update(zip(idx, bounds.gentle_measurement_check(list(ens), x)))
+    return [(reports[i].satisfied, reports[i].slack) for i in range(k)]
 
 
 def _dpi(rng, k):
@@ -249,14 +256,14 @@ def _dpi(rng, k):
 
 
 # Each check suite: the (satisfied, slack) outcomes, in trial order, of k trials whose inputs
-# it draws from an rng in trial order before it evaluates them as one batch.  A suite's rng is
+# it draws from an rng in trial order before it evaluates them in stacks.  A suite's rng is
 # seeded with [seed, its index here], so --suite NAME replays NAME's line of --suite all.
 SUITES = {
     "identities": _identities,
     "fannes": lambda rng, k: _pairwise(rng, k, bounds.check_fannes, 2),
     "af": lambda rng, k: _pairwise(rng, k, bounds.check_af, 4, (2, 2)),
     "mi": lambda rng, k: _pairwise(rng, k, bounds.check_mi, 4, (2, 2)),
-    "gentle": lambda rng, k: [_gentle(rng) for _ in range(k)],  # the dimension varies
+    "gentle": _gentle,
     "dpi": _dpi,
 }
 CHECK_CHUNK = 256  # trials per suite call: bounds the stacked arrays for any --trials

@@ -78,17 +78,18 @@ def trace_norm(m: np.ndarray) -> float:
     return float(trace_norms(m))
 
 
-def matrix_sqrt_psd(x: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-EIG_CLAMP, 0) are clamped to 0."""
-    if x.shape[0] != x.shape[1]:
+def matrix_sqrt_psd(x: np.ndarray, max_eig: float = math.inf, error=NotPSD) -> np.ndarray:
+    """Hermitian PSD square root of each matrix of a stack (..., d, d), from one eigh: eigenvalues
+    in [-EIG_CLAMP, 0) clamp to 0; one under -EIG_CLAMP or over max_eig + EIG_CLAMP raises error."""
+    if x.shape[-2] != x.shape[-1]:
         raise NotSquare(f"matrix has shape {x.shape}")
-    if not is_hermitian(x):
+    if not np.all(is_hermitian(x)):
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh(x)
-    if np.min(w) < -EIG_CLAMP:
-        raise NotPSD(f"eigenvalue {np.min(w)} below -{EIG_CLAMP}")
-    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
-    return (root + root.conj().T) / 2
+    if w.min() < -EIG_CLAMP or w.max() > max_eig + EIG_CLAMP:
+        raise error(f"eigenvalues in [{w.min()}, {w.max()}] beyond [0, {max_eig}] by > {EIG_CLAMP}")
+    root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (root + root.conj().swapaxes(-1, -2)) / 2
 
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:

@@ -30,7 +30,9 @@ RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
 # Constants off by up to RATE_TOL move a vertex V[s] @ b by up to 5 RATE_TOL (a row of |V|
 # has constant coefficients summing to at most 5, see below): closer solutions merge.
 VERTEX_DEDUP_TOL = 5 * RATE_TOL  # 3.75e-9
-ENTROPIC_TOL = 1e-9  # row slack: > RATE_TOL + ARITH_TOL; > V[s] @ b's 4 ulps of 11 |b| if |b| < 1e5
+ENTROPIC_TOL = 1e-9  # row slack: > RATE_TOL + ARITH_TOL; > ROW_REL_TOL |b| if |b| < 1e5
+# twice the first-order rounding of A @ (V[s] @ b), 22 eps max |b| (rows of |A| |V| sum to <= 11)
+ROW_REL_TOL = 44 * np.finfo(float).eps  # 9.8e-15: corner_points' row slack from |b| = 1e5 on
 # Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
 # computes x = V[s] @ b and A @ x (_BASIS_TABLE, _CAPPED_A), b = (0, 0, 0, i_axb, i_coh,
 # i_xb + i_coh, e_max).  Written in (i_axb, i_xb, i_coh, e_max), a row of |V| has an e_max
@@ -185,13 +187,13 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     are rounded to VERTEX_DEDUP_TOL steps, so rounding noise cannot order them.
 
     The basic solutions _BASIS_TABLE @ b of the seven bounding planes that satisfy
-    every plane within ENTROPIC_TOL, less each one within VERTEX_DEDUP_TOL (max
-    norm) of an earlier kept one.
+    every plane within ENTROPIC_TOL, or ROW_REL_TOL max |b| if larger, less each one
+    within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
     """
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     b = _region_b(r, e_max)
     x = _BASIS_TABLE @ b
-    x = x[np.all(x @ _CAPPED_A.T <= b + ENTROPIC_TOL, axis=1)]
+    x = x[np.all(x @ _CAPPED_A.T <= b + max(ENTROPIC_TOL, ROW_REL_TOL * abs(b).max()), axis=1)]
     near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
     kept: list[int] = []
     for i, row in enumerate(near):

@@ -48,14 +48,13 @@ def test_tracer_counts_and_restores_the_check_path():
             assert cli.main(["check", "--suite", "all", "--trials", "3"]) == 0
     for key, (module, name) in traced.items():
         assert getattr(module, name) is originals[key], key
-    # a stacked continuity check is one call for the 3 trials and the rest go per trial, so
-    # the per-layer counts keep measuring the check path; the entropic readers have no
-    # caller on it
+    # a stacked continuity check is one call for the 3 trials, gentle one per dimension drawn
+    # (seed 1234 draws both) and dpi_check one per trial, so the per-layer counts keep
+    # measuring the check path; random_density draws one stack per continuity suite and per
+    # gentle trial; the entropic readers have no caller on it
     expected = {"bounds.dpi_check": 3, "bounds.check_af": 1, "bounds.check_mi": 1,
-                "bounds.check_fannes": 1, "bounds.gentle_measurement_check": 3,
-                "entropics.channel_output_ensemble": 12, "entropics.verify_identities": 9}
+                "bounds.check_fannes": 1, "bounds.gentle_measurement_check": 2,
+                "bounds.random_density": 6, "entropics.channel_output_ensemble": 12,
+                "entropics.verify_identities": 9}
     for key in traced:
-        if key == "bounds.random_density":  # 2 per continuity trial, 1 to 3 per gentle trial
-            assert 20 <= trace.calls[key] <= 24
-        else:
-            assert trace.calls[key] == expected.get(key, 0), key
+        assert trace.calls[key] == expected.get(key, 0), key

@@ -1,14 +1,16 @@
 """Tests for continuity bounds, gentle measurement, and data-processing sweeps."""
 
+import math
+
 import numpy as np
 import pytest
 
-from cqekit import bounds
+from cqekit import bounds, cli
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import CQEJointState, channel_output_ensemble, make_ensemble, mu_ensemble
 from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit
 from cqekit.errors import NotValidPOVMElement
-from cqekit.qlinalg import matrix_sqrt_psd, trace_norm
+from cqekit.qlinalg import EIG_CLAMP, matrix_sqrt_psd, squared_norms, trace_norm, trace_norms
 from conftest import random_ensemble
 
 
@@ -218,3 +220,106 @@ def test_random_state_generators():
     rho = bounds.random_density(4, rng)
     assert np.trace(rho).real == pytest.approx(1.0, abs=1e-12)
     assert np.min(np.linalg.eigvalsh(rho)) >= -1e-12
+
+
+def _random_pure_loop(dim, rng):
+    """One random_pure vector as drawn one at a time: two normal draws and np.linalg.norm."""
+    v = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+    return v / np.linalg.norm(v)
+
+
+def _random_density_loop(dim, rng):
+    m = _random_pure_loop(dim * dim, rng).reshape(dim, dim)
+    return m @ m.conj().T
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+def test_stacked_random_draws_are_the_bits_of_draws_in_turn(dim):
+    for seed in range(200):
+        for n in range(1, 8):
+            for stacked, loop in ((bounds.random_pure, _random_pure_loop),
+                                  (bounds.random_density, _random_density_loop)):
+                rng, ref = np.random.default_rng([seed, n]), np.random.default_rng([seed, n])
+                got = stacked(dim, rng, n)
+                assert got.tobytes() == np.array([loop(dim, ref) for _ in range(n)]).tobytes()
+                one = stacked(dim, rng)  # without n: one of them
+                assert one.shape == got.shape[1:] and one.tobytes() == loop(dim, ref).tobytes()
+                assert rng.random() == ref.random()  # the stream goes on where the loop's does
+
+
+def _gentle_reference(ens, x):
+    """(lhs, rhs) of gentle_measurement_check as one trial at a time: eigvalsh for the range
+    check, eigh for the root, letters summed in turn."""
+    h = (x + x.conj().T) / 2
+    w = np.linalg.eigvalsh(h)
+    assert -EIG_CLAMP <= w.min() and w.max() <= 1.0 + EIG_CLAMP
+    avg = sum(p * rho for p, rho in ens)
+    eps = max(0.0, 1.0 - float(np.trace(avg @ x).real))
+    w, v = np.linalg.eigh(h)
+    root = (v * np.sqrt(np.clip(w, 0.0, None))) @ v.conj().T
+    root = (root + root.conj().T) / 2
+    probs, rhos = map(np.array, zip(*ens))
+    return sum((probs * trace_norms(rhos - root @ rhos @ root)).tolist()), math.sqrt(8.0 * eps)
+
+
+def _povm_element(dim, rng):
+    gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    unitary = np.linalg.qr(gauss)[0]
+    return (unitary * rng.random(dim)) @ unitary.conj().T
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_stacked_gentle_check_equals_per_trial_calls(dim):
+    rng = np.random.default_rng([dim, 31])
+    letters = (1, 3, 2, 4, 1, 2)  # ragged: the shorter ensembles are padded
+    ensembles = [list(zip(rng.dirichlet(np.ones(n)).tolist(), bounds.random_density(dim, rng, n)))
+                 for n in letters]
+    xs = np.array([_povm_element(dim, rng) for _ in letters])
+    stacked = bounds.gentle_measurement_check(ensembles, xs)
+    assert len(stacked) == len(letters)
+    for report, ens, x in zip(stacked, ensembles, xs):
+        assert report == bounds.gentle_measurement_check(ens, x)
+        lhs, rhs = _gentle_reference(ens, x)
+        assert (report.lhs, report.rhs, report.slack) == (lhs, rhs, rhs - lhs)
+    with pytest.raises(NotValidPOVMElement):  # one bad element rejects the stack
+        bounds.gentle_measurement_check(ensembles[:2], np.array([xs[0], 2.0 * np.eye(dim)]))
+
+
+def test_gentle_suite_equals_trials_in_turn():
+    # the suite groups its trials by dimension and answers in trial order
+    for seed in range(20):
+        got = cli.SUITES["gentle"](np.random.default_rng(seed), 9)
+        rng = np.random.default_rng(seed)
+        for satisfied, slack in got:
+            dim = int(rng.integers(2, 4))
+            probs = rng.random(int(rng.integers(1, 4)))
+            probs /= probs.sum()
+            ens = [(float(p), _random_density_loop(dim, rng)) for p in probs]
+            gauss = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+            unitary = np.linalg.qr(gauss)[0]
+            lhs, rhs = _gentle_reference(ens, (unitary * rng.random(dim)) @ unitary.conj().T)
+            assert (satisfied, slack) == (lhs <= rhs + ARITH_TOL, rhs - lhs)
+
+
+@pytest.mark.parametrize("deviation", [1e-10, -1e-10, 5e-10, -5e-10])
+def test_dephase_environment_of_blocks_off_unit_norm(deviation):
+    # blocks accepted within STATE_NORM_TOL of unit norm put the branch weights' sum off 1
+    # beyond ARITH_TOL; each letter's weights are rescaled and its branches keep its norm
+    rng = np.random.default_rng(40)
+    for letters in (1, 2, 3):
+        probs = rng.dirichlet(np.ones(letters))
+        psi = bounds.random_pure(8, rng, letters).reshape(letters, 2, 2, 2)
+        sigma = CQEJointState(probs, psi * math.sqrt(1 + deviation))
+        dephased = bounds.dephase_environment(sigma)
+        assert abs(dephased.probs.sum() - 1.0) <= ARITH_TOL
+        norms = squared_norms(dephased.psi.reshape(len(dephased.probs), -1))
+        assert np.allclose(norms, 1.0 + deviation, rtol=0.0, atol=1e-15)
+        dephased.profile
+        assert all(r.satisfied for r in bounds.dpi_check(sigma, dephased).values())
+
+
+def test_dephase_environment_of_one_block_of_squared_norm_above_1():
+    psi = bounds.random_pure(8, np.random.default_rng(41)).reshape(1, 2, 2, 2)
+    sigma = CQEJointState([1.0], psi * math.sqrt(1 + 1e-10))
+    assert bounds.dephase_environment(sigma).probs.sum() == pytest.approx(1.0, abs=ARITH_TOL)
+    assert all(r.satisfied for r in bounds.dpi_check(sigma).values())

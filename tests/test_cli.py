@@ -280,6 +280,19 @@ def test_check_output_digests(trials):
         assert hashlib.sha256(out.encode()).hexdigest() == CHECK_DIGESTS[command], command
 
 
+CHUNK_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "check-chunk-sha256.json").read_text())
+
+
+@pytest.mark.parametrize("command", sorted(CHUNK_DIGESTS))
+def test_check_output_digests_across_chunks(command):
+    # 300 trials cross CHECK_CHUNK = 256: each suite draws and evaluates two chunks
+    assert cli.CHECK_CHUNK < int(command.split()[4]) < 2 * cli.CHECK_CHUNK
+    code, out, _ = run_cli(*command.split())
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == CHUNK_DIGESTS[command]
+
+
 @pytest.mark.parametrize("chunk", [1, 7])
 def test_check_output_does_not_depend_on_the_chunk(monkeypatch, chunk):
     runs = [("check", "--trials", trials, "--seed", seed) for trials in ("1", "7", "20")
@@ -289,26 +302,20 @@ def test_check_output_does_not_depend_on_the_chunk(monkeypatch, chunk):
     assert [run_cli(*argv) for argv in runs] == want
 
 
-@pytest.mark.parametrize("suite", ["identities", "dpi", "fannes", "af", "mi"])
+@pytest.mark.parametrize("suite", ["identities", "dpi", "fannes", "af", "mi", "gentle"])
 def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
     calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
+    for name in ("eigvalsh", "eigh"):
+        solve = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name, lambda m, solve=solve: calls.append(1) or solve(m))
     counts = []
-    for trials in ("1", "20"):
+    for trials in ("1", "20", "200"):
         calls.clear()
         assert run_cli("check", "--suite", suite, "--trials", trials, "--seed", "3")[0] == 0
         counts.append(len(calls))
-    assert 0 < counts[1] <= counts[0]
-
-
-def test_gentle_suite_solves_two_spectra_per_trial(monkeypatch):
-    # the POVM element's range check and one stacked trace norm over the trial's letters
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(1) or eigvalsh(m))
-    assert run_cli("check", "--suite", "gentle", "--trials", "20", "--seed", "3")[0] == 0
-    assert len(calls) == 40
+    # gentle solves one eigh (range check and root) and one eigvalsh (trace norms) per stack,
+    # one stack per dimension drawn (2 or 3): one trial draws one dimension, 20 trials both
+    assert counts[0] > 0 and counts == ([2, 4, 4] if suite == "gentle" else [counts[0]] * 3)
 
 
 def test_import_builds_no_channel():

@@ -225,6 +225,33 @@ def test_matrix_sqrt_psd():
         matrix_sqrt_psd(np.diag([1.0, -0.5]).astype(complex))
 
 
+def test_matrix_sqrt_psd_of_a_stack_is_per_matrix():
+    rng = np.random.default_rng(4)
+    for dim in (1, 2, 3, 4):
+        m = rng.standard_normal((6, dim, dim)) + 1j * rng.standard_normal((6, dim, dim))
+        stack = m @ m.conj().swapaxes(-1, -2)
+        roots = matrix_sqrt_psd(stack)
+        assert roots.shape == stack.shape
+        assert all(r.tobytes() == matrix_sqrt_psd(x).tobytes() for r, x in zip(roots, stack))
+    # one bad matrix rejects the stack
+    with pytest.raises(NotPSD):
+        matrix_sqrt_psd(np.array([np.eye(2), np.diag([1.0, -0.5])]))
+    with pytest.raises(NotHermitian):
+        matrix_sqrt_psd(np.array([np.eye(2), [[0.0, 1.0], [0.0, 0.0]]]))
+
+
+def test_matrix_sqrt_psd_upper_eigenvalue_bound():
+    # above max_eig by 0.9 EIG_CLAMP is rounding; by 1.1 EIG_CLAMP raises the given error
+    assert matrix_sqrt_psd(np.diag([1.0 + 0.9 * EIG_CLAMP, 0.25]), 1.0)[1, 1] == 0.5
+    for error in (NotPSD, OutOfRange):
+        with pytest.raises(error):
+            matrix_sqrt_psd(np.diag([1.0 + 1.1 * EIG_CLAMP, 0.25]), 1.0, error)
+        with pytest.raises(error):
+            matrix_sqrt_psd(np.diag([0.5, -1.1 * EIG_CLAMP]), 1.0, error)
+    # by default no eigenvalue is too large
+    assert np.array_equal(matrix_sqrt_psd(np.diag([4.0, 2.0**600])), np.diag([2.0, 2.0**300]))
+
+
 def test_partial_trace_mat_bell_and_product():
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = 1 / np.sqrt(2)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
 
@@ -25,6 +26,7 @@ from cqekit.regions import (
     ENTROPIC_TOL,
     RATE_TOL,
     REGION_LIMIT,
+    ROW_REL_TOL,
     SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
     SUPER_DENSE,
@@ -397,6 +399,63 @@ def test_vertex_order_ignores_rounding_noise_in_c():
         warnings.simplefilter("error")
         huge = corner_points(OneShotRegion(1e305, 1e305, 0.0), 1.0)
     assert [v.c for v in huge] == sorted(v.c for v in huge) and huge[-1].c == 1e305
+
+
+def test_row_slack_derivation():
+    # to first order, row k of A @ (V[s] @ b) rounds by at most u max |b| times
+    # sum_i |A_ki| n_i S_i + (m_k - 1) sum_i |A_ki| S_i, where x_i = V[s]_i @ b has n_i nonzero
+    # terms and S_i = sum_j |V[s]_ij|, and row k of A has m_k nonzero terms
+    u = np.finfo(float).eps / 2
+    worst = 0
+    for v in _BASIS_TABLE:
+        n, s = (v != 0).sum(axis=1), np.abs(v).sum(axis=1)
+        for a in np.abs(_CAPPED_A):
+            worst = max(worst, a @ (n * s) + ((a != 0).sum() - 1) * (a @ s))
+    assert worst == 44 and ROW_REL_TOL == 2 * worst * u
+    assert ROW_REL_TOL * 1e5 < ENTROPIC_TOL  # the slack is ENTROPIC_TOL while max |b| < 1e5
+
+
+def _det3(m):
+    return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
+            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
+            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def _exact_vertices(r, e_max):
+    """The distinct feasible basic solutions of the capped planes, in exact arithmetic: b's
+    floats read as fractions, each 3-row system solved by Cramer's rule."""
+    a, b = _CAPPED_A.astype(int).tolist(), [Fraction(x) for x in halfspaces(r, e_max)[1].tolist()]
+    found = set()
+    for rows in combinations(range(len(a)), 3):
+        det = _det3([a[i] for i in rows])
+        if det:
+            x = tuple(Fraction(_det3([[b[i] if j == col else a[i][j] for j in range(3)]
+                                      for i in rows]), det) for col in range(3))
+            if all(sum(aij * xj for aij, xj in zip(row, x)) <= bi for row, bi in zip(a, b)):
+                found.add(x)
+    return found
+
+
+def test_corner_points_match_exact_enumeration_at_large_scales():
+    # with the absolute slack ENTROPIC_TOL alone, the first region gave 8 of its 10 vertices,
+    # and 46 of the 200 random ones below lost some
+    cases = [(OneShotRegion(166878434.8430124, 69274336.79651524, 63163422.2672115),
+              8967635.138083763),
+             (OneShotRegion(174080980.69, 83091293.16, 18140018.14), 170277139.5)]
+    rng = np.random.default_rng(77)
+    for scale in (1e8, 1e10):
+        for _ in range(100):
+            i_xb, i_coh = rng.uniform(0, scale), rng.uniform(-scale, scale)
+            r = OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0, scale), i_xb, i_coh)
+            cases.append((r, rng.uniform(0, 2 * scale)))
+    for r, e_max in cases:
+        exact = _exact_vertices(r, e_max)
+        got = corner_points(r, e_max)
+        assert len(got) == len(exact), (r, e_max)
+        near = ROW_REL_TOL * np.abs(halfspaces(r, e_max)[1]).max()
+        for v in got:
+            assert min(max(abs(float(x) - y) for x, y in zip(w, (v.c, v.q, v.e)))
+                       for w in exact) <= near
 
 
 def test_cef_point_examples():
