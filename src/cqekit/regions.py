@@ -1,11 +1,11 @@
 """One-shot rate polytopes, vertex enumeration, and unit-resource arithmetic.
 
 A one-shot region is the set of rate triples (C, Q, E) with C, Q, E >= 0,
-C + 2Q <= i_axb, Q <= i_coh + E, and C + Q <= i_xb + i_coh + E.  The region
-is unbounded in +E, so vertex enumeration takes an explicit e_max cap.
-Vertices are the feasible basic solutions of the seven capped planes, each one
-V[s] @ b for a constant table V of basis inverses built at import.  Time-sharing
-membership is read off the basic solutions of a per-pair system, solved per call.
+C + 2Q <= i_axb, Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every
+region.  It is unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are
+the feasible basic solutions of the seven capped planes, each V[s] @ b for a constant table
+V of basis inverses built at import.  Time-sharing membership rejects t with a row of A t
+above every region's b, which no mixture reaches, and else solves a per-pair system per call.
 """
 
 from __future__ import annotations
@@ -100,15 +100,20 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
     return OneShotRegion(i_axb=_rate(prof.i_axb), i_xb=_rate(prof.i_xb), i_coh=prof.i_coh)
 
 
+def _slack(*terms: float) -> float:
+    """ARITH_TOL, or ROW_REL_TOL max |term| if larger: a sum rounds by ulps of its largest term."""
+    return max(ARITH_TOL, ROW_REL_TOL * max(map(abs, terms)))
+
+
 def contains(r: OneShotRegion, t: RateTriple) -> bool:
-    """Whether t satisfies every row of r within ARITH_TOL."""
+    """Whether t satisfies every row of r within the row's _slack."""
     return (
         t.c >= -ARITH_TOL
         and t.q >= -ARITH_TOL
         and t.e >= -ARITH_TOL
-        and t.c + 2 * t.q <= r.i_axb + ARITH_TOL
-        and t.q <= r.i_coh + t.e + ARITH_TOL
-        and t.c + t.q <= r.i_xb + r.i_coh + t.e + ARITH_TOL
+        and t.c + 2 * t.q <= r.i_axb + _slack(t.c, 2 * t.q, r.i_axb)
+        and t.q <= r.i_coh + t.e + _slack(t.q, r.i_coh, t.e)
+        and t.c + t.q <= r.i_xb + r.i_coh + t.e + _slack(t.c, t.q, r.i_xb, r.i_coh, t.e)
     )
 
 
@@ -232,10 +237,10 @@ def union_membership(
     pairwise time-sharing.
 
     With time-sharing, `t` is accepted if t = u + (t - u) with u in lam * R_i
-    and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1].  In
-    (u, lam) that is 14 linear rows in 4 variables, bounded because
-    0 <= u <= t, so it is feasible iff one of its basic solutions is (within
-    ENTROPIC_TOL).  The test is exact: no lambda grid and no E cap.
+    and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1]: 14 rows in
+    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is (within ENTROPIC_TOL).
+    First, t with a row of A t above max_i b_i beyond that slack is rejected unsolved: every
+    mixture of the regions meets A t <= max_i b_i.  Exact: no lambda grid and no E cap.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -243,11 +248,20 @@ def union_membership(
         return True
     if not timeshare:
         return False
+    bs = np.array([_region_b(r) for r in regions])
+    at = _REGION_A @ t.as_array()
+    scale = abs(bs).max()
+    # Any mixture of regions has A t <= max_i b_i.  Rows r and r + 6 of the pair system, each
+    # within ENTROPIC_TOL, add up to (A t)_r <= lam b_i,r + (1 - lam) b_j,r + 2 ENTROPIC_TOL,
+    # lam in [-ENTROPIC_TOL, 1 + ENTROPIC_TOL]: (A t)_r <= max_i b_i,r + ENTROPIC_TOL (2 + 2
+    # max |b|), plus rounding within ROW_REL_TOL max(|b|, |A t|).  Beyond it no pair can pass.
+    if np.any(at > bs.max(axis=0) + ENTROPIC_TOL * (2 + 2 * scale)
+              + ROW_REL_TOL * max(scale, abs(at).max())):
+        return False
     a = np.zeros((14, 4))
     a[:6, :3], a[6:12, :3], a[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)
     b = np.append(np.zeros(13), 1.0)
-    at = _REGION_A @ t.as_array()
-    for bi, bj in combinations([_region_b(r) for r in regions], 2):
+    for bi, bj in combinations(bs, 2):
         a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
         if len(_basic_feasible(a, b)):
             return True

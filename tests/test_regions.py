@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from dataclasses import astuple
 from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, product
 from pathlib import Path
@@ -15,6 +16,7 @@ from hypothesis import given, strategies as st
 from scipy.optimize import linprog
 
 import cqekit
+import cqekit.regions as regions_module
 from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
 from cqekit.entropics import STATE_NORM_TOL, channel_output_ensemble, mu_ensemble
@@ -458,6 +460,25 @@ def test_corner_points_match_exact_enumeration_at_large_scales():
                        for w in exact) <= near
 
 
+
+def test_contains_slack_grows_with_the_row():
+    # a vertex of corner_points: the row Q <= i_coh + E misses by 7.3e-12 in floats, an ulp
+    # of E, which ARITH_TOL alone rejected
+    r = OneShotRegion(21564.24463740889, 15440.431370472119, -76043.1525714453)
+    assert contains(r, RateTriple(0.0, 10782.122318704445, 86825.27489014974))
+    # the relative slack is an ulp-level allowance, not a loosening
+    assert not contains(r, RateTriple(0.0, 10782.122318704445 * (1 + 1e-12), 86825.27489014974))
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5, 1e8, 1e10])
+def test_corner_points_vertices_are_contained(scale):
+    rng = np.random.default_rng(int(np.log10(scale)) + 900)
+    for _ in range(200):
+        i_xb, i_coh = rng.uniform(0, scale), rng.uniform(-scale, scale)
+        r = OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0, scale), i_xb, i_coh)
+        for v in corner_points(r, rng.uniform(0, 2 * scale)):
+            assert contains(r, v), (r, v)
+
 def test_cef_point_examples():
     assert cef_point(sigma_for(DEPHASING)).q == pytest.approx(CEF_Q, abs=1e-12)
     t = cef_point(sigma_for(ERASURE))
@@ -551,9 +572,9 @@ def oracle_timeshare(regions, t):
     return False
 
 
-def vertex_mixtures(regions, lams, rng, n):
+def vertex_mixtures(regions, lams, rng, n, e_max=2.0):
     """n points lam * v_i + (1 - lam) * v_j for vertices of two different regions."""
-    verts = [corner_points(r, 2.0) for r in regions]
+    verts = [corner_points(r, e_max) for r in regions]
     points = []
     for k in range(n):
         i, j = rng.choice(len(regions), 2, replace=False)
@@ -598,6 +619,136 @@ def test_union_timeshare_matches_linprog_on_random_regions():
     assert negative_coh > 0
     assert 0 < sum(answers) < len(answers)
 
+
+
+def pairwise_union_reference(regions, t):
+    """union_membership(regions, t, timeshare=True) without the bounding-row screen: the
+    pair loop as it was before the screen, over every pair of regions."""
+    if any(contains(r, t) for r in regions):
+        return True
+    a = np.zeros((14, 4))
+    a[:6, :3], a[6:12, :3], a[12:, 3] = ORACLE_A, -ORACLE_A, (-1.0, 1.0)
+    b = np.append(np.zeros(13), 1.0)
+    at = ORACLE_A @ t.as_array()
+    for bi, bj in combinations([oracle_b(r) for r in regions], 2):
+        a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
+        if len(_basic_feasible(a, b)):
+            return True
+    return False
+
+
+def count_pair_solves(monkeypatch):
+    """A list that gains one entry per _basic_feasible call union_membership makes."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(1)
+        return _basic_feasible(a, b)
+
+    monkeypatch.setattr(regions_module, "_basic_feasible", counted)
+    return calls
+
+
+def screen_test_regions(rng, scale):
+    """2-6 random regions at `scale`, some with i_coh < 0, maybe a duplicate and a zero."""
+    regions = [OneShotRegion(*(scale * np.array(astuple(random_region(rng)))))
+               for _ in range(int(rng.integers(2, 6)))]
+    if rng.random() < 0.4:
+        regions.append(regions[int(rng.integers(len(regions)))])
+    if rng.random() < 0.3:
+        regions.append(OneShotRegion(0.0, 0.0, 0.0))
+    return regions
+
+
+def boundary_along(regions, t):
+    """The last accepted s * t, by bisection of the pair loop on s from s = 1, or None
+    when the pair loop rejects t itself or the ray is unbounded (C = Q = 0)."""
+    if t.c + t.q == 0 or not pairwise_union_reference(regions, t):
+        return None
+    lo, hi = 1.0, 2.0
+    while pairwise_union_reference(regions, t.scaled(hi)):
+        lo, hi = hi, 2 * hi
+    for _ in range(40):  # to 2^-40 of s, well inside the 1e-9 probes
+        mid = (lo + hi) / 2
+        lo, hi = (mid, hi) if pairwise_union_reference(regions, t.scaled(mid)) else (lo, mid)
+    return t.scaled(lo)
+
+
+def test_union_screen_equals_the_pair_loop(monkeypatch):
+    # the screen rejects only queries the pair loop rejects too, at every scale: random
+    # points, and the rays through pairwise vertex mixtures cut at the pair loop's boundary,
+    # at (1 +- 1e-9) and 1 +- 1e-3 of it
+    calls = count_pair_solves(monkeypatch)
+    rng = np.random.default_rng(2040)
+    factors = (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3)
+    answers, screened, kinds = [], 0, []
+    for scale in (1.0, 1e2, 1e4, 1e6, 1e8):
+        for _ in range(6):
+            regions = screen_test_regions(rng, scale)
+            kinds.append((len(set(regions)) < len(regions), OneShotRegion(0, 0, 0) in regions,
+                          any(r.i_coh < 0 for r in regions)))
+            queries = [RateTriple(*rng.uniform(0.0, (1.5 * scale, scale, 2 * scale)))
+                       for _ in range(4)]
+            for m in vertex_mixtures(regions, (0.3, 0.7), rng, 2, 3 * scale):
+                edge = boundary_along(regions, m)
+                queries += [m] if edge is None else [edge.scaled(f) for f in factors]
+            for t in queries:
+                calls.clear()
+                got = union_membership(regions, t, timeshare=True)
+                screened += not got and not calls
+                assert got == pairwise_union_reference(regions, t), (regions, t)
+                answers.append(got)
+    assert 0.2 < np.mean(answers) < 0.8
+    assert screened > 50
+    assert all(0 < n < len(kinds) for n in np.sum(kinds, axis=0))  # duplicates, zero, i_coh < 0
+
+
+def test_union_screen_skips_every_pair_solve_of_an_outside_query(monkeypatch):
+    calls = count_pair_solves(monkeypatch)
+    regions = [region_from_state(sigma_for(DEPHASING, float(m)))
+               for m in np.linspace(0.0, 0.5, 6)]
+    assert not union_membership(regions, RateTriple(I_AXB_DEPH + 0.01, 0.0, 2.0), True)
+    assert calls == []
+    midpoint = RateTriple(0.5, CEF_Q / 2, CEF_E / 2)  # in the hull of two regions only
+    assert union_membership(regions, midpoint, timeshare=True)
+    assert calls
+
+
+def oracle_hull(regions, t):
+    """t in the convex hull of all the regions (k-way time-sharing), by scipy's linprog:
+    t = sum_i u_i with A u_i <= lam_i b_i, lam_i >= 0 and sum_i lam_i = 1."""
+    k = len(regions)
+    a_ub = np.zeros((6 * k, 4 * k))
+    for i, r in enumerate(regions):
+        a_ub[6 * i:6 * i + 6, 3 * i:3 * i + 3] = ORACLE_A
+        a_ub[6 * i:6 * i + 6, 3 * k + i] = -oracle_b(r)
+    a_eq = np.zeros((4, 4 * k))
+    a_eq[:3, :3 * k] = np.tile(np.eye(3), k)
+    a_eq[3, 3 * k:] = 1.0
+    res = linprog(np.zeros(4 * k), A_ub=a_ub, b_ub=np.zeros(6 * k), A_eq=a_eq,
+                  b_eq=np.append(t.as_array(), 1.0),
+                  bounds=[(None, None)] * (3 * k) + [(0, None)] * k, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.status == 0
+
+
+# Three regions whose hull holds t while no pair's hull does (ROADMAP item 2).
+HULL_ONLY_REGIONS = [OneShotRegion(0.809, 0.0, 0.046), OneShotRegion(0.474, 0.196, 0.016),
+                     OneShotRegion(0.307, 0.0, 0.102)]
+HULL_ONLY_T = RateTriple(0.099, 0.176, 0.133)
+
+
+def test_hull_only_point_passes_the_screen(monkeypatch):
+    assert oracle_hull(HULL_ONLY_REGIONS, HULL_ONLY_T)
+    assert not oracle_timeshare(HULL_ONLY_REGIONS, HULL_ONLY_T)
+    calls = count_pair_solves(monkeypatch)
+    union_membership(HULL_ONLY_REGIONS, HULL_ONLY_T, timeshare=True)
+    assert len(calls) == 3  # not screened out: every pair is solved
+
+
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
+def test_union_membership_is_the_k_way_hull():
+    assert union_membership(HULL_ONLY_REGIONS, HULL_ONLY_T, timeshare=True) is True
 
 def test_runtime_imports_no_scipy():
     # scipy is a test-only dependency: the CLI and the exact time-sharing test
