@@ -151,7 +151,7 @@ def random_ensemble(rng: np.random.Generator) -> CQEnsemble:
     n = int(rng.integers(1, 4))
     probs = rng.random(n)
     probs /= probs.sum()
-    return CQEnsemble(probs, random_pure(4, rng, n).reshape(n, 2, 2)).pruned()
+    return CQEnsemble(probs, random_pure(4, rng, n).reshape(n, 2, 2))
 
 
 def random_density(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -102,21 +103,17 @@ def erasure_kraus(epsilon: float, d: int = 2) -> IsometricExtension:
 
 
 def tensor_product(a: IsometricExtension, b: IsometricExtension) -> IsometricExtension:
-    """Parallel composition: kron(V_a, V_b), its output reordered from (B_a, E_a, B_b, E_b)
-    to (B_a, B_b, E_a, E_b), so E index k_a * b.env_dim + k_b is the Kraus pair (k_a, k_b)."""
-    v = np.kron(a.matrix, b.matrix).reshape(a.out_dim, a.env_dim, b.out_dim, b.env_dim, -1)
-    v = v.transpose(0, 2, 1, 3, 4).reshape(-1, a.in_dim * b.in_dim) + 0j  # + 0j: no -0.0
-    return IsometricExtension(v, a.env_dim * b.env_dim)
+    """Parallel composition: the lift of the Kronecker pairs of the Kraus sets (the E slices
+    of V_a and V_b), a-major, so E index k_a * b.env_dim + k_b is kron(K_a[k_a], K_b[k_b])."""
+    ka, kb = (v.matrix.reshape(v.out_dim, v.env_dim, v.in_dim).transpose(1, 0, 2) for v in (a, b))
+    return isometric_extension([np.kron(x, y) for x in ka for y in kb])
 
 
 def tensor_power(ch: IsometricExtension, k: int) -> IsometricExtension:
     """k-fold parallel copy; intended for small k (explicit Kronecker products)."""
     if k < 1:
         raise OutOfRange(f"tensor power {k} must be positive")
-    out = ch
-    for _ in range(k - 1):
-        out = tensor_product(out, ch)
-    return out
+    return reduce(tensor_product, [ch] * k)
 
 
 def _complex_matrix(rows) -> np.ndarray:

@@ -48,13 +48,17 @@ def _check_letters(state, field: str, ndim: int) -> None:
 @dataclass(frozen=True, eq=False)
 class CQEnsemble:
     """{p(x), phi_x}: weights `probs` of shape (L,) and pure states `amps` of shape
-    (L, d_A, d_A'), letter x's amplitudes on A (x) A' as a d_A x d_A' matrix."""
+    (L, d_A, d_A'), letter x's amplitudes on A (x) A' as a d_A x d_A' matrix.  Construction
+    checks every letter, then drops the letters of weight 0."""
 
     probs: np.ndarray
     amps: np.ndarray
 
     def __post_init__(self):
         _check_letters(self, "amps", 3)
+        keep = self.probs > 0.0
+        object.__setattr__(self, "probs", self.probs[keep])
+        object.__setattr__(self, "amps", self.amps[keep])
         bound = min(self.dim_Aprime, self.dim_A) ** 2 + 1
         if len(self.probs) > bound:
             warnings.warn(f"ensemble has {len(self.probs)} letters; {bound} suffice for this "
@@ -62,11 +66,6 @@ class CQEnsemble:
 
     dim_A = property(lambda self: self.amps.shape[1])
     dim_Aprime = property(lambda self: self.amps.shape[2])
-
-    def pruned(self) -> "CQEnsemble":
-        """Drop zero-probability letters (avoids 0*log0 block pathologies); self if none."""
-        keep = self.probs > 0.0
-        return self if keep.all() else CQEnsemble(self.probs[keep], self.amps[keep])
 
 
 @dataclass(frozen=True)
@@ -107,12 +106,12 @@ class CQEJointState:
 
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
-    """Build an ensemble from (p, amplitude-vector) pairs and prune zero weights."""
+    """Build an ensemble from (p, amplitude-vector) pairs."""
     probs = [p for p, _ in entries]
     vecs = np.array([v for _, v in entries], dtype=complex)
     if vecs.shape != (len(probs), dim_A * dim_Aprime):
         raise InvalidState(f"amplitude vectors {vecs.shape} for dims ({dim_A}, {dim_Aprime})")
-    return CQEnsemble(probs, vecs.reshape(-1, dim_A, dim_Aprime)).pruned()
+    return CQEnsemble(probs, vecs.reshape(-1, dim_A, dim_Aprime))
 
 
 def mu_ensemble(mu: float) -> CQEnsemble:
@@ -128,8 +127,7 @@ def channel_output_ensemble(ens: CQEnsemble, v: IsometricExtension) -> CQEJointS
     """Send the A' axis of every ensemble letter through the isometry, in one product."""
     if ens.dim_Aprime != v.in_dim:
         raise DimMismatch(f"ensemble A' dimension {ens.dim_Aprime} != isometry input {v.in_dim}")
-    pruned = ens.pruned()
-    return CQEJointState(pruned.probs, apply_isometry(v, pruned.amps))
+    return CQEJointState(ens.probs, apply_isometry(v, ens.amps))
 
 
 def _gram(m: np.ndarray) -> np.ndarray:

@@ -1,11 +1,12 @@
 """One-shot rate polytopes, vertex enumeration, and unit-resource arithmetic.
 
-A one-shot region is the set of rate triples (C, Q, E) with C, Q, E >= 0,
-C + 2Q <= i_axb, Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every
-region.  It is unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are
-the feasible basic solutions of the seven capped planes, each V[s] @ b for a constant table
-V of basis inverses built at import.  Time-sharing membership rejects t with a row of A t
-above every region's b, which no mixture reaches, and else solves a per-pair system per call.
+A one-shot region is the set of rate triples (C, Q, E) with C, Q, E >= 0, C + 2Q <= i_axb,
+Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every region.  It is
+unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the feasible basic
+solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
+built at import.  Time-sharing membership rejects t with a row of A t above every region's
+b, which no mixture reaches, and else solves a per-pair system per call.  Every row test
+allows one slack, _slack: a floor, or ROW_REL_TOL times the test's largest |term| if larger.
 """
 
 from __future__ import annotations
@@ -30,9 +31,9 @@ RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
 # Constants off by up to RATE_TOL move a vertex V[s] @ b by up to 5 RATE_TOL (a row of |V|
 # has constant coefficients summing to at most 5, see below): closer solutions merge.
 VERTEX_DEDUP_TOL = 5 * RATE_TOL  # 3.75e-9
-ENTROPIC_TOL = 1e-9  # row slack: > RATE_TOL + ARITH_TOL; > ROW_REL_TOL |b| if |b| < 1e5
+ENTROPIC_TOL = 1e-9  # row slack floor: > RATE_TOL + ARITH_TOL; > ROW_REL_TOL |b| if |b| < 1e5
 # twice the first-order rounding of A @ (V[s] @ b), 22 eps max |b| (rows of |A| |V| sum to <= 11)
-ROW_REL_TOL = 44 * np.finfo(float).eps  # 9.8e-15: corner_points' row slack from |b| = 1e5 on
+ROW_REL_TOL = 44 * np.finfo(float).eps  # 9.8e-15: _slack's relative part, the larger from 1e5 on
 # Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
 # computes x = V[s] @ b and A @ x (_BASIS_TABLE, _CAPPED_A), b = (0, 0, 0, i_axb, i_coh,
 # i_xb + i_coh, e_max).  Written in (i_axb, i_xb, i_coh, e_max), a row of |V| has an e_max
@@ -68,9 +69,15 @@ SUPER_DENSE = RateTriple(2.0, -1.0, 1.0)
 ENT_DISTRIBUTION = RateTriple(0.0, -1.0, -1.0)
 
 
+def _slack(floor: float, *terms: float) -> float:
+    """floor, or ROW_REL_TOL max |term| if larger: a sum rounds by ulps of its largest term.
+    contains' rows have the ARITH_TOL floor; every other row test has ENTROPIC_TOL."""
+    return max(floor, ROW_REL_TOL * max(map(abs, terms)))
+
+
 @dataclass(frozen=True)
 class OneShotRegion:
-    """Entropic constants of the three rate bounds."""
+    """Entropic constants of the three rate bounds, valid within _slack at max |constant|."""
 
     i_axb: float
     i_xb: float
@@ -79,11 +86,12 @@ class OneShotRegion:
     def __post_init__(self):
         for name in ("i_axb", "i_xb", "i_coh"):  # NaN and the infinities fail too
             check_range(name, getattr(self, name), -REGION_LIMIT, REGION_LIMIT, InvalidRegion)
-        if self.i_xb < -ENTROPIC_TOL:
+        slack = _slack(ENTROPIC_TOL, self.i_axb, self.i_xb, self.i_coh)
+        if self.i_xb < -slack:
             raise InvalidRegion(f"i_xb = {self.i_xb} is negative")
-        if self.i_axb < self.i_xb - ENTROPIC_TOL:
+        if self.i_axb < self.i_xb - slack:
             raise InvalidRegion(f"i_axb = {self.i_axb} below i_xb = {self.i_xb}")
-        if self.i_axb < self.i_xb + self.i_coh - ENTROPIC_TOL:
+        if self.i_axb < self.i_xb + self.i_coh - slack:
             raise InvalidRegion("i_axb below i_xb + i_coh beyond tolerance")
 
 
@@ -100,20 +108,15 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
     return OneShotRegion(i_axb=_rate(prof.i_axb), i_xb=_rate(prof.i_xb), i_coh=prof.i_coh)
 
 
-def _slack(*terms: float) -> float:
-    """ARITH_TOL, or ROW_REL_TOL max |term| if larger: a sum rounds by ulps of its largest term."""
-    return max(ARITH_TOL, ROW_REL_TOL * max(map(abs, terms)))
-
-
 def contains(r: OneShotRegion, t: RateTriple) -> bool:
     """Whether t satisfies every row of r within the row's _slack."""
     return (
         t.c >= -ARITH_TOL
         and t.q >= -ARITH_TOL
         and t.e >= -ARITH_TOL
-        and t.c + 2 * t.q <= r.i_axb + _slack(t.c, 2 * t.q, r.i_axb)
-        and t.q <= r.i_coh + t.e + _slack(t.q, r.i_coh, t.e)
-        and t.c + t.q <= r.i_xb + r.i_coh + t.e + _slack(t.c, t.q, r.i_xb, r.i_coh, t.e)
+        and t.c + 2 * t.q <= r.i_axb + _slack(ARITH_TOL, t.c, 2 * t.q, r.i_axb)
+        and t.q <= r.i_coh + t.e + _slack(ARITH_TOL, t.q, r.i_coh, t.e)
+        and t.c + t.q <= r.i_xb + r.i_coh + t.e + _slack(ARITH_TOL, t.c, t.q, r.i_xb, r.i_coh, t.e)
     )
 
 
@@ -147,7 +150,7 @@ def _row_subsets(rows: int, cols: int) -> np.ndarray:
 
 
 def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basic solutions of a @ x <= b that satisfy every row within ENTROPIC_TOL.
+    """Basic solutions of a @ x <= b that satisfy every row within _slack of max |a|, |b|.
 
     A basic solution meets n of the m rows with equality.  One stacked det
     drops the singular row subsets and one stacked solve handles the rest;
@@ -157,7 +160,9 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     sub_a = a[idx]
     keep = np.abs(np.linalg.det(sub_a)) >= SINGULAR_TOL
     x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
-    return x[np.all(x @ a.T <= b + ENTROPIC_TOL, axis=1)]
+    # LU with partial pivoting is backward stable: x solves its basis perturbed by ulps of the
+    # largest entry, so x @ a.T misses b by rounding of the order ROW_REL_TOL bounds in V @ b
+    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, abs(a).max(), abs(b).max()), axis=1)]
 
 
 def _basis_table() -> np.ndarray:
@@ -191,14 +196,13 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     """Vertices of the capped polytope, sorted by C, then Q, then E, where C and Q
     are rounded to VERTEX_DEDUP_TOL steps, so rounding noise cannot order them.
 
-    The basic solutions _BASIS_TABLE @ b of the seven bounding planes that satisfy
-    every plane within ENTROPIC_TOL, or ROW_REL_TOL max |b| if larger, less each one
-    within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
+    The basic solutions _BASIS_TABLE @ b of the seven planes that meet every plane within
+    _slack of max |b|, less each within VERTEX_DEDUP_TOL (max norm) of an earlier kept one.
     """
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     b = _region_b(r, e_max)
     x = _BASIS_TABLE @ b
-    x = x[np.all(x @ _CAPPED_A.T <= b + max(ENTROPIC_TOL, ROW_REL_TOL * abs(b).max()), axis=1)]
+    x = x[np.all(x @ _CAPPED_A.T <= b + _slack(ENTROPIC_TOL, abs(b).max()), axis=1)]
     near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
     kept: list[int] = []
     for i, row in enumerate(near):
@@ -238,9 +242,9 @@ def union_membership(
 
     With time-sharing, `t` is accepted if t = u + (t - u) with u in lam * R_i
     and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1]: 14 rows in
-    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is (within ENTROPIC_TOL).
-    First, t with a row of A t above max_i b_i beyond that slack is rejected unsolved: every
-    mixture of the regions meets A t <= max_i b_i.  Exact: no lambda grid and no E cap.
+    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is, within _slack of its
+    largest entry.  First, t with a row of A t above max_i b_i by more than that lets a pair
+    reach is rejected unsolved: every mixture meets A t <= max_i b_i.  No lambda grid or E cap.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -250,13 +254,13 @@ def union_membership(
         return False
     bs = np.array([_region_b(r) for r in regions])
     at = _REGION_A @ t.as_array()
-    scale = abs(bs).max()
-    # Any mixture of regions has A t <= max_i b_i.  Rows r and r + 6 of the pair system, each
-    # within ENTROPIC_TOL, add up to (A t)_r <= lam b_i,r + (1 - lam) b_j,r + 2 ENTROPIC_TOL,
-    # lam in [-ENTROPIC_TOL, 1 + ENTROPIC_TOL]: (A t)_r <= max_i b_i,r + ENTROPIC_TOL (2 + 2
-    # max |b|), plus rounding within ROW_REL_TOL max(|b|, |A t|).  Beyond it no pair can pass.
-    if np.any(at > bs.max(axis=0) + ENTROPIC_TOL * (2 + 2 * scale)
-              + ROW_REL_TOL * max(scale, abs(at).max())):
+    scale, at_scale = abs(bs).max(), abs(at).max()
+    # Any mixture has A t <= max_i b_i.  A pair system's entries are at most S = max |b| +
+    # max(max |b|, |A t|), so its slack at most s = _slack at S.  Rows r and r + 6, each within
+    # s, add up to (A t)_r <= lam b_i,r + (1 - lam) b_j,r + 2 s, lam in [-s, 1 + s]: (A t)_r <=
+    # max_i b_i,r + s (2 + 2 max |b|), plus rounding within ROW_REL_TOL max(|b|, |A t|).
+    s = _slack(ENTROPIC_TOL, scale + max(scale, at_scale))
+    if np.any(at > bs.max(axis=0) + s * (2 + 2 * scale) + ROW_REL_TOL * max(scale, at_scale)):
         return False
     a = np.zeros((14, 4))
     a[:6, :3], a[6:12, :3], a[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)

@@ -2,6 +2,7 @@
 
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -61,7 +62,18 @@ def test_ensemble_pruning_drops_zero_weight():
     ens = make_ensemble([(1.0, v), (0.0, w)], 2, 2)
     assert ens.probs.tolist() == [1.0]
     assert np.array_equal(ens.amps, v.reshape(1, 2, 2))
-    assert ens.pruned() is ens  # nothing left to drop: no copy, no second validation
+
+
+def test_ensemble_validates_every_letter_then_drops_zero_weights():
+    v, w = np.array([[1.0, 0], [0, 0]]), np.array([[0, 0], [0, 1.0]])
+    ens = CQEnsemble([0.25, 0.0, 0.75], np.stack([v, w, w]))
+    assert ens.probs.tolist() == [0.25, 0.75]
+    assert np.array_equal(ens.amps, np.stack([v, w]))
+    state = channel_output_ensemble(ens, builtin_isometry("dephasing", 0.2))
+    assert state.probs.tolist() == [0.25, 0.75]  # no zero-weight block reaches the state
+    for bad in (np.full((2, 2), np.nan), np.sqrt(2.0) * v):  # squared norm NaN, then 2
+        with pytest.raises(InvalidState):
+            CQEnsemble([1.0, 0.0], np.stack([v, bad]))
 
 
 def test_ensemble_cardinality_warning():
@@ -69,6 +81,11 @@ def test_ensemble_cardinality_warning():
     entries = [(1.0 / 6.0, random_state_vector(4, rng)) for _ in range(6)]
     with pytest.warns(UserWarning):
         make_ensemble(entries, 2, 2)
+    # zero-weight letters are dropped first: five kept letters are within the bound 5
+    entries = [(0.2 * (k < 5), random_state_vector(4, rng)) for k in range(7)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert len(make_ensemble(entries, 2, 2).probs) == 5
 
 
 def test_mu_ensemble_structure():

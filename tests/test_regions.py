@@ -417,6 +417,12 @@ def test_row_slack_derivation():
     assert ROW_REL_TOL * 1e5 < ENTROPIC_TOL  # the slack is ENTROPIC_TOL while max |b| < 1e5
 
 
+def scaled_region(rng, scale):
+    """A random valid region with i_xb in [0, scale] and i_coh in [-scale, scale]."""
+    i_xb, i_coh = rng.uniform(0, scale), rng.uniform(-scale, scale)
+    return OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0, scale), i_xb, i_coh)
+
+
 def _det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
@@ -447,9 +453,7 @@ def test_corner_points_match_exact_enumeration_at_large_scales():
     rng = np.random.default_rng(77)
     for scale in (1e8, 1e10):
         for _ in range(100):
-            i_xb, i_coh = rng.uniform(0, scale), rng.uniform(-scale, scale)
-            r = OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0, scale), i_xb, i_coh)
-            cases.append((r, rng.uniform(0, 2 * scale)))
+            cases.append((scaled_region(rng, scale), rng.uniform(0, 2 * scale)))
     for r, e_max in cases:
         exact = _exact_vertices(r, e_max)
         got = corner_points(r, e_max)
@@ -474,8 +478,7 @@ def test_contains_slack_grows_with_the_row():
 def test_corner_points_vertices_are_contained(scale):
     rng = np.random.default_rng(int(np.log10(scale)) + 900)
     for _ in range(200):
-        i_xb, i_coh = rng.uniform(0, scale), rng.uniform(-scale, scale)
-        r = OneShotRegion(max(i_xb, i_xb + i_coh) + rng.uniform(0, scale), i_xb, i_coh)
+        r = scaled_region(rng, scale)
         for v in corner_points(r, rng.uniform(0, 2 * scale)):
             assert contains(r, v), (r, v)
 
@@ -712,6 +715,69 @@ def test_union_screen_skips_every_pair_solve_of_an_outside_query(monkeypatch):
     midpoint = RateTriple(0.5, CEF_Q / 2, CEF_E / 2)  # in the hull of two regions only
     assert union_membership(regions, midpoint, timeshare=True)
     assert calls
+
+
+def pair_margin(ri, rj, t):
+    """The largest d for which some lam in [0, 1] and u meet every row of the pair system
+    of (ri, rj) with d to spare, by scipy's linprog: d < 0 puts t outside their hull."""
+    bi, bj = oracle_b(ri), oracle_b(rj)
+    a_ub = np.vstack([np.column_stack([ORACLE_A, -bi]), np.column_stack([-ORACLE_A, bj])])
+    res = linprog(np.append(np.zeros(4), -1.0), A_ub=np.column_stack([a_ub, np.ones(12)]),
+                  b_ub=np.concatenate([np.zeros(6), bj - ORACLE_A @ t.as_array()]),
+                  bounds=[(None, None)] * 3 + [(0, 1), (None, None)], method="highs")
+    assert res.status == 0, res.message
+    return -res.fun
+
+
+def test_pair_slack_is_relative():
+    # a mixture of two vertices at scale 1e8 that an absolute ENTROPIC_TOL on the pair
+    # system rejected
+    regions = [OneShotRegion(182893861.6846525, 28075211.8001105, 54964505.7907511),
+               OneShotRegion(161022459.55809322, 79691072.57901025, 64102414.99443805)]
+    lam = 0.7415827046958466
+    t = (lam * np.array([182893861.6846525, 0, 99854144.0937909])
+         + (1 - lam) * np.array([126564515.58880338, 17228971.98464492, 0]))
+    assert union_membership(regions, RateTriple(*t), timeshare=True)
+
+
+@pytest.mark.parametrize("scale", [1e8, 1e10, 1e12])
+def test_union_accepts_every_vertex_mixture_at_large_scales(scale):
+    # with the absolute ENTROPIC_TOL, 49, 56 and 71 of these 2000 mixtures were rejected
+    rng = np.random.default_rng(int(np.log10(scale)))
+    for _ in range(2000):
+        ri, rj = scaled_region(rng, scale), scaled_region(rng, scale)
+        vi, vj = corner_points(ri, 2 * scale), corner_points(rj, 2 * scale)
+        lam = rng.uniform()
+        t = (lam * vi[rng.integers(len(vi))].as_array()
+             + (1 - lam) * vj[rng.integers(len(vj))].as_array())
+        assert union_membership([ri, rj], RateTriple(*t), timeshare=True), (ri, rj, t)
+    # the slack is ulps, not a loosening: every point clearly outside stays outside
+    outside = 0
+    for _ in range(100):
+        ri, rj = scaled_region(rng, scale), scaled_region(rng, scale)
+        t = RateTriple(*rng.uniform(0.0, (1.5 * scale, scale, 2 * scale)))
+        if pair_margin(ri, rj, t) <= -1e-6 * scale:
+            outside += 1
+            assert not union_membership([ri, rj], t, timeshare=True), (ri, rj, t)
+    assert outside > 30
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e8, 1e10, 1e12])
+def test_region_rows_slack_is_relative(scale):
+    # regions on the boundary i_axb = i_xb + max(i_coh, 0): rounding the scaled constants
+    # misses a row by ulps of the scale, which an absolute ENTROPIC_TOL rejected for 141,
+    # 161 and 157 of these 2000 at 1e8, 1e10 and 1e12
+    rng = np.random.default_rng(int(np.log10(scale)) + 100)
+    for _ in range(2000):
+        x, c = rng.uniform(0, 1), rng.uniform(-1, 1)
+        OneShotRegion(scale * (x + max(c, 0)), scale * x, scale * c)
+    # a row violated by 1e-6 of the scale still raises: i_xb >= 0, i_axb >= i_xb and
+    # i_axb >= i_xb + i_coh
+    d = 1e-6 * scale
+    for fields in ((scale, -d, 0.0), (0.5 * scale - d, 0.5 * scale, -0.25 * scale),
+                   (0.75 * scale - d, 0.5 * scale, 0.25 * scale)):
+        with pytest.raises(InvalidRegion):
+            OneShotRegion(*fields)
 
 
 def oracle_hull(regions, t):

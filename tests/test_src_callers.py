@@ -1,0 +1,80 @@
+"""A census of the public functions and classes of `src/cqekit` that no code reads.
+
+A name counts as read when a `src/cqekit` module or a benchmark script (other than the
+tracer and the smoke test) loads it, as a name or as an attribute.  The names that nothing
+reads are listed below with the reason each is kept, so a new unread name fails here, and
+a name that gains a caller, or that the tracer stops binding, has to leave the list.
+"""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SRC = sorted(p for p in (ROOT / "src" / "cqekit").glob("*.py") if p.name != "__init__.py")
+BENCH = sorted(p for p in (ROOT / "benchmarks").glob("*.py")
+               if p.name not in ("tracer.py", "test_smoke.py"))
+
+# Read only by the benchmark tracer, which binds each by name: ROADMAP item 1 deletes them
+# once the tracer stops binding them.
+TRACER_KEPT = {
+    "trace_norm": "qlinalg; no src path calls it, qlinalg.trace_norms is the live one",
+    "coherent_A_given_BX": "entropics; a one-line reader of EntropyProfile.i_coh",
+    "cond_entropy_A_given_X": "entropics; a one-line reader of EntropyProfile.h_a_given_x",
+    "cond_mutual_A_B_given_X": "entropics; a one-line reader of EntropyProfile.i_ab_given_x",
+    "cond_mutual_A_E_given_X": "entropics; a one-line reader of EntropyProfile.i_ae_given_x",
+    "holevo_X_B": "entropics; a one-line reader of EntropyProfile.i_xb",
+    "mutual_AX_B": "entropics; a one-line reader of EntropyProfile.i_axb",
+    "cef_vs_timeshare": "closedform; compare_row is the live comparison",
+    "erasure_cef_vs_timeshare": "closedform; compare_row is the live comparison",
+    "PureStateVector": "qlinalg; the tracer wraps its marginal_mat method",
+}
+# The paper's closed forms: the reproduction itself, checked by the tests.
+CLOSED_FORMS = {
+    "ds_surface": "the dephasing channel's entanglement-distribution sheet",
+    "shor_surface": "the dephasing channel's super-dense-coding sheet",
+    "surface_intersection_e": "E at which the two dephasing sheets meet on the CEF curve",
+    "erasure_region": "the erasure channel's capacity-region halfspaces as (A, b)",
+    "erasure_table": "the erasure channel's four named optimal rate triples",
+    "eac_erasure_mutual_info": "the erasure channel's 2 (1 - eps) H2(p) of a spectral input",
+}
+OTHERS = {
+    "ssa_check": "bounds; acceptance criterion 7 calls it",
+    "tensor_power": "channels; ROADMAP item 4's two-use probe",
+}
+UNREAD = {**TRACER_KEPT, **CLOSED_FORMS, **OTHERS}
+
+
+def public_definitions() -> set[str]:
+    """The top-level functions and classes of the cqekit modules whose names are public."""
+    return {node.name for path in SRC for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def loaded_names(paths) -> set[str]:
+    """Every name and attribute that the sources of `paths` load."""
+    names = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+    return names
+
+
+def traced_names() -> set[str]:
+    """The function names of the tracer's TRACED table, and every name the tracer loads."""
+    tree = ast.parse((ROOT / "benchmarks" / "tracer.py").read_text())
+    table = next(node.value for node in tree.body if isinstance(node, ast.Assign)
+                 and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED"])
+    names = {name for names in ast.literal_eval(table).values() for name in names}
+    return names | loaded_names([ROOT / "benchmarks" / "tracer.py"])
+
+
+def test_unread_names_are_exactly_the_kept_ones():
+    assert len(UNREAD) == 18
+    assert sorted(public_definitions() - loaded_names(SRC + BENCH)) == sorted(UNREAD)
+
+
+def test_tracer_still_binds_every_tracer_kept_name():
+    assert set(TRACER_KEPT) <= traced_names()
