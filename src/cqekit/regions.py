@@ -6,14 +6,14 @@ unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the fea
 solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
 built at import.  Time-sharing membership rejects t with a row of A t above every region's
 b, which no mixture reaches, and else solves a per-pair system per call.  Every row test
-allows one slack, _slack: a floor, or ROW_REL_TOL times the test's largest |term| if larger.
+allows one slack, _slack: a floor, or ROW_REL_TOL times the row's largest |term| if larger.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from itertools import combinations
 from typing import Sequence
 
@@ -69,15 +69,18 @@ SUPER_DENSE = RateTriple(2.0, -1.0, 1.0)
 ENT_DISTRIBUTION = RateTriple(0.0, -1.0, -1.0)
 
 
-def _slack(floor: float, *terms: float) -> float:
-    """floor, or ROW_REL_TOL max |term| if larger: a sum rounds by ulps of its largest term.
-    contains' rows have the ARITH_TOL floor; every other row test has ENTROPIC_TOL."""
+def _slack(floor, *terms):
+    """floor, or ROW_REL_TOL times the row's largest |term| if larger: a sum rounds by ulps of
+    its largest term.  Array terms give one slack per entry, each entry a row.  contains' rows
+    have the ARITH_TOL floor; every other row test has ENTROPIC_TOL."""
+    if isinstance(terms[0], np.ndarray):
+        return reduce(np.maximum, (ROW_REL_TOL * abs(t) for t in terms), floor)
     return max(floor, ROW_REL_TOL * max(map(abs, terms)))
 
 
 @dataclass(frozen=True)
 class OneShotRegion:
-    """Entropic constants of the three rate bounds, valid within _slack at max |constant|."""
+    """Entropic constants of the three rate bounds, each row valid within its _slack."""
 
     i_axb: float
     i_xb: float
@@ -86,12 +89,12 @@ class OneShotRegion:
     def __post_init__(self):
         for name in ("i_axb", "i_xb", "i_coh"):  # NaN and the infinities fail too
             check_range(name, getattr(self, name), -REGION_LIMIT, REGION_LIMIT, InvalidRegion)
-        slack = _slack(ENTROPIC_TOL, self.i_axb, self.i_xb, self.i_coh)
-        if self.i_xb < -slack:
-            raise InvalidRegion(f"i_xb = {self.i_xb} is negative")
-        if self.i_axb < self.i_xb - slack:
-            raise InvalidRegion(f"i_axb = {self.i_axb} below i_xb = {self.i_xb}")
-        if self.i_axb < self.i_xb + self.i_coh - slack:
+        a, x, c = self.i_axb, self.i_xb, self.i_coh
+        if x < -_slack(ENTROPIC_TOL, x):
+            raise InvalidRegion(f"i_xb = {x} is negative")
+        if a < x - _slack(ENTROPIC_TOL, a, x):
+            raise InvalidRegion(f"i_axb = {a} below i_xb = {x}")
+        if a < x + c - _slack(ENTROPIC_TOL, a, x, c):
             raise InvalidRegion("i_axb below i_xb + i_coh beyond tolerance")
 
 
@@ -150,19 +153,15 @@ def _row_subsets(rows: int, cols: int) -> np.ndarray:
 
 
 def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basic solutions of a @ x <= b that satisfy every row within _slack of max |a|, |b|.
-
-    A basic solution meets n of the m rows with equality.  One stacked det
-    drops the singular row subsets and one stacked solve handles the rest;
-    the rows of the result follow combinations order.
-    """
+    """Basic solutions of a @ x <= b (n of the m rows met with equality, in combinations order)
+    that meet every row within its _slack: one stacked det drops singular subsets, one solve."""
     idx = _row_subsets(*a.shape)
     sub_a = a[idx]
     keep = np.abs(np.linalg.det(sub_a)) >= SINGULAR_TOL
     x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
-    # LU with partial pivoting is backward stable: x solves its basis perturbed by ulps of the
-    # largest entry, so x @ a.T misses b by rounding of the order ROW_REL_TOL bounds in V @ b
-    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, abs(a).max(), abs(b).max()), axis=1)]
+    # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
+    # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1
+    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), axis=1)]
 
 
 def _basis_table() -> np.ndarray:
@@ -242,9 +241,9 @@ def union_membership(
 
     With time-sharing, `t` is accepted if t = u + (t - u) with u in lam * R_i
     and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1]: 14 rows in
-    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is, within _slack of its
-    largest entry.  First, t with a row of A t above max_i b_i by more than that lets a pair
-    reach is rejected unsolved: every mixture meets A t <= max_i b_i.  No lambda grid or E cap.
+    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is, each row within its
+    _slack.  First, t with a row of A t above max_i b_i by more than that lets a pair reach
+    is rejected unsolved: every mixture meets A t <= max_i b_i.  No lambda grid or E cap.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -254,13 +253,13 @@ def union_membership(
         return False
     bs = np.array([_region_b(r) for r in regions])
     at = _REGION_A @ t.as_array()
-    scale, at_scale = abs(bs).max(), abs(at).max()
-    # Any mixture has A t <= max_i b_i.  A pair system's entries are at most S = max |b| +
-    # max(max |b|, |A t|), so its slack at most s = _slack at S.  Rows r and r + 6, each within
-    # s, add up to (A t)_r <= lam b_i,r + (1 - lam) b_j,r + 2 s, lam in [-s, 1 + s]: (A t)_r <=
-    # max_i b_i,r + s (2 + 2 max |b|), plus rounding within ROW_REL_TOL max(|b|, |A t|).
-    s = _slack(ENTROPIC_TOL, scale + max(scale, at_scale))
-    if np.any(at > bs.max(axis=0) + s * (2 + 2 * scale) + ROW_REL_TOL * max(scale, at_scale)):
+    scale = abs(bs).max()
+    # Any mixture has A t <= max_i b_i.  A kept pair solution has lam in [-e, 1 + e] (e =
+    # ENTROPIC_TOL) and |u| within e and ulps of |t|, so its rows have terms up to R = 2 (max |b|
+    # + 3 max(|t|, 1)) and slacks up to s = _slack at R: rows r and r + 6 add up to (A t)_r <=
+    # max_i b_i,r + 2 s + 2 e max |b|; a third s covers rounding.  One s bounds all six rows.
+    s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(abs(t.c), abs(t.q), abs(t.e), 1.0)))
+    if np.any(at > bs.max(axis=0) + 3 * s + 2 * ENTROPIC_TOL * scale):
         return False
     a = np.zeros((14, 4))
     a[:6, :3], a[6:12, :3], a[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)

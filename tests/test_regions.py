@@ -738,6 +738,21 @@ def test_pair_slack_is_relative():
     t = (lam * np.array([182893861.6846525, 0, 99854144.0937909])
          + (1 - lam) * np.array([126564515.58880338, 17228971.98464492, 0]))
     assert union_membership(regions, RateTriple(*t), timeshare=True)
+    # lam near 0: the solve resolves lam to ulps of 1, not of lam, so the rows that scale
+    # with lam miss by ulps of b_i
+    regions = [OneShotRegion(670694294492.8545, 162542283374.73987, -920008240034.9994),
+               OneShotRegion(306983704322.5243, 130155371223.42546, -377500527206.80615)]
+    lam = 0.0011450375295914972
+    t = (lam * np.array([162542283374.73987, 254076005559.0573, 1174084245594.0566])
+         + (1 - lam) * np.array([130155371223.42548, 88414166549.54941, 465914693756.3555]))
+    assert not any(contains(r, RateTriple(*t)) for r in regions)
+    assert union_membership(regions, RateTriple(*t), timeshare=True)
+    # each row's slack is at its own terms, so a huge E loosens no row without E: C = 2 is
+    # above both i_axb, which one slack at the pair system's largest entry admitted
+    regions = [OneShotRegion(1.0, 0.5, 0.2), OneShotRegion(0.8, 0.3, 0.4)]
+    for c, e in ((2.0, 1e15), (2.0, 1e20), (1e5, 1e20), (1.0 + 1e-6, 1e20)):
+        assert not union_membership(regions, RateTriple(c, 0.0, e), timeshare=True), (c, e)
+    assert union_membership(regions, RateTriple(1.0, 0.0, 1e20), timeshare=True)
 
 
 @pytest.mark.parametrize("scale", [1e8, 1e10, 1e12])
@@ -751,6 +766,9 @@ def test_union_accepts_every_vertex_mixture_at_large_scales(scale):
         t = (lam * vi[rng.integers(len(vi))].as_array()
              + (1 - lam) * vj[rng.integers(len(vj))].as_array())
         assert union_membership([ri, rj], RateTriple(*t), timeshare=True), (ri, rj, t)
+        # raising E keeps a point in the hull, however far
+        t[2] += 1e12 * scale
+        assert union_membership([ri, rj], RateTriple(*t), timeshare=True), (ri, rj, t)
     # the slack is ulps, not a loosening: every point clearly outside stays outside
     outside = 0
     for _ in range(100):
@@ -759,6 +777,9 @@ def test_union_accepts_every_vertex_mixture_at_large_scales(scale):
         if pair_margin(ri, rj, t) <= -1e-6 * scale:
             outside += 1
             assert not union_membership([ri, rj], t, timeshare=True), (ri, rj, t)
+        if t.c + 2 * t.q > max(ri.i_axb, rj.i_axb) + 1e-6 * scale:  # outside at every E
+            far = RateTriple(t.c, t.q, t.e + 1e12 * scale)
+            assert not union_membership([ri, rj], far, timeshare=True), (ri, rj, far)
     assert outside > 30
 
 
@@ -778,6 +799,10 @@ def test_region_rows_slack_is_relative(scale):
                    (0.75 * scale - d, 0.5 * scale, 0.25 * scale)):
         with pytest.raises(InvalidRegion):
             OneShotRegion(*fields)
+    # each row's slack is at its own terms: i_xb >= 0 is one term, so a large i_axb does
+    # not excuse a negative i_xb
+    with pytest.raises(InvalidRegion):
+        OneShotRegion(scale, -5e-3, 0.0)
 
 
 def oracle_hull(regions, t):
