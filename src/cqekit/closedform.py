@@ -38,9 +38,9 @@ def ds_curve(p: float, mu) -> RateTriple:
     return RateTriple(1.0 - h_mu, h_mu - binary_entropy(g(p, mu)), 0.0)
 
 
-def cef_curve(p: float, mu) -> RateTriple:
-    """Classically-enhanced father point (1 - H2(mu), H2(mu) - H2(g)/2, H2(g)/2)."""
-    h_mu = binary_entropy(_checked_mu(mu))
+def cef_curve(p: float, mu, h_mu=None) -> RateTriple:
+    """Classically-enhanced father point (1 - H2(mu), H2(mu) - H2(g)/2, H2(g)/2); h_mu = H2(mu)."""
+    h_mu = binary_entropy(_checked_mu(mu)) if h_mu is None else h_mu
     h_g = binary_entropy(g(p, mu))
     return RateTriple(1.0 - h_mu, h_mu - 0.5 * h_g, 0.5 * h_g)
 
@@ -125,11 +125,11 @@ def erasure_entropics(epsilon: float, mu: float) -> OneShotRegion:
                          i_coh=(1.0 - 2.0 * epsilon) * h_mu)
 
 
-def erasure_cef_curve(epsilon: float, mu) -> RateTriple:
+def erasure_cef_curve(epsilon: float, mu, h_mu=None) -> RateTriple:
     """CEF rate triple (I(X;B), I(A;B|X)/2, I(A;E|X)/2) of the mu-ensemble
-    through the erasure channel."""
+    through the erasure channel; h_mu = H2(mu), computed here if None."""
     check_range("epsilon", epsilon, 0.0, 1.0)
-    h_mu = binary_entropy(_checked_mu(mu))
+    h_mu = binary_entropy(_checked_mu(mu)) if h_mu is None else h_mu
     return RateTriple((1.0 - epsilon) * (1.0 - h_mu), (1.0 - epsilon) * h_mu, epsilon * h_mu)
 
 
@@ -151,9 +151,10 @@ def compare_row(curve, param: float, mu) -> tuple:
     C, Q, E of the CEF point; Q, E of time-sharing with the same C between the
     curve's EAQ end (mu = 1/2, C = 0) and HSW end (mu = 0, Q = E = 0), a fraction
     lam = H2(mu) of EAQ; and CEF's advantage dQ, dE.  An array mu gives the
-    seven columns, from three curve calls whatever its size."""
-    cef = curve(param, mu)
-    ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), binary_entropy(mu))
+    seven columns, from three curve calls and one H2 over mu whatever its size."""
+    lam = binary_entropy(_checked_mu(mu))
+    cef = curve(param, mu, lam)
+    ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), lam)
     return cef.c, cef.q, cef.e, ts.q, ts.e, cef.q - ts.q, ts.e - cef.e
 
 

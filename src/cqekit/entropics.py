@@ -18,7 +18,7 @@ import numpy as np
 from .channels import MAX_DIM, TP_TOL, IsometricExtension, apply_isometry, read_spec
 from .errors import ARITH_TOL, NORM_TOL, DimMismatch, InvalidState, SpecFormatError
 from .errors import check_complex, check_int, check_range, check_real
-from .qlinalg import matrix_entropies, shannon_entropies, squared_norms
+from .qlinalg import shannon_entropies, squared_norms
 
 IDENTITY_TOL = 1e-9  # = regions.ENTROPIC_TOL, the slack of i_axb's row; measured gaps are < 1e-13
 # On a state's block: an accepted channel (input dimension <= MAX_DIM) moves a squared norm
@@ -38,9 +38,9 @@ def _check_letters(state, field: str, ndim: int) -> None:
     object.__setattr__(state, field, letters)
     if probs.ndim != 1 or letters.ndim != ndim or len(letters) != len(probs):
         raise DimMismatch(f"{field} shape {letters.shape} is not (len(probs), ...) in {ndim} axes")
-    if not (np.all(probs >= 0) and abs(probs.sum() - 1.0) <= ARITH_TOL):  # NaN fails both
+    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= ARITH_TOL):  # NaN fails both
         raise InvalidState(f"weights {probs} are negative, NaN or do not sum to 1")
-    deviation = float(np.max(np.abs(squared_norms(letters.reshape(len(probs), -1)) - 1.0)))
+    deviation = float(abs(squared_norms(letters.reshape(len(probs), -1)) - 1.0).max())
     if not deviation <= tol:  # NaN fails too
         raise InvalidState(f"letter squared norms deviate from 1 by up to {deviation!r} > {tol}")
 
@@ -131,31 +131,47 @@ def channel_output_ensemble(ens: CQEnsemble, v: IsometricExtension) -> CQEJointS
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    """m @ m^dag for a stack of matrices: per block, PureStateVector.marginal_mat's product."""
+    """m @ m^dag for a stack of matrices: each block's reduced state on the rows' subsystem."""
     return m @ m.conj().transpose(0, 2, 1)
 
 
+def _spectra(*stacks: np.ndarray) -> list[np.ndarray]:
+    """The eigenvalues of each stack (k, d, d), from one np.linalg.eigvalsh call per distinct d:
+    the stacked solve treats each matrix on its own, so no spectrum's bits depend on the rest."""
+    out = list(stacks)
+    for d in {m.shape[-1] for m in stacks}:
+        group = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
+        w = np.linalg.eigvalsh(np.concatenate([stacks[i] for i in group]))
+        for i in group:
+            out[i], w = w[:len(stacks[i])], w[len(stacks[i]):]
+    return out
+
+
 def _entropy_profile(states) -> list[EntropyProfile]:
-    """The profiles of N states of one block shape, padded to one letter count with zero
-    blocks of weight 0: H(A)_x, H(B)_x, H(E)_x from one eigensolve per subsystem stacked over
-    all blocks, H(avg B) from one over the N averages, and each chain-rule I(AX;B) checked
-    against H(AX) + H(B) - H(AXB), the entropies of the spectra of the blocks p rho_A, p rho_AB."""
+    """The profiles of N states of one block shape, padded to one letter count with zero blocks
+    of weight 0 (a batch of one is used as it is): H(A)_x, H(B)_x, H(E)_x, H(avg B) and each
+    chain-rule I(AX;B) checked against H(AX) + H(B) - H(AXB), the entropies of the spectra of
+    the blocks p rho_A, p rho_AB, from one eigensolve per distinct matrix size."""
     if len({s.psi.shape[1:] for s in states}) > 1:  # padding would broadcast a block
         raise DimMismatch("the states of one batch need one block shape (d_A, d_B, d_E)")
     _, da, db, de = states[0].psi.shape
     n, width = len(states), max(len(s.probs) for s in states)
-    psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
-    for i, s in enumerate(states):
-        psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
+    psi, probs = np.ascontiguousarray(states[0].psi), states[0].probs[None]
+    if n > 1:
+        psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
+        for i, s in enumerate(states):
+            psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
     rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))
-    rho_ab = _gram(psi.reshape(-1, da * db, de))
-    h_a, h_b, h_e = (shannon_entropies(np.linalg.eigvalsh(rho)) for rho in (rho_a, rho_b, rho_e))
     weights = probs.reshape(-1, 1, 1)
-    h_ax, h_axb = (shannon_entropies(np.linalg.eigvalsh(weights * rho).reshape(n, -1))
-                   for rho in (rho_a, rho_ab))
-    h_avg_b = matrix_entropies((weights * rho_b).reshape(n, width, db, db).sum(1)).tolist()
+    avg_b = (weights * rho_b).reshape(n, width, db, db).sum(1)
+    if not np.isfinite(avg_b).all():  # LAPACK can return finite eigenvalues for a NaN entry
+        raise InvalidState("an average B state has a NaN or infinite entry")
+    spectra = _spectra(rho_a, rho_b, rho_e, weights * rho_a,
+                       weights * _gram(psi.reshape(-1, da * db, de)), avg_b)
+    h_a, h_b, h_e, h_avg_b = (shannon_entropies(spectra[j]) for j in (0, 1, 2, 5))
+    h_ax, h_axb = (shannon_entropies(w.reshape(n, -1)) for w in spectra[3:5])
     out = []
     for i, s in enumerate(states):
         rows = list(zip(s.probs.tolist(), *(h[i * width:(i + 1) * width] for h in (h_a, h_b, h_e))))

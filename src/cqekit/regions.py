@@ -201,15 +201,15 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     b = _region_b(r, e_max)
     x = _BASIS_TABLE @ b
-    x = x[np.all(x @ _CAPPED_A.T <= b + _slack(ENTROPIC_TOL, abs(b).max()), axis=1)]
-    near = (np.max(np.abs(x[:, None] - x[None]), axis=2) <= VERTEX_DEDUP_TOL).tolist()
-    kept: list[int] = []
-    for i, row in enumerate(near):
-        if not any(row[j] for j in kept):
-            kept.append(i)
+    x = x[(x @ _CAPPED_A.T <= b + _slack(ENTROPIC_TOL, abs(b).max())).all(axis=1)]
+    kept: list[list[float]] = []
+    for c, q, e in x.tolist():  # in basis order, each against the kept ones in max norm
+        if not any(abs(c - w[0]) <= VERTEX_DEDUP_TOL and abs(q - w[1]) <= VERTEX_DEDUP_TOL
+                   and abs(e - w[2]) <= VERTEX_DEDUP_TOL for w in kept):
+            kept.append([c, q, e])
     # E is compared raw: kept vertices whose C and Q steps tie are more than
     # VERTEX_DEDUP_TOL apart in E.
-    verts = sorted(x[kept].tolist(), key=lambda v: (_step(v[0]), _step(v[1]), v[2]))
+    verts = sorted(kept, key=lambda v: (_step(v[0]), _step(v[1]), v[2]))
     return [RateTriple(*v) for v in verts]
 
 

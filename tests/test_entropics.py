@@ -201,21 +201,25 @@ def test_splitting_a_letter_keeps_entropics():
 
 
 def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
-    # One stacked call each for H(A), H(B), H(E) over both blocks, H(avg B), and
-    # the blocks of H(AX) and H(AXB) in the cross-check: 6 eigensolve calls,
-    # all on first profile access.  No block-diagonal matrix is assembled, so
-    # no solved matrix is larger than d_A * d_B = 4 per side.
-    calls = []
+    # The profile concatenates the stacks of one matrix size and solves them in one call,
+    # all on first profile access.  mu:0.5 through dephasing has d_A = d_B = d_E = 2: one
+    # call for rho_A, rho_B, rho_E, p rho_A and avg rho_B, one for the 4 x 4 p rho_AB.
+    # erasure:0.25 has d_A = 2, d_B = d_E = 3: a third size.  No block-diagonal matrix is
+    # assembled, so through dephasing no solved matrix is larger than d_A * d_B = 4 per side.
     real = np.linalg.eigvalsh
-    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
-    sigma = channel_output_ensemble(mu_ensemble(0.5), DEPHASING)
-    region = region_from_state(sigma)
-    corner_points(region, 2.0)
-    before_children = len(calls)
-    derive_children(sigma)
-    assert len(calls) == 6
-    assert len(calls) == before_children
-    assert max(side for shape in calls for side in shape[-2:]) == 4
+    for iso, want in ((DEPHASING, 2), (ERASURE, 3)):
+        calls = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: calls.append(m.shape) or real(m))
+        sigma = channel_output_ensemble(mu_ensemble(0.5), iso)
+        region = region_from_state(sigma)
+        corner_points(region, 2.0)
+        before_children = len(calls)
+        derive_children(sigma)
+        assert len(calls) == want
+        assert len(calls) == before_children
+        assert len({shape[-1] for shape in calls}) == want
+        if iso is DEPHASING:
+            assert max(side for shape in calls for side in shape[-2:]) == 4
 
 
 def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys):
@@ -316,34 +320,47 @@ def test_batched_profiles_equal_per_state_reference(kind, param, d):
     counts = [[letters] * 5 for letters in (1, 2, 3, 4)] + [[4, 1, 3, 1, 2, 4, 2, 3, 1]]
     for batch in counts:
         states = [_random_state(rng, letters, d, iso) for letters in batch]
-        batch = entropics._entropy_profile(states)
-        for sigma, profile in zip(states, batch):
-            assert _hex(profile) == _hex(_reference_profile(sigma)[0])
+        # and the same states with their environment dephased: d_E = 1, so rho_E is 1 x 1
+        for group in (states, [dephase_environment(sigma) for sigma in states]):
+            batch = entropics._entropy_profile(group)
+            for sigma, profile in zip(group, batch):
+                want = _hex(_reference_profile(sigma)[0])
+                assert _hex(profile) == want
+                assert _hex(entropics._entropy_profile([sigma])[0]) == want  # a batch of one
         entropics.profiles(states)  # cached where `profile` reads it
-        assert [vars(sigma)["profile"] for sigma in states] == batch
+        assert [vars(sigma)["profile"] for sigma in states] == entropics._entropy_profile(states)
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
 @pytest.mark.parametrize("bad", [float("nan"), -1e-6])
 def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad):
+    # each of the six spectra in turn (rho_A, rho_B, rho_E, p rho_A, p rho_AB of the blocks,
+    # avg rho_B of the states) has one bad eigenvalue in state k's first row, in a batch of
+    # 5 and in a batch of one
     rng = np.random.default_rng(31)
     states = [_random_state(rng, 2, 2, DEPHASING) for _ in range(5)]
-    eigvalsh = np.linalg.eigvalsh
+    spectra = entropics._spectra
 
-    def corrupted(m):  # the solves stacked over the blocks: two rows per state
-        w = eigvalsh(m)
-        if len(w) == 10:
-            w[2 * k, 0] = bad
-        return w
+    def corrupted(which, row):
+        def solve(*stacks):
+            out = spectra(*stacks)
+            out[which] = out[which].copy()  # a view into its size's stacked solve
+            out[which][row, 0] = bad
+            return out
+        return solve
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", corrupted)
-    with pytest.raises(InvalidState):
-        entropics._entropy_profile(states)
-    monkeypatch.undo()
-    entropics._entropy_profile(states)  # the clean batch passes
+    for batch, i in ((states, k), ([states[k]], 0)):
+        for which in range(6):
+            row = i if which == 5 else 2 * i  # two blocks per state, one average
+            monkeypatch.setattr(entropics, "_spectra", corrupted(which, row))
+            with pytest.raises(InvalidState):
+                entropics._entropy_profile(batch)
+            monkeypatch.undo()
+        entropics._entropy_profile(batch)  # the clean batch passes
     states[k].psi[1, 0, 0, 0] = np.nan  # a NaN amplitude reaches the average of B
-    with pytest.raises(InvalidState):
-        entropics._entropy_profile(states)
+    for batch in (states, [states[k]]):
+        with pytest.raises(InvalidState):
+            entropics._entropy_profile(batch)
 
 
 def test_batched_profile_rejects_mixed_block_shapes():
