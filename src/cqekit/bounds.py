@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropics import CQEJointState, CQEnsemble
+from .entropics import EntropyProfile
 from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
 from .qlinalg import WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
 from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
@@ -109,28 +109,33 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     return _report(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
 
 
-def dephase_environment(sigma: CQEJointState) -> CQEJointState:
-    """sigma after dephasing the whole environment: each block splits into one branch per E
-    basis state, of weight p(x) |<e|phi_x>|^2, dropped if at most WEIGHT_FLOOR.  If the blocks'
-    norms put the weights' sum off 1 beyond ARITH_TOL, each letter's weights are divided by
-    |phi_x|^2 and its branches keep that norm."""
-    if sigma.dim_E == 1:
+def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A stack of states (weights (N, W), blocks (N, W, d_A, d_B, d_E)) after dephasing the whole
+    environment: each block splits into one branch per E basis state, slot (x, e) of weight
+    p(x) |<e|phi_x>|^2 and block (d_A, d_B, 1).  A branch of weight at most WEIGHT_FLOOR becomes
+    a zero block of weight 0.  If a state's blocks' norms put its kept weights' sum off 1 beyond
+    ARITH_TOL, each of its letters' weights are divided by |phi_x|^2 and its branches keep
+    that norm."""
+    n, width, da, db, de = psi.shape
+    if de == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
-    _, da, db, de = sigma.psi.shape
-    branches = sigma.psi.transpose(0, 3, 1, 2).reshape(-1, da * db)  # letter-major, then E
-    weights = squared_norms(branches)
+    branches = psi.transpose(0, 1, 4, 2, 3).reshape(-1, da * db)  # state, letter, then E
+    weights = squared_norms(branches).reshape(n, -1)
     keep = weights > WEIGHT_FLOOR
-    probs = np.repeat(sigma.probs, de) * weights
-    if not abs(probs[keep].sum() - 1.0) <= ARITH_TOL:
-        norms = np.repeat(weights.reshape(-1, de).sum(1), de)
+    probs = np.repeat(probs, de, axis=1) * weights
+    off = ~(abs(np.where(keep, probs, 0.0).sum(1) - 1.0) <= ARITH_TOL)  # NaN is off too
+    if off.any():
+        norms = np.repeat(weights.reshape(n, width, de).sum(2), de, axis=1)
+        norms[~(off[:, None] & keep)] = 1.0  # the rest keep their bits; no 0 / 0 for padding
         probs, weights = probs / norms, weights / norms
-    psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
-    return CQEJointState(probs[keep], psi)
+    blocks = np.zeros_like(branches)
+    blocks[keep.ravel()] = branches[keep.ravel()] / np.sqrt(weights[keep])[:, None]
+    return np.where(keep, probs, 0.0), blocks.reshape(n, width * de, da, db, 1)
 
 
-def dpi_check(sigma: CQEJointState, dephased=None) -> dict[str, BoundReport]:
-    """Data-processing checks of sigma against `dephased`, by default its dephase_environment."""
-    before, after = sigma.profile, (dephased or dephase_environment(sigma)).profile
+def dpi_check(before: EntropyProfile, after: EntropyProfile) -> dict[str, BoundReport]:
+    """Data-processing checks of a state's profile against the profile of the state after a
+    channel on its environment, such as its dephase_environment."""
     return {
         "holevo": _report(before.i_xb, after.i_xb),
         "mutual": _report(before.i_axb, after.i_axb),
@@ -146,12 +151,16 @@ def random_pure(dim: int, rng: np.random.Generator, n: int | None = None) -> np.
     return v / np.sqrt(sum(x[..., None, :] @ x[..., :, None] for x in (v.real, v.imag)))[..., 0]
 
 
-def random_ensemble(rng: np.random.Generator) -> CQEnsemble:
-    """Random qubit-qubit classical-quantum input ensemble with 1 to 3 letters."""
-    n = int(rng.integers(1, 4))
-    probs = rng.random(n)
-    probs /= probs.sum()
-    return CQEnsemble(probs, random_pure(4, rng, n).reshape(n, 2, 2))
+def random_ensemble(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """k random qubit-qubit classical-quantum input ensembles of 1 to 3 letters, each drawn in
+    turn (letter count, weights, amplitudes), as one stack (probs (k, 3), amps (k, 3, 2, 2))
+    padded with zero letters of weight 0."""
+    probs, amps = np.zeros((k, 3)), np.zeros((k, 3, 4), dtype=complex)
+    for i in range(k):
+        n = int(rng.integers(1, 4))
+        p = rng.random(n)
+        probs[i, :n], amps[i, :n] = p / p.sum(), random_pure(4, rng, n)
+    return probs, amps.reshape(k, 3, 2, 2)
 
 
 def random_density(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

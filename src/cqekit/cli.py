@@ -23,12 +23,13 @@ from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
-from . import bounds, closedform, entropics
+from . import bounds, closedform
 from .channels import builtin_isometry, channel_from_spec, channel_kind, load_channel
 from .entropics import (
     IDENTITY_TOL,
     CQEnsemble,
     channel_output_ensemble,
+    entropy_profiles,
     load_ensemble,
     mu_ensemble,
     verify_identities,
@@ -213,11 +214,9 @@ def _isometries() -> tuple:
 
 
 def _identities(rng, k):
-    ensembles = [bounds.random_ensemble(rng) for _ in range(k)]
-    batches = [[channel_output_ensemble(ens, iso) for ens in ensembles] for iso in _isometries()]
-    for states in batches:
-        entropics.profiles(states)
-    residuals = [verify_identities(s).max_residual for trial in zip(*batches) for s in trial]
+    stack = bounds.random_ensemble(rng, k)
+    batches = [entropy_profiles(*channel_output_ensemble(stack, iso)) for iso in _isometries()]
+    residuals = [verify_identities(prof).max_residual for trial in zip(*batches) for prof in trial]
     return [(r <= IDENTITY_TOL, IDENTITY_TOL - r) for r in residuals]
 
 
@@ -246,12 +245,9 @@ def _gentle(rng, k):
 
 
 def _dpi(rng, k):
-    iso = _isometries()[0]
-    states = [channel_output_ensemble(bounds.random_ensemble(rng), iso) for _ in range(k)]
-    dephased = [bounds.dephase_environment(sigma) for sigma in states]
-    for batch in (states, dephased):
-        entropics.profiles(batch)
-    return [(r.satisfied, r.slack) for pair in zip(states, dephased)
+    probs, psi = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries()[0])
+    after = entropy_profiles(*bounds.dephase_environment(probs, psi))
+    return [(r.satisfied, r.slack) for pair in zip(entropy_profiles(probs, psi), after)
             for r in bounds.dpi_check(*pair).values()]
 
 

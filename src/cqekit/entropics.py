@@ -27,22 +27,32 @@ IDENTITY_TOL = 1e-9  # = regions.ENTROPIC_TOL, the slack of i_axb's row; measure
 STATE_NORM_TOL = 2 * NORM_TOL + MAX_DIM * TP_TOL  # 5.2e-10
 
 
-def _check_letters(state, field: str, ndim: int) -> None:
-    """Store `state.probs` and `state.<field>` as float and complex arrays; check that probs
-    is a probability vector and <field> has `ndim` axes, one letter per weight whose squared
-    norm is within NORM_TOL of 1 (an ensemble's letter) or STATE_NORM_TOL (a state's block)."""
-    tol = STATE_NORM_TOL if isinstance(state, CQEJointState) else NORM_TOL
-    probs = np.asarray(state.probs, dtype=float)
-    letters = np.asarray(getattr(state, field), dtype=complex)
-    object.__setattr__(state, "probs", probs)
-    object.__setattr__(state, field, letters)
-    if probs.ndim != 1 or letters.ndim != ndim or len(letters) != len(probs):
-        raise DimMismatch(f"{field} shape {letters.shape} is not (len(probs), ...) in {ndim} axes")
-    if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= ARITH_TOL):  # NaN fails both
-        raise InvalidState(f"weights {probs} are negative, NaN or do not sum to 1")
-    deviation = float(abs(squared_norms(letters.reshape(len(probs), -1)) - 1.0).max())
-    if not deviation <= tol:  # NaN fails too
-        raise InvalidState(f"letter squared norms deviate from 1 by up to {deviation!r} > {tol}")
+def _check_letters(probs: np.ndarray, letters: np.ndarray, ndim: int, tol: float,
+                   padded: bool = False) -> None:
+    """Check a stack (N, W) of weights and a stack (N, W, ...) of letters in `ndim` axes: every
+    row of probs is a probability vector, and every letter's squared norm is within `tol` of 1
+    (NORM_TOL for an ensemble's letters, STATE_NORM_TOL for a state's blocks).  In a `padded`
+    stack a slot of weight 0 and squared norm 0 is padding and is not checked; a letter of
+    weight 0 is.  The first state that fails raises, and in a stack of two or more, its error
+    names its index k."""
+    if probs.ndim != 2 or letters.ndim != ndim or letters.shape[:2] != probs.shape:
+        raise DimMismatch(f"letter stack {letters.shape} is not the weight stack {probs.shape} "
+                          f"plus {ndim - 2} axes")
+    norms = squared_norms(letters.reshape(probs.size, -1))
+    deviation = abs(norms - 1.0)
+    if padded:
+        deviation[(probs.ravel() == 0.0) & (norms == 0.0)] = 0.0
+    sums = probs.sum(1).tolist()
+    if probs.min() >= 0 and all(abs(x - 1.0) <= ARITH_TOL for x in sums) and deviation.max() <= tol:
+        return  # NaN fails each test
+    deviation = deviation.reshape(probs.shape)
+    bad_weights = ~((probs >= 0).all(1) & (abs(np.array(sums) - 1.0) <= ARITH_TOL))
+    k = int((bad_weights | ~(deviation.max(1) <= tol)).argmax())
+    at = f" of state {k}" if len(probs) > 1 else ""
+    if bad_weights[k]:
+        raise InvalidState(f"weights {probs[k]}{at} are negative, NaN or do not sum to 1")
+    raise InvalidState(f"letter squared norms{at} deviate from 1 by up to "
+                       f"{float(deviation[k].max())!r} > {tol}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -55,10 +65,11 @@ class CQEnsemble:
     amps: np.ndarray
 
     def __post_init__(self):
-        _check_letters(self, "amps", 3)
-        keep = self.probs > 0.0
-        object.__setattr__(self, "probs", self.probs[keep])
-        object.__setattr__(self, "amps", self.amps[keep])
+        probs, amps = np.asarray(self.probs, dtype=float), np.asarray(self.amps, dtype=complex)
+        _check_letters(probs[None], amps[None], 4, NORM_TOL)
+        keep = probs > 0.0
+        object.__setattr__(self, "probs", probs[keep])
+        object.__setattr__(self, "amps", amps[keep])
         bound = min(self.dim_Aprime, self.dim_A) ** 2 + 1
         if len(self.probs) > bound:
             warnings.warn(f"ensemble has {len(self.probs)} letters; {bound} suffice for this "
@@ -93,7 +104,9 @@ class CQEJointState:
     psi: np.ndarray
 
     def __post_init__(self):
-        _check_letters(self, "psi", 4)
+        object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
+        object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
+        _check_letters(self.probs[None], self.psi[None], 5, STATE_NORM_TOL)
 
     dim_A = property(lambda self: self.psi.shape[1])
     dim_B = property(lambda self: self.psi.shape[2])
@@ -101,8 +114,8 @@ class CQEJointState:
 
     @cached_property
     def profile(self) -> EntropyProfile:
-        """The entropy profile, built and cross-checked on first access as a batch of one."""
-        return _entropy_profile([self])[0]
+        """The entropy profile, built and cross-checked on first access as a stack of one."""
+        return entropy_profiles(self.probs[None], self.psi[None])[0]
 
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
@@ -123,11 +136,17 @@ def mu_ensemble(mu: float) -> CQEnsemble:
     return make_ensemble([(0.5, v0), (0.5, v1)], 2, 2)
 
 
-def channel_output_ensemble(ens: CQEnsemble, v: IsometricExtension) -> CQEJointState:
-    """Send the A' axis of every ensemble letter through the isometry, in one product."""
-    if ens.dim_Aprime != v.in_dim:
-        raise DimMismatch(f"ensemble A' dimension {ens.dim_Aprime} != isometry input {v.in_dim}")
-    return CQEJointState(ens.probs, apply_isometry(v, ens.amps))
+def channel_output_ensemble(ens, v: IsometricExtension):
+    """Send the A' axis of every ensemble letter through the isometry, in one product.  A
+    CQEnsemble gives its CQEJointState.  A stack (probs (N, W), amps (N, W, d_A, d_A')) of
+    ensembles of one shape, padded with zero letters of weight 0, gives the stack (probs, psi
+    (N, W, d_A, d_B, d_E)) after one _check_letters of its letters against NORM_TOL: an
+    accepted isometry keeps every block within STATE_NORM_TOL, and a padding block stays 0."""
+    if isinstance(ens, CQEnsemble):
+        return CQEJointState(ens.probs, apply_isometry(v, ens.amps))
+    probs, amps = ens
+    _check_letters(probs, amps, 4, NORM_TOL, padded=True)
+    return probs, apply_isometry(v, amps)
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -147,20 +166,14 @@ def _spectra(*stacks: np.ndarray) -> list[np.ndarray]:
     return out
 
 
-def _entropy_profile(states) -> list[EntropyProfile]:
-    """The profiles of N states of one block shape, padded to one letter count with zero blocks
-    of weight 0 (a batch of one is used as it is): H(A)_x, H(B)_x, H(E)_x, H(avg B) and each
+def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
+    """The profiles of a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E): the
+    one profile path (one state is a stack of one, used as it is).  A slot of weight 0 is
+    padding, its block finite, and adds nothing.  H(A)_x, H(B)_x, H(E)_x, H(avg B) and each
     chain-rule I(AX;B) checked against H(AX) + H(B) - H(AXB), the entropies of the spectra of
     the blocks p rho_A, p rho_AB, from one eigensolve per distinct matrix size."""
-    if len({s.psi.shape[1:] for s in states}) > 1:  # padding would broadcast a block
-        raise DimMismatch("the states of one batch need one block shape (d_A, d_B, d_E)")
-    _, da, db, de = states[0].psi.shape
-    n, width = len(states), max(len(s.probs) for s in states)
-    psi, probs = np.ascontiguousarray(states[0].psi), states[0].probs[None]
-    if n > 1:
-        psi, probs = np.zeros((n * width, da, db, de), complex), np.zeros((n, width))
-        for i, s in enumerate(states):
-            psi[i * width:i * width + len(s.probs)], probs[i, :len(s.probs)] = s.psi, s.probs
+    n, width, da, db, de = psi.shape
+    psi = np.ascontiguousarray(psi).reshape(n * width, da, db, de)
     rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))
@@ -173,8 +186,8 @@ def _entropy_profile(states) -> list[EntropyProfile]:
     h_a, h_b, h_e, h_avg_b = (shannon_entropies(spectra[j]) for j in (0, 1, 2, 5))
     h_ax, h_axb = (shannon_entropies(w.reshape(n, -1)) for w in spectra[3:5])
     out = []
-    for i, s in enumerate(states):
-        rows = list(zip(s.probs.tolist(), *(h[i * width:(i + 1) * width] for h in (h_a, h_b, h_e))))
+    for i, weights_i in enumerate(probs.tolist()):
+        rows = list(zip(weights_i, *(h[i * width:(i + 1) * width] for h in (h_a, h_b, h_e))))
         i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
         i_xb = h_avg_b[i] - sum(p * hb for p, _, hb, _ in rows)
         chain, direct = i_ab + i_xb, h_ax[i] + h_avg_b[i] - h_axb[i]
@@ -186,12 +199,6 @@ def _entropy_profile(states) -> list[EntropyProfile]:
             sum(p * (ha + he - hb) for p, ha, hb, he in rows),
             sum(p * (hb - he) for p, _, hb, he in rows), i_xb, chain))
     return out
-
-
-def profiles(states) -> None:
-    """Build the profiles of states of one block shape as one batch, each cached as `profile`."""
-    for s, prof in zip(states, _entropy_profile(states)):
-        vars(s)["profile"] = prof  # the cache that the cached_property reads
 
 
 def cond_entropy_A_given_X(sigma: CQEJointState) -> float:
@@ -233,11 +240,11 @@ class IdentityReport:
     max_residual: float
 
 
-def verify_identities(sigma: CQEJointState) -> IdentityReport:
-    """Residuals of the conditional-entropy, coherent-information and their-sum identities,
-    rounding only, and of the chain rule, identically 0: i_axb is the chain value i_ab + i_xb,
-    checked against the direct H(AX) + H(B) - H(AXB) in _entropy_profile."""
-    prof = sigma.profile
+def verify_identities(prof: EntropyProfile) -> IdentityReport:
+    """Residuals on a state's profile of the conditional-entropy, coherent-information and
+    their-sum identities, rounding only, and of the chain rule, identically 0: i_axb is the
+    chain value i_ab + i_xb, checked against the direct H(AX) + H(B) - H(AXB) in
+    entropy_profiles."""
     i_ab, i_ae = prof.i_ab_given_x, prof.i_ae_given_x
     residuals = {
         "entropy_identity": abs(prof.h_a_given_x - 0.5 * i_ab - 0.5 * i_ae),

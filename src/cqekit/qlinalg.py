@@ -93,8 +93,9 @@ def matrix_sqrt_psd(x: np.ndarray, max_eig: float = math.inf, error=NotPSD) -> n
 
 
 def squared_norms(rows: np.ndarray) -> np.ndarray:
-    """Squared norm of each row of a 2-d array, as one stacked row-times-column product
-    (for a contiguous row, the bits of np.vdot(row, row).real)."""
+    """Squared norm of each row of a 2-d array, as one stacked row-times-column product on
+    contiguous rows: the bits of np.vdot(row, row).real, whatever the array's layout."""
+    rows = np.ascontiguousarray(rows)
     return (rows.conj()[:, None, :] @ rows[:, :, None]).real.reshape(-1)
 
 

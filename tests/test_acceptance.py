@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from scipy.spatial import ConvexHull
 
-from conftest import random_ensemble
+from conftest import dephased_profile, random_ensemble
 from cqekit import closedform as cf
 from cqekit import bounds
 from cqekit.channels import builtin_isometry
@@ -230,10 +230,11 @@ def test_criterion_07_bound_suites_1000_trials():
     rng = np.random.default_rng([7, 4])
     for _ in range(trials):
         sigma = channel_output_ensemble(random_ensemble(rng), DEPHASING)
-        if not all(r.satisfied for r in bounds.dpi_check(sigma).values()):
+        if not all(r.satisfied for r in
+                   bounds.dpi_check(sigma.profile, dephased_profile(sigma)).values()):
             failures.append("dpi")
             break
-        if verify_identities(sigma).max_residual > 1e-9:
+        if verify_identities(sigma.profile).max_residual > 1e-9:
             failures.append("identities")
             break
         rho = bounds.random_density(8, rng)

@@ -7,11 +7,12 @@ import pytest
 
 from cqekit import bounds, cli
 from cqekit.channels import builtin_isometry
-from cqekit.entropics import CQEJointState, channel_output_ensemble, make_ensemble, mu_ensemble
+from cqekit.entropics import CQEJointState, channel_output_ensemble, entropy_profiles
+from cqekit.entropics import make_ensemble, mu_ensemble
 from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit
 from cqekit.errors import NotValidPOVMElement
 from cqekit.qlinalg import EIG_CLAMP, matrix_sqrt_psd, squared_norms, trace_norm, trace_norms
-from conftest import random_ensemble
+from conftest import dephased_profile, random_ensemble
 
 
 def test_bound_functions_values():
@@ -168,7 +169,7 @@ def test_dpi_check_dephasing_sweep():
     rng = np.random.default_rng(13)
     for _ in range(50):
         sigma = channel_output_ensemble(random_ensemble(rng), iso)
-        reports = bounds.dpi_check(sigma)
+        reports = bounds.dpi_check(sigma.profile, dephased_profile(sigma))
         assert set(reports) == {"holevo", "mutual", "coherent"}
         for report in reports.values():
             assert report.satisfied
@@ -177,7 +178,7 @@ def test_dpi_check_dephasing_sweep():
 def test_dpi_check_split_validation():
     trivial = channel_output_ensemble(mu_ensemble(0.3), builtin_isometry("identity"))
     with pytest.raises(NoEnvironmentSplit):
-        bounds.dpi_check(trivial)
+        dephased_profile(trivial)
 
 
 def _dephased_reference(sigma):
@@ -206,8 +207,7 @@ def test_dpi_check_equals_per_branch_reference(kind, param, d):
         ens = make_ensemble([(p, bounds.random_pure(d * d, rng)) for p in probs], d, d)
         sigma = channel_output_ensemble(ens, iso)
         reference = _dephased_reference(sigma).profile
-        reports = bounds.dpi_check(sigma)
-        assert bounds.dpi_check(sigma, bounds.dephase_environment(sigma)) == reports
+        reports = bounds.dpi_check(sigma.profile, dephased_profile(sigma))
         for name, field in (("holevo", "i_xb"), ("mutual", "i_axb"), ("coherent", "i_coh")):
             assert reports[name].lhs == getattr(sigma.profile, field)
             assert reports[name].rhs == pytest.approx(getattr(reference, field), abs=1e-12)
@@ -310,16 +310,18 @@ def test_dephase_environment_of_blocks_off_unit_norm(deviation):
         probs = rng.dirichlet(np.ones(letters))
         psi = bounds.random_pure(8, rng, letters).reshape(letters, 2, 2, 2)
         sigma = CQEJointState(probs, psi * math.sqrt(1 + deviation))
-        dephased = bounds.dephase_environment(sigma)
-        assert abs(dephased.probs.sum() - 1.0) <= ARITH_TOL
-        norms = squared_norms(dephased.psi.reshape(len(dephased.probs), -1))
+        weights, blocks = bounds.dephase_environment(sigma.probs[None], sigma.psi[None])
+        assert abs(weights.sum() - 1.0) <= ARITH_TOL
+        norms = squared_norms(blocks[weights > 0.0].reshape(-1, 4))
         assert np.allclose(norms, 1.0 + deviation, rtol=0.0, atol=1e-15)
-        dephased.profile
-        assert all(r.satisfied for r in bounds.dpi_check(sigma, dephased).values())
+        dephased = entropy_profiles(weights, blocks)[0]
+        assert all(r.satisfied for r in bounds.dpi_check(sigma.profile, dephased).values())
 
 
 def test_dephase_environment_of_one_block_of_squared_norm_above_1():
     psi = bounds.random_pure(8, np.random.default_rng(41)).reshape(1, 2, 2, 2)
     sigma = CQEJointState([1.0], psi * math.sqrt(1 + 1e-10))
-    assert bounds.dephase_environment(sigma).probs.sum() == pytest.approx(1.0, abs=ARITH_TOL)
-    assert all(r.satisfied for r in bounds.dpi_check(sigma).values())
+    weights, _ = bounds.dephase_environment(sigma.probs[None], sigma.psi[None])
+    assert weights.sum() == pytest.approx(1.0, abs=ARITH_TOL)
+    assert all(r.satisfied for r in
+               bounds.dpi_check(sigma.profile, dephased_profile(sigma)).values())

@@ -318,6 +318,23 @@ def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
     assert counts[0] > 0 and counts == ([2, 4, 4] if suite == "gentle" else [counts[0]] * 3)
 
 
+@pytest.mark.parametrize("suite, channels", [("identities", 3), ("dpi", 1)])
+def test_stacked_suites_build_no_state_objects(monkeypatch, suite, channels):
+    # a chunk's ensembles are one stack from the draw to the profiles: no CQEnsemble or
+    # CQEJointState is built, and each channel applies its isometry once per chunk
+    built, applied = [], []
+    for cls in (entropics.CQEnsemble, entropics.CQEJointState):
+        monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
+    real = entropics.apply_isometry
+    monkeypatch.setattr(entropics, "apply_isometry",
+                        lambda v, amps: applied.append(amps.shape) or real(v, amps))
+    for trials in (1, 20, 200):
+        applied.clear()
+        assert run_cli("check", "--suite", suite, "--trials", str(trials), "--seed", "3")[0] == 0
+        assert applied == [(trials, 3, 2, 2)] * channels
+    assert built == []
+
+
 def test_import_builds_no_channel():
     # the check suites build their isometries on first use, not at import
     code = ("import cqekit.channels as ch\n"

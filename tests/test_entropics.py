@@ -3,6 +3,7 @@
 import json
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,7 +11,8 @@ import pytest
 from conftest import random_ensemble, random_state_vector
 from cqekit import closedform, entropics
 from cqekit.bounds import dephase_environment
-from cqekit.channels import MAX_DIM, TP_TOL, builtin_isometry, isometric_extension
+from cqekit.channels import MAX_DIM, TP_TOL, apply_isometry, builtin_isometry
+from cqekit.channels import isometric_extension
 from cqekit.entropics import (
     NORM_TOL,
     STATE_NORM_TOL,
@@ -23,6 +25,7 @@ from cqekit.entropics import (
     cond_mutual_A_B_given_X,
     cond_mutual_A_E_given_X,
     ensemble_from_spec,
+    entropy_profiles,
     holevo_X_B,
     load_ensemble,
     make_ensemble,
@@ -30,8 +33,9 @@ from cqekit.entropics import (
     mutual_AX_B,
     verify_identities,
 )
-from cqekit.errors import DimMismatch, InvalidState, SpecFormatError
-from cqekit.qlinalg import PureStateVector, binary_entropy, matrix_entropies
+from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, SpecFormatError
+from cqekit.qlinalg import WEIGHT_FLOOR, PureStateVector, binary_entropy, matrix_entropies
+from cqekit.qlinalg import squared_norms
 from cqekit.cli import main
 from cqekit.regions import ENTROPIC_TOL, RATE_TOL, cef_point, corner_points, derive_children
 from cqekit.regions import region_from_state
@@ -171,7 +175,7 @@ def test_verify_identities_random_sweep():
     for _ in range(50):
         ens = random_ensemble(rng)
         for iso in ISOMETRIES:
-            report = verify_identities(channel_output_ensemble(ens, iso))
+            report = verify_identities(channel_output_ensemble(ens, iso).profile)
             assert report.max_residual <= 1e-9
             assert set(report.residuals) == {
                 "entropy_identity",
@@ -182,7 +186,7 @@ def test_verify_identities_random_sweep():
 
 
 def test_identities_exact_on_mu_ensemble():
-    report = verify_identities(channel_output_ensemble(mu_ensemble(0.3), DEPHASING))
+    report = verify_identities(channel_output_ensemble(mu_ensemble(0.3), DEPHASING).profile)
     assert report.max_residual <= 1e-12
 
 
@@ -242,8 +246,17 @@ def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys
     assert len(built) == 1  # the probe sees a construction
 
 
+def _marginal(block, keep):
+    """The reduced state of a (d_A, d_B, d_E) block on the axes `keep`, formed as
+    PureStateVector.marginal_mat forms it, with no norm check: blocks within STATE_NORM_TOL
+    of unit norm are states too."""
+    rest = [axis for axis in range(3) if axis not in keep]
+    m = block.transpose(keep + rest).reshape(math.prod(block.shape[i] for i in keep), -1)
+    return m @ m.conj().T
+
+
 def _reference_profile(sigma):
-    """The per-block path: marginal_mat and matrix_entropies for each block and
+    """The per-block path: each block's marginals and matrix_entropies for each
     subsystem, and the cross-check's H(AX) and H(AXB) from the assembled
     block-diagonal matrices.  Returns the profile and the direct I(AX;B)."""
     n, da = len(sigma.probs), sigma.dim_A
@@ -252,13 +265,12 @@ def _reference_profile(sigma):
     big_axb = np.zeros((n * dab, n * dab), dtype=complex)
     rows, weighted_b = [], []
     for i, (p, block) in enumerate(zip(sigma.probs.tolist(), sigma.psi)):
-        psi = PureStateVector(block.reshape(-1), block.shape, ("A", "B", "E"))
-        rho_a, rho_b = psi.marginal_mat({"A"}), psi.marginal_mat({"B"})
-        he = matrix_entropies(psi.marginal_mat({"E"}))
+        rho_a, rho_b = _marginal(block, [0]), _marginal(block, [1])
+        he = matrix_entropies(_marginal(block, [2]))
         rows.append((p, matrix_entropies(rho_a), matrix_entropies(rho_b), he))
         weighted_b.append(p * rho_b)
         big_ax[i * da:(i + 1) * da, i * da:(i + 1) * da] = p * rho_a
-        big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * psi.marginal_mat({"A", "B"})
+        big_axb[i * dab:(i + 1) * dab, i * dab:(i + 1) * dab] = p * _marginal(block, [0, 1])
     h_avg_b = matrix_entropies(sum(weighted_b))
     i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
     i_xb = h_avg_b - sum(p * hb for p, _, hb, _ in rows)
@@ -309,6 +321,40 @@ def _hex(profile):
     return [float(getattr(profile, f)).hex() for f in EntropyProfile.__dataclass_fields__]
 
 
+def _stack(states):
+    """States of one block shape as one stack, padded with zero blocks of weight 0."""
+    width = max(len(sigma.probs) for sigma in states)
+    probs = np.zeros((len(states), width))
+    psi = np.zeros((len(states), width, *states[0].psi.shape[1:]), dtype=complex)
+    for i, sigma in enumerate(states):
+        probs[i, :len(sigma.probs)], psi[i, :len(sigma.probs)] = sigma.probs, sigma.psi
+    return probs, psi
+
+
+def _compacted_dephase(sigma):
+    """dephase_environment as one state whose dropped branches are removed, not kept as
+    zero-weight slots: the per-state form that the stacked one replaces."""
+    _, da, db, de = sigma.psi.shape
+    branches = sigma.psi.transpose(0, 3, 1, 2).reshape(-1, da * db)
+    weights = squared_norms(branches)
+    keep = weights > WEIGHT_FLOOR
+    probs = np.repeat(sigma.probs, de) * weights
+    if not abs(probs[keep].sum() - 1.0) <= ARITH_TOL:
+        norms = np.repeat(weights.reshape(-1, de).sum(1), de)
+        probs, weights = probs / norms, weights / norms
+    psi = (branches[keep] / np.sqrt(weights[keep])[:, None]).reshape(-1, da, db, 1)
+    return CQEJointState(probs[keep], psi)
+
+
+def _assert_stack_equals_states_alone(probs, psi, states):
+    """The stack's profiles, and each state's as a stack of one, are bit-equal to the
+    per-block reference of the state built alone."""
+    for profile, sigma in zip(entropy_profiles(probs, psi), states, strict=True):
+        want = _hex(_reference_profile(sigma)[0])
+        assert _hex(profile) == want
+        assert _hex(sigma.profile) == want  # a stack of one
+
+
 @pytest.mark.parametrize("kind, param, d", [
     ("dephasing", 0.3, 2), ("erasure", 0.25, 2), ("erasure", 0.6, 3),
     ("depolarizing", None, 2), ("depolarizing", None, 3), ("kraus", None, 2),
@@ -316,27 +362,77 @@ def _hex(profile):
 def test_batched_profiles_equal_per_state_reference(kind, param, d):
     rng = np.random.default_rng([d, 29])
     iso = _random_kraus_channel(rng) if kind == "kraus" else builtin_isometry(kind, param, d)
-    # one batch per letter count, then one that mixes 1 to 4 letters (padded blocks)
+    # one stack per letter count, then one that mixes 1 to 4 letters (padded blocks)
     counts = [[letters] * 5 for letters in (1, 2, 3, 4)] + [[4, 1, 3, 1, 2, 4, 2, 3, 1]]
     for batch in counts:
         states = [_random_state(rng, letters, d, iso) for letters in batch]
+        _assert_stack_equals_states_alone(*_stack(states), states)
         # and the same states with their environment dephased: d_E = 1, so rho_E is 1 x 1
-        for group in (states, [dephase_environment(sigma) for sigma in states]):
-            batch = entropics._entropy_profile(group)
-            for sigma, profile in zip(group, batch):
-                want = _hex(_reference_profile(sigma)[0])
-                assert _hex(profile) == want
-                assert _hex(entropics._entropy_profile([sigma])[0]) == want  # a batch of one
-        entropics.profiles(states)  # cached where `profile` reads it
-        assert [vars(sigma)["profile"] for sigma in states] == entropics._entropy_profile(states)
+        dephased = dephase_environment(*_stack(states))
+        _assert_stack_equals_states_alone(*dephased, map(_compacted_dephase, states))
+
+
+@pytest.mark.parametrize("kind, param, d", [
+    ("dephasing", 0.3, 2), ("erasure", 0.25, 2), ("erasure", 0.6, 3),
+    ("depolarizing", None, 2), ("depolarizing", None, 3), ("kraus", None, 2),
+])
+def test_stacked_path_equals_states_built_alone(kind, param, d):
+    # ensembles of 1 to 4 letters, one with a letter of weight 0, through one product
+    rng = np.random.default_rng([d, 43])
+    iso = _random_kraus_channel(rng) if kind == "kraus" else builtin_isometry(kind, param, d)
+    counts = [4, 1, 3, 1, 2, 4, 2, 3, 1]
+    probs, amps = np.zeros((len(counts), 4)), np.zeros((len(counts), 4, d, d), dtype=complex)
+    for i, n in enumerate(counts):
+        probs[i, :n] = rng.dirichlet(np.ones(n))
+        amps[i, :n] = random_state_vector(d * d, rng, n).reshape(n, d, d)
+    probs[2, :3] = [0.25, 0.0, 0.75]  # a real letter of weight 0 in the middle
+    weights, psi = channel_output_ensemble((probs, amps), iso)
+    alone = [CQEJointState(p[:n], apply_isometry(iso, a[:n]))
+             for p, a, n in zip(probs, amps, counts)]
+    _assert_stack_equals_states_alone(weights, psi, alone)
+    # the ensemble drops its weight-0 letter: the same profile, bit for bit
+    dropped = channel_output_ensemble(CQEnsemble(probs[2, :3], amps[2, :3]), iso)
+    assert _hex(dropped.profile) == _hex(alone[2].profile)
+
+
+@pytest.mark.parametrize("kind, param, d", [
+    ("dephasing", 0.0, 2), ("erasure", 0.0, 2), ("erasure", 0.0, 3),
+])
+def test_stacked_dephasing_keeps_dropped_branches_as_zero_weight_slots(kind, param, d):
+    # with p = 0 or eps = 0 every letter has a branch of weight 0, between its kept branches
+    # and those of the next letter
+    rng = np.random.default_rng([d, 47])
+    iso = builtin_isometry(kind, param, d)
+    states = [_random_state(rng, letters, d, iso) for letters in (3, 1, 2, 3)]
+    probs, psi = dephase_environment(*_stack(states))
+    dropped = probs == 0.0
+    assert dropped[0, 1:-1].any() and not psi[dropped].any()
+    _assert_stack_equals_states_alone(probs, psi, map(_compacted_dephase, states))
+
+
+@pytest.mark.parametrize("deviation", [1e-10, -1e-10, 5e-10, -5e-10])
+def test_stacked_dephasing_renormalises_each_state_alone(deviation):
+    # blocks off unit norm within STATE_NORM_TOL put some states' kept weights off 1 beyond
+    # ARITH_TOL: those states are rescaled, the unit-norm ones between them are not
+    rng = np.random.default_rng(40)
+    states = []
+    for letters in (1, 2, 3, 2):
+        probs = rng.dirichlet(np.ones(letters))
+        psi = random_state_vector(8, rng, letters).reshape(letters, 2, 2, 2)
+        states += [CQEJointState(probs, psi * math.sqrt(1 + deviation)), CQEJointState(probs, psi)]
+    weights, blocks = dephase_environment(*_stack(states))
+    for i, sigma in enumerate(states):
+        alone = _compacted_dephase(sigma)
+        assert weights[i][weights[i] > 0.0].tolist() == alone.probs.tolist()
+    _assert_stack_equals_states_alone(weights, blocks, map(_compacted_dephase, states))
 
 
 @pytest.mark.parametrize("k", [0, 2, 4])
 @pytest.mark.parametrize("bad", [float("nan"), -1e-6])
 def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad):
     # each of the six spectra in turn (rho_A, rho_B, rho_E, p rho_A, p rho_AB of the blocks,
-    # avg rho_B of the states) has one bad eigenvalue in state k's first row, in a batch of
-    # 5 and in a batch of one
+    # avg rho_B of the states) has one bad eigenvalue in state k's first row, in a stack of
+    # 5 and in a stack of one
     rng = np.random.default_rng(31)
     states = [_random_state(rng, 2, 2, DEPHASING) for _ in range(5)]
     spectra = entropics._spectra
@@ -354,31 +450,61 @@ def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad
             row = i if which == 5 else 2 * i  # two blocks per state, one average
             monkeypatch.setattr(entropics, "_spectra", corrupted(which, row))
             with pytest.raises(InvalidState):
-                entropics._entropy_profile(batch)
+                entropy_profiles(*_stack(batch))
             monkeypatch.undo()
-        entropics._entropy_profile(batch)  # the clean batch passes
+        entropy_profiles(*_stack(batch))  # the clean stack passes
     states[k].psi[1, 0, 0, 0] = np.nan  # a NaN amplitude reaches the average of B
     for batch in (states, [states[k]]):
         with pytest.raises(InvalidState):
-            entropics._entropy_profile(batch)
+            entropy_profiles(*_stack(batch))
 
 
-def test_batched_profile_rejects_mixed_block_shapes():
-    rng = np.random.default_rng(37)
-    sigma = _random_state(rng, 2, 2, DEPHASING)
-    # d_E = 1 would broadcast into a d_E = 2 slot; erasure's (2, 3, 3) would not fit
-    for other in (dephase_environment(sigma), _random_state(rng, 2, 2, ERASURE)):
+def _ensemble_stack(rng, n=5):
+    probs = rng.dirichlet(np.ones(3), n)
+    probs[:, 2] = 0.0  # the last slot of each is padding: weight 0, zero amplitudes
+    probs[:, 1] = 1.0 - probs[:, 0]
+    amps = np.zeros((n, 3, 2, 2), dtype=complex)
+    amps[:, :2] = random_state_vector(4, rng, 2 * n).reshape(n, 2, 2, 2)
+    return probs, amps
+
+
+@pytest.mark.parametrize("k", [0, 2, 4])
+def test_stacked_validation_names_the_failing_state(k):
+    rng = np.random.default_rng(53)
+    probs, amps = _ensemble_stack(rng)
+    channel_output_ensemble((probs, amps), DEPHASING)  # the padding is not checked
+    amps[k, 2] = amps[k, 0]
+    channel_output_ensemble((probs, amps), DEPHASING)  # nor is a unit letter of weight 0 wrong
+    weight_faults = (lambda p, a: p.__setitem__((k, 0), np.nan),
+                     lambda p, a: p.__setitem__((k, 0), -p[k, 0]),
+                     lambda p, a: p.__setitem__((k, 1), p[k, 1] + 1e-6))
+    letter_faults = (lambda p, a: a.__setitem__((k, 1), a[k, 1] * math.sqrt(1 + 3e-10)),
+                     lambda p, a: a.__setitem__((k, 0, 0, 0), np.nan),
+                     # a letter of weight 0 is checked: NaN, or squared norm 4, is no padding
+                     lambda p, a: a.__setitem__((k, 2, 0, 0), np.nan),
+                     lambda p, a: a.__setitem__((k, 2, 0, 0), 2.0))
+    for faults, words in ((weight_faults, "weights"), (letter_faults, "letter squared norms")):
+        for fault in faults:
+            probs, amps = _ensemble_stack(rng)
+            fault(probs, amps)
+            with pytest.raises(InvalidState, match=f"{words}.* of state {k} "):
+                channel_output_ensemble((probs, amps), DEPHASING)
+            with pytest.raises(InvalidState) as one:  # a stack of one: today's message
+                channel_output_ensemble((probs[k:k + 1], amps[k:k + 1]), DEPHASING)
+            assert "state" not in str(one.value)
+    probs, amps = _ensemble_stack(rng)
+    for wrong in ((probs[:, :2], amps), (probs, amps[..., 0]), (probs[0], amps[0])):
         with pytest.raises(DimMismatch):
-            entropics._entropy_profile([sigma, other])
+            channel_output_ensemble(wrong, DEPHASING)
 
 
 @pytest.mark.parametrize("p", [0.2, 0.9])
 def test_mu_family_batch_gives_the_cef_curve(p):
     grid = np.linspace(0.0, 0.5, 10001)
-    iso = builtin_isometry("dephasing", p)
-    states = [channel_output_ensemble(mu_ensemble(mu), iso) for mu in grid.tolist()]
-    entropics.profiles(states)  # one batch of 10001 states
-    got = np.array([cef_point(sigma).as_array() for sigma in states])
+    ensembles = [mu_ensemble(mu) for mu in grid.tolist()]
+    stack = np.array([ens.probs for ens in ensembles]), np.array([ens.amps for ens in ensembles])
+    profiles = entropy_profiles(*channel_output_ensemble(stack, builtin_isometry("dephasing", p)))
+    got = np.array([cef_point(SimpleNamespace(profile=prof)).as_array() for prof in profiles])
     want = closedform.cef_curve(p, grid)
     assert np.max(np.abs(got - np.stack([want.c, want.q, want.e], axis=1))) <= 1e-12
 
