@@ -153,14 +153,14 @@ def random_pure(dim: int, rng: np.random.Generator, n: int | None = None) -> np.
 
 def random_ensemble(rng: np.random.Generator, k: int) -> tuple[np.ndarray, np.ndarray]:
     """k random qubit-qubit classical-quantum input ensembles of 1 to 3 letters, each drawn in
-    turn (letter count, weights, amplitudes), as one stack (probs (k, 3), amps (k, 3, 2, 2))
-    padded with zero letters of weight 0."""
-    probs, amps = np.zeros((k, 3)), np.zeros((k, 3, 4), dtype=complex)
+    turn (letter count, weights, amplitudes), as one stack (probs (k, W), amps (k, W, 2, 2))
+    padded with zero letters of weight 0 to the W letters of the widest."""
+    probs, amps, width = np.zeros((k, 3)), np.zeros((k, 3, 4), dtype=complex), 1
     for i in range(k):
         n = int(rng.integers(1, 4))
         p = rng.random(n)
-        probs[i, :n], amps[i, :n] = p / p.sum(), random_pure(4, rng, n)
-    return probs, amps.reshape(k, 3, 2, 2)
+        probs[i, :n], amps[i, :n], width = p / p.sum(), random_pure(4, rng, n), max(width, n)
+    return probs[:, :width], amps[:, :width].reshape(k, width, 2, 2)
 
 
 def random_density(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

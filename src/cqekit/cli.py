@@ -214,8 +214,8 @@ def _isometries() -> tuple:
 
 
 def _identities(rng, k):
-    stack = bounds.random_ensemble(rng, k)
-    batches = [entropy_profiles(*channel_output_ensemble(stack, iso)) for iso in _isometries()]
+    outputs = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries())
+    batches = [entropy_profiles(probs, psi) for probs, psi in outputs]
     residuals = [verify_identities(prof).max_residual for trial in zip(*batches) for prof in trial]
     return [(r <= IDENTITY_TOL, IDENTITY_TOL - r) for r in residuals]
 
@@ -245,7 +245,7 @@ def _gentle(rng, k):
 
 
 def _dpi(rng, k):
-    probs, psi = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries()[0])
+    [(probs, psi)] = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries()[:1])
     after = entropy_profiles(*bounds.dephase_environment(probs, psi))
     return [(r.satisfied, r.slack) for pair in zip(entropy_profiles(probs, psi), after)
             for r in bounds.dpi_check(*pair).values()]

@@ -15,7 +15,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .channels import MAX_DIM, TP_TOL, IsometricExtension, apply_isometry, read_spec
+from .channels import MAX_DIM, TP_TOL, apply_isometry, read_spec
 from .errors import ARITH_TOL, NORM_TOL, DimMismatch, InvalidState, SpecFormatError
 from .errors import check_complex, check_int, check_range, check_real
 from .qlinalg import shannon_entropies, squared_norms
@@ -59,20 +59,22 @@ def _check_letters(probs: np.ndarray, letters: np.ndarray, ndim: int, tol: float
 class CQEnsemble:
     """{p(x), phi_x}: weights `probs` of shape (L,) and pure states `amps` of shape
     (L, d_A, d_A'), letter x's amplitudes on A (x) A' as a d_A x d_A' matrix.  Construction
-    checks every letter, then drops the letters of weight 0."""
+    checks every letter of a read-only copy of both, then drops the letters of weight 0."""
 
     probs: np.ndarray
     amps: np.ndarray
 
     def __post_init__(self):
-        probs, amps = np.asarray(self.probs, dtype=float), np.asarray(self.amps, dtype=complex)
+        probs, amps = np.array(self.probs, dtype=float), np.array(self.amps, dtype=complex)
         _check_letters(probs[None], amps[None], 4, NORM_TOL)
-        keep = probs > 0.0
-        object.__setattr__(self, "probs", probs[keep])
-        object.__setattr__(self, "amps", amps[keep])
-        bound = min(self.dim_Aprime, self.dim_A) ** 2 + 1
-        if len(self.probs) > bound:
-            warnings.warn(f"ensemble has {len(self.probs)} letters; {bound} suffice for this "
+        if not probs.all():  # the weights are checked >= 0
+            probs, amps = probs[probs > 0.0], amps[probs > 0.0]
+        for name, value in (("probs", probs), ("amps", amps)):
+            value.setflags(write=False)
+            object.__setattr__(self, name, value)
+        bound = min(amps.shape[1:]) ** 2 + 1  # min(d_A, d_A') ** 2 + 1
+        if len(probs) > bound:
+            warnings.warn(f"ensemble has {len(probs)} letters; {bound} suffice for this "
                           "input dimension", stacklevel=2)
 
     dim_A = property(lambda self: self.amps.shape[1])
@@ -136,17 +138,20 @@ def mu_ensemble(mu: float) -> CQEnsemble:
     return make_ensemble([(0.5, v0), (0.5, v1)], 2, 2)
 
 
-def channel_output_ensemble(ens, v: IsometricExtension):
-    """Send the A' axis of every ensemble letter through the isometry, in one product.  A
-    CQEnsemble gives its CQEJointState.  A stack (probs (N, W), amps (N, W, d_A, d_A')) of
-    ensembles of one shape, padded with zero letters of weight 0, gives the stack (probs, psi
-    (N, W, d_A, d_B, d_E)) after one _check_letters of its letters against NORM_TOL: an
-    accepted isometry keeps every block within STATE_NORM_TOL, and a padding block stays 0."""
+def channel_output_ensemble(ens, v):
+    """Send the A' axis of every ensemble letter through an isometry, in one product.  A
+    CQEnsemble, checked when built, and an isometry `v` give its CQEJointState, not checked
+    again.  A stack (probs (N, W), amps (N, W, d_A, d_A')) of ensembles of one shape, padded
+    with zero letters of weight 0, and a sequence `v` of isometries give one stack (probs, psi
+    (N, W, d_A, d_B, d_E)) per isometry, after one _check_letters against NORM_TOL: an accepted
+    isometry keeps every block within STATE_NORM_TOL, and a padding block stays 0."""
     if isinstance(ens, CQEnsemble):
-        return CQEJointState(ens.probs, apply_isometry(v, ens.amps))
+        sigma = object.__new__(CQEJointState)  # CQEJointState(...) would check it again
+        sigma.__dict__.update(probs=ens.probs, psi=apply_isometry(v, ens.amps))
+        return sigma
     probs, amps = ens
     _check_letters(probs, amps, 4, NORM_TOL, padded=True)
-    return probs, apply_isometry(v, amps)
+    return [(probs, apply_isometry(iso, amps)) for iso in v]
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -160,7 +165,8 @@ def _spectra(*stacks: np.ndarray) -> list[np.ndarray]:
     out = list(stacks)
     for d in {m.shape[-1] for m in stacks}:
         group = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
-        w = np.linalg.eigvalsh(np.concatenate([stacks[i] for i in group]))
+        w = np.linalg.eigvalsh(np.concatenate([stacks[i] for i in group]) if group[1:]
+                               else stacks[group[0]])  # alone at its size: no copy
         for i in group:
             out[i], w = w[:len(stacks[i])], w[len(stacks[i]):]
     return out

@@ -201,16 +201,16 @@ def corner_points(r: OneShotRegion, e_max: float) -> list[RateTriple]:
     check_range("e_max", e_max, 0.0, E_MAX_LIMIT)
     b = _region_b(r, e_max)
     x = _BASIS_TABLE @ b
-    x = x[(x @ _CAPPED_A.T <= b + _slack(ENTROPIC_TOL, abs(b).max())).all(axis=1)]
-    kept: list[list[float]] = []
+    x = x[(x @ _CAPPED_A.T <= b + _slack(ENTROPIC_TOL, *b.tolist())).all(axis=1)]
+    kept, keys, tol = [], [], VERTEX_DEDUP_TOL
     for c, q, e in x.tolist():  # in basis order, each against the kept ones in max norm
-        if not any(abs(c - w[0]) <= VERTEX_DEDUP_TOL and abs(q - w[1]) <= VERTEX_DEDUP_TOL
-                   and abs(e - w[2]) <= VERTEX_DEDUP_TOL for w in kept):
-            kept.append([c, q, e])
-    # E is compared raw: kept vertices whose C and Q steps tie are more than
-    # VERTEX_DEDUP_TOL apart in E.
-    verts = sorted(kept, key=lambda v: (_step(v[0]), _step(v[1]), v[2]))
-    return [RateTriple(*v) for v in verts]
+        for w in kept:
+            if abs(c - w[0]) <= tol and abs(q - w[1]) <= tol and abs(e - w[2]) <= tol:
+                break
+        else:  # kept; vertices whose C and Q steps tie are more than tol apart in raw E
+            keys.append((_step(c), _step(q), e, len(kept)))  # ties: basis order (stable)
+            kept.append((c, q, e))
+    return [RateTriple(*kept[key[3]]) for key in sorted(keys)]
 
 
 def cef_point(sigma: CQEJointState) -> RateTriple:
@@ -221,16 +221,19 @@ def cef_point(sigma: CQEJointState) -> RateTriple:
 
 
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
-    """All corner protocols reachable from CEF via unit-resource arithmetic."""
-    prof = sigma.profile
-    cef = cef_point(sigma)
-    ceq = cef + ENT_DISTRIBUTION.scaled(cef.e)
-    # CEF-SD-ED's SD rate i_coh / 2 is signed: completely depolarizing ensembles make it < 0
-    cef_ed = cef + ENT_DISTRIBUTION.scaled(0.5 * _rate(prof.h_a_given_x))
-    return {"CEF": cef, "CEQ": ceq, "EAC": cef + SUPER_DENSE.scaled(cef.q),
-            "CEF-SD-ED": cef_ed + SUPER_DENSE.scaled(0.5 * prof.i_coh),
-            "CEF-TP": cef + TELEPORTATION.scaled(0.5 * cef.c),
-            "LSD": RateTriple(0.0, ceq.q, ceq.e), "EAQ": RateTriple(0.0, cef.q, cef.e)}
+    """All corner protocols reachable from CEF via unit-resource arithmetic: CEF plus k units
+    of a protocol u is formed from floats in the operations of cef + u.scaled(k)."""
+    prof, cef = sigma.profile, cef_point(sigma)
+    c, q, e = cef.c, cef.q, cef.e
+    tp, sd, ed = TELEPORTATION, SUPER_DENSE, ENT_DISTRIBUTION
+    # CEF-SD-ED: ED at H(A|X)/2, then SD at i_coh/2, signed (< 0 for completely depolarizing)
+    h, s, t = 0.5 * _rate(prof.h_a_given_x), 0.5 * prof.i_coh, 0.5 * c
+    return {"CEF": cef, "CEQ": RateTriple(c + e * ed.c, q + e * ed.q, e + e * ed.e),
+            "EAC": RateTriple(c + q * sd.c, q + q * sd.q, e + q * sd.e),
+            "CEF-SD-ED": RateTriple(c + h * ed.c + s * sd.c, q + h * ed.q + s * sd.q,
+                                    e + h * ed.e + s * sd.e),
+            "CEF-TP": RateTriple(c + t * tp.c, q + t * tp.q, e + t * tp.e),
+            "LSD": RateTriple(0.0, q + e * ed.q, e + e * ed.e), "EAQ": RateTriple(0.0, q, e)}
 
 
 def union_membership(

@@ -51,12 +51,12 @@ def test_tracer_counts_and_restores_the_check_path():
     # a stacked continuity check is one call for the 3 trials, gentle one per dimension drawn
     # (seed 1234 draws both) and dpi_check one per trial, so the per-layer counts keep
     # measuring the check path; random_density draws one stack per continuity suite and per
-    # gentle trial; channel_output_ensemble sends one stack of ensembles through each of the
-    # identities suite's three channels and one through dpi's; the entropic readers have no
-    # caller on it
+    # gentle trial; channel_output_ensemble checks one stack of ensembles and sends it through
+    # the identities suite's three channels in one call, and one through dpi's in another;
+    # the entropic readers have no caller on it
     expected = {"bounds.dpi_check": 3, "bounds.check_af": 1, "bounds.check_mi": 1,
                 "bounds.check_fannes": 1, "bounds.gentle_measurement_check": 2,
-                "bounds.random_density": 6, "entropics.channel_output_ensemble": 4,
+                "bounds.random_density": 6, "entropics.channel_output_ensemble": 2,
                 "entropics.verify_identities": 9}
     for key in traced:
         assert trace.calls[key] == expected.get(key, 0), key

@@ -247,6 +247,25 @@ def test_stacked_random_draws_are_the_bits_of_draws_in_turn(dim):
                 assert rng.random() == ref.random()  # the stream goes on where the loop's does
 
 
+def test_random_ensemble_pads_a_stack_to_its_widest_draw():
+    # k draws in turn are the k stacks of one drawn from the same stream, each padded with
+    # zero letters of weight 0 to the letter count of the widest of them
+    widths = set()
+    for seed in range(40):
+        for k in (1, 2, 3, 8):
+            rng, ref = np.random.default_rng([seed, k]), np.random.default_rng([seed, k])
+            probs, amps = bounds.random_ensemble(rng, k)
+            alone = [bounds.random_ensemble(ref, 1) for _ in range(k)]
+            assert probs.shape[1] == amps.shape[1] == max(p.shape[1] for p, _ in alone)
+            for i, (p, a) in enumerate(alone):
+                n = p.shape[1]
+                assert probs[i, :n].tobytes() == p[0].tobytes() and not probs[i, n:].any()
+                assert amps[i, :n].tobytes() == a[0].tobytes() and not amps[i, n:].any()
+            assert rng.random() == ref.random()
+            widths.add(probs.shape[1])
+    assert widths == {1, 2, 3}
+
+
 def _gentle_reference(ens, x):
     """(lhs, rhs) of gentle_measurement_check as one trial at a time: eigvalsh for the range
     check, eigh for the root, letters summed in turn."""

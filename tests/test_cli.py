@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 import cqekit
-from cqekit import cli, closedform, entropics
+from cqekit import bounds, cli, closedform, entropics
 from cqekit.channels import TP_TOL, load_channel
 from cqekit.cli import build_parser, fmt, main
 from cqekit.entropics import IDENTITY_TOL, NORM_TOL
@@ -321,17 +321,26 @@ def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
 @pytest.mark.parametrize("suite, channels", [("identities", 3), ("dpi", 1)])
 def test_stacked_suites_build_no_state_objects(monkeypatch, suite, channels):
     # a chunk's ensembles are one stack from the draw to the profiles: no CQEnsemble or
-    # CQEJointState is built, and each channel applies its isometry once per chunk
-    built, applied = [], []
+    # CQEJointState is built, and each channel applies its isometry once per chunk, to a
+    # stack padded to the letters of its widest ensemble
+    built, applied, widths = [], [], []
     for cls in (entropics.CQEnsemble, entropics.CQEJointState):
         monkeypatch.setattr(cls, "__post_init__", lambda self: built.append(self))
     real = entropics.apply_isometry
     monkeypatch.setattr(entropics, "apply_isometry",
                         lambda v, amps: applied.append(amps.shape) or real(v, amps))
+    draw = bounds.random_ensemble
+
+    def recorded(rng, k):
+        probs, amps = draw(rng, k)
+        widths.append(int((probs > 0).sum(1).max()))
+        return probs, amps
+
+    monkeypatch.setattr(bounds, "random_ensemble", recorded)
     for trials in (1, 20, 200):
         applied.clear()
         assert run_cli("check", "--suite", suite, "--trials", str(trials), "--seed", "3")[0] == 0
-        assert applied == [(trials, 3, 2, 2)] * channels
+        assert applied == [(trials, widths[-1], 2, 2)] * channels
     assert built == []
 
 

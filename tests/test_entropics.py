@@ -36,7 +36,7 @@ from cqekit.entropics import (
 from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, SpecFormatError
 from cqekit.qlinalg import WEIGHT_FLOOR, PureStateVector, binary_entropy, matrix_entropies
 from cqekit.qlinalg import squared_norms
-from cqekit.cli import main
+from cqekit.cli import SUITES, main
 from cqekit.regions import ENTROPIC_TOL, RATE_TOL, cef_point, corner_points, derive_children
 from cqekit.regions import region_from_state
 
@@ -246,6 +246,52 @@ def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys
     assert len(built) == 1  # the probe sees a construction
 
 
+def test_each_ensemble_is_checked_once(monkeypatch, capsys):
+    # the ensemble is checked where it enters; its state under an accepted isometry is not
+    # checked again, and the identities suite checks its one stack for all three channels
+    checked = []
+    real = entropics._check_letters
+    monkeypatch.setattr(entropics, "_check_letters",
+                        lambda *args, **kw: checked.append(args[0].shape) or real(*args, **kw))
+    v = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+    sigma = channel_output_ensemble(make_ensemble([(0.3, v), (0.7, v[::-1])], 2, 2), ERASURE)
+    corner_points(region_from_state(sigma), 2.0)
+    derive_children(sigma)
+    assert checked == [(1, 2)]
+    checked.clear()
+    assert main(["region", "--channel", "dephasing:0.2", "--ensemble", "mu:0.5"]) == 0
+    assert capsys.readouterr().out and checked == [(1, 2)]
+    checked.clear()
+    SUITES["identities"](np.random.default_rng(5), 4)
+    assert len(checked) == 1 and checked[0][0] == 4
+    checked.clear()
+    CQEJointState(sigma.probs, sigma.psi)  # a state built directly is checked
+    assert checked == [(1, 2)]
+
+
+def test_ensemble_arrays_are_read_only_copies():
+    probs, amps = np.array([0.25, 0.75]), np.zeros((2, 2, 2), dtype=complex)
+    amps[0, 0, 0] = amps[1, 1, 1] = 1.0
+    ens = CQEnsemble(probs, amps)
+    with pytest.raises(ValueError, match="read-only"):
+        ens.probs[0] = 0.5
+    with pytest.raises(ValueError, match="read-only"):
+        ens.amps[0, 0, 0] = 2.0
+    probs[:] = [0.5, 0.5]
+    amps[0, 0, 0] = 7.0
+    assert ens.probs.tolist() == [0.25, 0.75] and ens.amps[0, 0, 0] == 1.0
+    # a weight-0 letter dropped: the kept arrays are read-only copies too
+    probs, amps = np.array([0.0, 1.0]), np.zeros((2, 2, 2), dtype=complex)
+    amps[0, 0, 0] = amps[1, 1, 1] = 1.0
+    ens = CQEnsemble(probs, amps)
+    amps[1, 1, 1] = 3.0
+    assert ens.probs.tolist() == [1.0] and ens.amps[0, 1, 1] == 1.0
+    assert not (ens.probs.flags.writeable or ens.amps.flags.writeable)
+    # the state derived from it shares the checked, read-only weights
+    sigma = channel_output_ensemble(ens, DEPHASING)
+    assert sigma.probs is ens.probs and sigma.psi.shape == (1, 2, 2, 2)
+
+
 def _marginal(block, keep):
     """The reduced state of a (d_A, d_B, d_E) block on the axes `keep`, formed as
     PureStateVector.marginal_mat forms it, with no norm check: blocks within STATE_NORM_TOL
@@ -386,7 +432,7 @@ def test_stacked_path_equals_states_built_alone(kind, param, d):
         probs[i, :n] = rng.dirichlet(np.ones(n))
         amps[i, :n] = random_state_vector(d * d, rng, n).reshape(n, d, d)
     probs[2, :3] = [0.25, 0.0, 0.75]  # a real letter of weight 0 in the middle
-    weights, psi = channel_output_ensemble((probs, amps), iso)
+    [(weights, psi)] = channel_output_ensemble((probs, amps), [iso])
     alone = [CQEJointState(p[:n], apply_isometry(iso, a[:n]))
              for p, a, n in zip(probs, amps, counts)]
     _assert_stack_equals_states_alone(weights, psi, alone)
@@ -472,9 +518,9 @@ def _ensemble_stack(rng, n=5):
 def test_stacked_validation_names_the_failing_state(k):
     rng = np.random.default_rng(53)
     probs, amps = _ensemble_stack(rng)
-    channel_output_ensemble((probs, amps), DEPHASING)  # the padding is not checked
+    channel_output_ensemble((probs, amps), [DEPHASING])  # the padding is not checked
     amps[k, 2] = amps[k, 0]
-    channel_output_ensemble((probs, amps), DEPHASING)  # nor is a unit letter of weight 0 wrong
+    channel_output_ensemble((probs, amps), [DEPHASING])  # nor is a unit letter of weight 0 wrong
     weight_faults = (lambda p, a: p.__setitem__((k, 0), np.nan),
                      lambda p, a: p.__setitem__((k, 0), -p[k, 0]),
                      lambda p, a: p.__setitem__((k, 1), p[k, 1] + 1e-6))
@@ -488,14 +534,14 @@ def test_stacked_validation_names_the_failing_state(k):
             probs, amps = _ensemble_stack(rng)
             fault(probs, amps)
             with pytest.raises(InvalidState, match=f"{words}.* of state {k} "):
-                channel_output_ensemble((probs, amps), DEPHASING)
+                channel_output_ensemble((probs, amps), [DEPHASING])
             with pytest.raises(InvalidState) as one:  # a stack of one: today's message
-                channel_output_ensemble((probs[k:k + 1], amps[k:k + 1]), DEPHASING)
+                channel_output_ensemble((probs[k:k + 1], amps[k:k + 1]), [DEPHASING])
             assert "state" not in str(one.value)
     probs, amps = _ensemble_stack(rng)
     for wrong in ((probs[:, :2], amps), (probs, amps[..., 0]), (probs[0], amps[0])):
         with pytest.raises(DimMismatch):
-            channel_output_ensemble(wrong, DEPHASING)
+            channel_output_ensemble(wrong, [DEPHASING])
 
 
 @pytest.mark.parametrize("p", [0.2, 0.9])
@@ -503,7 +549,8 @@ def test_mu_family_batch_gives_the_cef_curve(p):
     grid = np.linspace(0.0, 0.5, 10001)
     ensembles = [mu_ensemble(mu) for mu in grid.tolist()]
     stack = np.array([ens.probs for ens in ensembles]), np.array([ens.amps for ens in ensembles])
-    profiles = entropy_profiles(*channel_output_ensemble(stack, builtin_isometry("dephasing", p)))
+    [(probs, psi)] = channel_output_ensemble(stack, [builtin_isometry("dephasing", p)])
+    profiles = entropy_profiles(probs, psi)
     got = np.array([cef_point(SimpleNamespace(profile=prof)).as_array() for prof in profiles])
     want = closedform.cef_curve(p, grid)
     assert np.max(np.abs(got - np.stack([want.c, want.q, want.e], axis=1))) <= 1e-12

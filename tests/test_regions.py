@@ -1,5 +1,7 @@
 """Tests for rate polytopes, vertex enumeration, and unit-resource arithmetic."""
 
+import hashlib
+import json
 import os
 import re
 import subprocess
@@ -19,7 +21,8 @@ import cqekit
 import cqekit.regions as regions_module
 from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
-from cqekit.entropics import STATE_NORM_TOL, channel_output_ensemble, mu_ensemble
+from cqekit.cli import _parse_channel
+from cqekit.entropics import STATE_NORM_TOL, channel_output_ensemble, make_ensemble, mu_ensemble
 from cqekit.errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
 from cqekit.regions import (
     ARITH_TOL,
@@ -857,3 +860,38 @@ def test_runtime_imports_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["0", "False", "False"]
+
+
+# SHA-256 of the region path's bits for each built-in channel spec: 100 random ensembles of
+# 1-4 Haar letters (A and A' of the channel's input dimension) drawn from a seed made of the
+# spec's bytes, then mu:0.5 where the input is a qubit.  Each state adds one line: the
+# float.hex of its region constants, of every vertex at e_max 2 and of every child.
+REGION_PATH_DIGESTS = json.loads(
+    (Path(__file__).parent / "golden" / "region-path-sha256.json").read_text())
+
+
+def region_path_digest(spec):
+    iso = _parse_channel(spec)
+    d, rng, ensembles = iso.in_dim, np.random.default_rng(list(spec.encode())), []
+    for _ in range(100):
+        letters = int(rng.integers(1, 5))
+        probs = rng.random(letters) + 0.05
+        g = rng.standard_normal((letters, 2, d * d))
+        vecs = g[:, 0] + 1j * g[:, 1]
+        vecs /= np.linalg.norm(vecs, axis=1, keepdims=True)
+        ensembles.append(make_ensemble(list(zip((probs / probs.sum()).tolist(), vecs)), d, d))
+    if d == 2:
+        ensembles.append(mu_ensemble(0.5))
+    digest = hashlib.sha256()
+    for ens in ensembles:
+        sigma = channel_output_ensemble(ens, iso)
+        region = region_from_state(sigma)
+        triples = corner_points(region, 2.0) + [t for _, t in sorted(derive_children(sigma).items())]
+        values = astuple(region) + tuple(x for t in triples for x in astuple(t))
+        digest.update((" ".join(float(x).hex() for x in values) + "\n").encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("spec", sorted(REGION_PATH_DIGESTS))
+def test_region_path_digests(spec):
+    assert region_path_digest(spec) == REGION_PATH_DIGESTS[spec]
