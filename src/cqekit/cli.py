@@ -26,7 +26,7 @@ import numpy as np
 from . import bounds, closedform
 from .channels import builtin_isometry, channel_from_spec, channel_kind, load_channel
 from .entropics import (
-    IDENTITY_TOL,
+    ENTROPIC_TOL,
     CQEnsemble,
     channel_output_ensemble,
     entropy_profiles,
@@ -216,8 +216,8 @@ def _isometries() -> tuple:
 def _identities(rng, k):
     outputs = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries())
     batches = [entropy_profiles(probs, psi) for probs, psi in outputs]
-    residuals = [verify_identities(prof).max_residual for trial in zip(*batches) for prof in trial]
-    return [(r <= IDENTITY_TOL, IDENTITY_TOL - r) for r in residuals]
+    residuals = [max(verify_identities(prof).values()) for trial in zip(*batches) for prof in trial]
+    return [(r <= ENTROPIC_TOL, ENTROPIC_TOL - r) for r in residuals]
 
 
 def _pairwise(rng, k, checker, dim, *extra):

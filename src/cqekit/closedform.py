@@ -11,13 +11,11 @@ to the float call at that mu.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from .errors import ARITH_TOL, OutOfRange, check_range
 from .qlinalg import binary_entropy
-from .regions import OneShotRegion, RateTriple, halfspaces
+from .regions import E_MAX_LIMIT, OneShotRegion, RateTriple, halfspaces
 
 
 def g(p: float, mu):
@@ -53,14 +51,14 @@ def shor_ce_curve(p: float, mu) -> RateTriple:
 
 def ds_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CQ(mu), Q_CQ(mu) + e, e) of the entanglement-distribution sheet."""
-    check_range("e", e, 0.0, math.inf)
+    check_range("e", e, 0.0, E_MAX_LIMIT)  # every coordinate stays finite
     base = ds_curve(p, mu)
     return RateTriple(base.c, base.q + e, e)
 
 
 def shor_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CE(mu) - 2e, e, E_CE(mu) - e) of the super-dense-coding sheet."""
-    check_range("e", e, 0.0, math.inf)
+    check_range("e", e, 0.0, E_MAX_LIMIT)  # every coordinate stays finite
     base = shor_ce_curve(p, mu)
     return RateTriple(base.c - 2.0 * e, e, base.e - e)
 

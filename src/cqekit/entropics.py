@@ -20,11 +20,13 @@ from .errors import ARITH_TOL, NORM_TOL, DimMismatch, InvalidState, SpecFormatEr
 from .errors import check_complex, check_int, check_range, check_real
 from .qlinalg import shannon_entropies, squared_norms
 
-IDENTITY_TOL = 1e-9  # = regions.ENTROPIC_TOL, the slack of i_axb's row; measured gaps are < 1e-13
 # On a state's block: an accepted channel (input dimension <= MAX_DIM) moves a squared norm
 # by at most MAX_DIM * TP_TOL * (1 + NORM_TOL); a second NORM_TOL covers that and rounding.
 # A squared norm 1 + d takes about d log2(e) < ENTROPIC_TOL off a region row's margin.
 STATE_NORM_TOL = 2 * NORM_TOL + MAX_DIM * TP_TOL  # 5.2e-10
+# Row slack floor in regions (but contains'): > RATE_TOL + ARITH_TOL, and > ROW_REL_TOL |b|
+# while |b| < 1e5.  Also the I(AX;B) chain-vs-direct slack: measured gaps are < 1e-13.
+ENTROPIC_TOL = 1e-9
 
 
 def _check_letters(probs: np.ndarray, letters: np.ndarray, ndim: int, tol: float,
@@ -75,10 +77,7 @@ class CQEnsemble:
         bound = min(amps.shape[1:]) ** 2 + 1  # min(d_A, d_A') ** 2 + 1
         if len(probs) > bound:
             warnings.warn(f"ensemble has {len(probs)} letters; {bound} suffice for this "
-                          "input dimension", stacklevel=2)
-
-    dim_A = property(lambda self: self.amps.shape[1])
-    dim_Aprime = property(lambda self: self.amps.shape[2])
+                          "input dimension", stacklevel=3)  # past dataclass's __init__
 
 
 @dataclass(frozen=True)
@@ -109,10 +108,6 @@ class CQEJointState:
         object.__setattr__(self, "probs", np.asarray(self.probs, dtype=float))
         object.__setattr__(self, "psi", np.asarray(self.psi, dtype=complex))
         _check_letters(self.probs[None], self.psi[None], 5, STATE_NORM_TOL)
-
-    dim_A = property(lambda self: self.psi.shape[1])
-    dim_B = property(lambda self: self.psi.shape[2])
-    dim_E = property(lambda self: self.psi.shape[3])
 
     @cached_property
     def profile(self) -> EntropyProfile:
@@ -197,9 +192,9 @@ def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]
         i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
         i_xb = h_avg_b[i] - sum(p * hb for p, _, hb, _ in rows)
         chain, direct = i_ab + i_xb, h_ax[i] + h_avg_b[i] - h_axb[i]
-        if abs(direct - chain) > IDENTITY_TOL:
+        if abs(direct - chain) > ENTROPIC_TOL:
             raise InvalidState(f"chain-rule value {chain} and direct value {direct} disagree "
-                               f"beyond {IDENTITY_TOL}")
+                               f"beyond {ENTROPIC_TOL}")
         out.append(EntropyProfile(  # H(A|X), I(A;B|X), I(A;E|X), I(A>BX), I(X;B), I(AX;B)
             sum(p * ha for p, ha, _, _ in rows), i_ab,
             sum(p * (ha + he - hb) for p, ha, hb, he in rows),
@@ -238,27 +233,16 @@ def mutual_AX_B(sigma: CQEJointState) -> float:
     return sigma.profile.i_axb
 
 
-@dataclass(frozen=True)
-class IdentityReport:
-    """Residuals of the entropic identities on a one-shot state."""
-
-    residuals: dict
-    max_residual: float
-
-
-def verify_identities(prof: EntropyProfile) -> IdentityReport:
+def verify_identities(prof: EntropyProfile) -> dict[str, float]:
     """Residuals on a state's profile of the conditional-entropy, coherent-information and
-    their-sum identities, rounding only, and of the chain rule, identically 0: i_axb is the
-    chain value i_ab + i_xb, checked against the direct H(AX) + H(B) - H(AXB) in
-    entropy_profiles."""
+    their-sum identities: rounding only.  The independent check is entropy_profiles' chain
+    value of I(AX;B) against the direct H(AX) + H(B) - H(AXB), which raises."""
     i_ab, i_ae = prof.i_ab_given_x, prof.i_ae_given_x
-    residuals = {
+    return {
         "entropy_identity": abs(prof.h_a_given_x - 0.5 * i_ab - 0.5 * i_ae),
         "coherent_identity": abs(prof.i_coh - (0.5 * i_ab - 0.5 * i_ae)),
         "ent_coh_mut_identity": abs(prof.h_a_given_x + prof.i_coh - i_ab),
-        "chain_rule": abs(prof.i_axb - (i_ab + prof.i_xb)),
     }
-    return IdentityReport(residuals=residuals, max_residual=max(residuals.values()))
 
 
 def ensemble_from_spec(spec: dict) -> CQEnsemble:

@@ -14,14 +14,14 @@ import numpy as np
 from .errors import NORM_TOL, InvalidState, NotHermitian, NotPSD, NotSquare, UnknownLabel
 from .errors import check_range
 
-HERMITIAN_TOL = NORM_TOL  # a caller's matrix gets the input slack; cqekit's are Hermitian to ulps
 EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, for n <= 16 * 17
 WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
 
 
 def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
+    # a caller's matrix gets the input slack NORM_TOL; the ones cqekit forms are Hermitian to ulps
     return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
-                                                 axis=(-2, -1)) <= HERMITIAN_TOL
+                                                 axis=(-2, -1)) <= NORM_TOL
 
 
 def shannon_entropies(rows: np.ndarray) -> list[float]:

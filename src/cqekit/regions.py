@@ -19,10 +19,10 @@ from typing import Sequence
 
 import numpy as np
 
-from .entropics import STATE_NORM_TOL, CQEJointState
-from .errors import ARITH_TOL, FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, check_range
+from .entropics import ENTROPIC_TOL, STATE_NORM_TOL, CQEJointState
+from .errors import ARITH_TOL, FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
+from .errors import check_range
 
-SINGULAR_TOL = ARITH_TOL  # a singular row subset's det is rounding of O(1) products, < ARITH_TOL
 # A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
 # (1 + d) log2(1 + d) ~ d log2(e) off I(AX;B), I(X;B), I(A;B|X), I(A;E|X) and H(A|X) where
 # they are 0: an accepted state (d <= STATE_NORM_TOL) gives each of them down to about
@@ -31,7 +31,6 @@ RATE_TOL = STATE_NORM_TOL / math.log(2) + ARITH_TOL
 # Constants off by up to RATE_TOL move a vertex V[s] @ b by up to 5 RATE_TOL (a row of |V|
 # has constant coefficients summing to at most 5, see below): closer solutions merge.
 VERTEX_DEDUP_TOL = 5 * RATE_TOL  # 3.75e-9
-ENTROPIC_TOL = 1e-9  # row slack floor: > RATE_TOL + ARITH_TOL; > ROW_REL_TOL |b| if |b| < 1e5
 # twice the first-order rounding of A @ (V[s] @ b), 22 eps max |b| (rows of |A| |V| sum to <= 11)
 ROW_REL_TOL = 44 * np.finfo(float).eps  # 9.8e-15: _slack's relative part, the larger from 1e5 on
 # Largest e_max of corner_points and largest |constant| of a OneShotRegion.  corner_points
@@ -112,7 +111,9 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
 
 
 def contains(r: OneShotRegion, t: RateTriple) -> bool:
-    """Whether t satisfies every row of r within the row's _slack."""
+    """Whether t satisfies every row of r within the row's _slack; NaN or inf in t raises."""
+    if not (math.isfinite(t.c) and math.isfinite(t.q) and math.isfinite(t.e)):
+        raise OutOfRange(f"rate triple {t} has a NaN or infinite coordinate")
     return (
         t.c >= -ARITH_TOL
         and t.q >= -ARITH_TOL
@@ -157,7 +158,7 @@ def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     that meet every row within its _slack: one stacked det drops singular subsets, one solve."""
     idx = _row_subsets(*a.shape)
     sub_a = a[idx]
-    keep = np.abs(np.linalg.det(sub_a)) >= SINGULAR_TOL
+    keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL  # a singular one's is rounding of O(1) terms
     x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
     # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
     # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1

@@ -234,7 +234,7 @@ def test_criterion_07_bound_suites_1000_trials():
                    bounds.dpi_check(sigma.profile, dephased_profile(sigma)).values()):
             failures.append("dpi")
             break
-        if verify_identities(sigma.profile).max_residual > 1e-9:
+        if max(verify_identities(sigma.profile).values()) > 1e-9:
             failures.append("identities")
             break
         rho = bounds.random_density(8, rng)

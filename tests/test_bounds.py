@@ -185,7 +185,7 @@ def _dephased_reference(sigma):
     """sigma with E measured in its basis, one branch per letter and E state."""
     probs, blocks = [], []
     for p, block in zip(sigma.probs.tolist(), sigma.psi):
-        for y in range(sigma.dim_E):
+        for y in range(sigma.psi.shape[3]):
             branch = block[:, :, y]
             weight = float(np.vdot(branch, branch).real)
             if weight > 1e-15:

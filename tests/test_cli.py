@@ -21,7 +21,7 @@ import cqekit
 from cqekit import bounds, cli, closedform, entropics
 from cqekit.channels import TP_TOL, load_channel
 from cqekit.cli import build_parser, fmt, main
-from cqekit.entropics import IDENTITY_TOL, NORM_TOL
+from cqekit.entropics import ENTROPIC_TOL, NORM_TOL
 from cqekit.errors import FLOAT_MAX, SpecFormatError
 from cqekit.regions import E_MAX_LIMIT
 
@@ -368,9 +368,9 @@ def test_unknown_curve_exit_code():
 
 
 def test_identities_suite_passes_within_identity_tol(monkeypatch):
-    # a residual 0.9 IDENTITY_TOL passes the identities suite; one 1.1 IDENTITY_TOL fails it
+    # a residual 0.9 ENTROPIC_TOL passes the identities suite; one 1.1 ENTROPIC_TOL fails it
     for k, code in ((0.9, 0), (1.1, 1)):
-        report = entropics.IdentityReport({}, k * IDENTITY_TOL)
+        report = {"entropy_identity": k * ENTROPIC_TOL}
         monkeypatch.setattr(cli, "verify_identities", lambda sigma, report=report: report)
         got, out, _ = run_cli("check", "--suite", "identities", "--trials", "2", "--seed", "7")
         assert got == code, out

@@ -11,7 +11,8 @@ from cqekit.channels import builtin_isometry
 from cqekit.entropics import channel_output_ensemble, mu_ensemble
 from cqekit.errors import OutOfRange
 from cqekit.qlinalg import binary_entropy
-from cqekit.regions import OneShotRegion, RateTriple, cef_point, halfspaces, region_from_state
+from cqekit.regions import E_MAX_LIMIT, OneShotRegion, RateTriple, cef_point, halfspaces
+from cqekit.regions import region_from_state
 
 H2_09 = 0.4689955935892812
 H2_025 = 0.8112781244591328
@@ -89,6 +90,15 @@ def test_surfaces_reduce_to_curves_at_their_base():
         )
     with pytest.raises(OutOfRange):
         cf.ds_surface(0.2, 0.3, -0.1)
+
+
+def test_surfaces_bound_e_so_every_coordinate_is_finite():
+    # e = inf gave ds_surface Q = E = inf, and e = 1e308 gave shor_surface C = -inf
+    for surface in (cf.ds_surface, cf.shor_surface):
+        assert np.all(np.isfinite(surface(0.2, 0.3, E_MAX_LIMIT).as_array()))
+        for e in (math.nextafter(E_MAX_LIMIT, math.inf), math.inf, math.nan):
+            with pytest.raises(OutOfRange):
+                surface(0.2, 0.3, e)
 
 
 def test_surfaces_intersect_on_cef_curve():

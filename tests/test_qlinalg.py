@@ -19,7 +19,6 @@ from cqekit.errors import (
 )
 from cqekit.qlinalg import (
     EIG_CLAMP,
-    HERMITIAN_TOL,
     WEIGHT_FLOOR,
     PureStateVector,
     binary_entropy,
@@ -64,13 +63,12 @@ def test_matrix_sqrt_psd_rejects_bad_input():
         matrix_sqrt_psd(np.zeros((2, 3)))
     with pytest.raises(NotHermitian):
         matrix_sqrt_psd(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    # an asymmetry at 0.9 HERMITIAN_TOL (= NORM_TOL) is Hermitian; at 1.1 HERMITIAN_TOL it is not
-    assert HERMITIAN_TOL == NORM_TOL
-    near = np.array([[1.0, 0.9 * HERMITIAN_TOL], [0.0, 1.0]])
+    # an asymmetry at 0.9 NORM_TOL is Hermitian; at 1.1 NORM_TOL it is not
+    near = np.array([[1.0, 0.9 * NORM_TOL], [0.0, 1.0]])
     assert is_hermitian(near)
-    assert np.allclose(matrix_sqrt_psd(near), np.eye(2), rtol=0.0, atol=HERMITIAN_TOL)
+    assert np.allclose(matrix_sqrt_psd(near), np.eye(2), rtol=0.0, atol=NORM_TOL)
     with pytest.raises(NotHermitian):
-        matrix_sqrt_psd(np.array([[1.0, 1.1 * HERMITIAN_TOL], [0.0, 1.0]]))
+        matrix_sqrt_psd(np.array([[1.0, 1.1 * NORM_TOL], [0.0, 1.0]]))
 
 
 def test_shannon_entropy_basics():

@@ -32,7 +32,6 @@ from cqekit.regions import (
     RATE_TOL,
     REGION_LIMIT,
     ROW_REL_TOL,
-    SINGULAR_TOL,
     VERTEX_DEDUP_TOL,
     SUPER_DENSE,
     TELEPORTATION,
@@ -246,7 +245,7 @@ def test_largest_accepted_constants_give_finite_vertices():
 def _bases():
     """The nonsingular 3-row bases of the seven capped planes, in combinations order."""
     return [list(rows) for rows in combinations(range(7), 3)
-            if abs(np.linalg.det(_CAPPED_A[list(rows)])) >= SINGULAR_TOL]
+            if abs(np.linalg.det(_CAPPED_A[list(rows)])) >= ARITH_TOL]
 
 
 def test_basis_table_is_exact():
@@ -524,6 +523,21 @@ def test_gf1_face_is_entanglement_invariant():
     r = OneShotRegion(1.5, 0.5, 0.5)
     for e in (0.0, 1.0, 7.5):
         assert not contains(r, RateTriple(0.51, 0.5, e))
+
+
+def test_contains_and_union_membership_reject_a_non_finite_rate():
+    # an infinite coordinate gave its row an infinite slack, so inf <= inf read as inside
+    regions = [OneShotRegion(1.0, 0.5, 0.2), OneShotRegion(1.5, 0.5, 0.5)]
+    for bad in (np.inf, -np.inf, np.nan):
+        for t in (RateTriple(bad, 0.0, 0.0), RateTriple(0.0, bad, bad), RateTriple(0.0, 0.0, bad)):
+            with pytest.raises(OutOfRange):
+                contains(regions[0], t)
+            for timeshare in (False, True):
+                with pytest.raises(OutOfRange):
+                    union_membership(regions, t, timeshare)
+    huge = RateTriple(1e300, 0.0, 0.0)
+    assert not contains(regions[0], huge)
+    assert not union_membership(regions, huge) and not union_membership(regions, huge, True)
 
 
 def test_union_membership_basics():

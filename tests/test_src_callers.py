@@ -1,9 +1,13 @@
-"""A census of the public functions and classes of `src/cqekit` that no code reads.
+"""A census of the public functions, classes and class members of `src/cqekit` that no
+code reads.
 
-A name counts as read when a `src/cqekit` module or a benchmark script (other than the
-tracer and the smoke test) loads it, as a name or as an attribute.  The names that nothing
-reads are listed below with the reason each is kept, so a new unread name fails here, and
-a name that gains a caller, or that the tracer stops binding, has to leave the list.
+A function or class counts as read when a `src/cqekit` module or a benchmark script (other
+than the tracer and the smoke test) loads it, as a name or as an attribute.  A public method,
+property or class-level field counts as read only through an attribute load (`x.name`) in
+those files: a name-based count would take a parameter of the same name for a reader.  The
+names and members that nothing reads are listed below with the reason each is kept, so a new
+unread one fails here, and one that gains a caller, or that the tracer stops binding, has to
+leave its list.
 """
 
 import ast
@@ -42,12 +46,45 @@ OTHERS = {
     "tensor_power": "channels; ROADMAP item 4's two-use probe",
 }
 UNREAD = {**TRACER_KEPT, **CLOSED_FORMS, **OTHERS}
+UNREAD_MEMBERS = {
+    "BoundReport.lhs": "a report's left side; satisfied and slack derive from lhs and rhs",
+    "BoundReport.rhs": "a report's right side; satisfied and slack derive from lhs and rhs",
+    "PureStateVector.marginal_mat": "kept only for the tracer, which wraps it (ROADMAP item 1)",
+}
 
 
 def public_definitions() -> set[str]:
     """The top-level functions and classes of the cqekit modules whose names are public."""
     return {node.name for path in SRC for node in ast.parse(path.read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_")}
+
+
+def public_members(sources) -> set[str]:
+    """"Class.member" for each public method, property and class-level field of the
+    top-level classes of `sources`."""
+    out = set()
+    for source in sources:
+        for cls in ast.parse(source).body:
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    names = [node.name]
+                elif isinstance(node, ast.AnnAssign):
+                    names = [node.target.id]
+                elif isinstance(node, ast.Assign):
+                    names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+                else:
+                    continue
+                out |= {f"{cls.name}.{name}" for name in names if not name.startswith("_")}
+    return out
+
+
+def unread_members(sources, readers) -> set[str]:
+    """The public members of `sources` whose name no source of `readers` loads as `x.name`."""
+    loads = {node.attr for source in readers for node in ast.walk(ast.parse(source))
+             if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)}
+    return {m for m in public_members(sources) if m.split(".")[1] not in loads}
 
 
 def loaded_names(paths) -> set[str]:
@@ -77,4 +114,18 @@ def test_unread_names_are_exactly_the_kept_ones():
 
 
 def test_tracer_still_binds_every_tracer_kept_name():
-    assert set(TRACER_KEPT) <= traced_names()
+    assert set(TRACER_KEPT) | {"marginal_mat"} <= traced_names()
+
+
+def test_unread_members_are_exactly_the_kept_ones():
+    sources = [path.read_text() for path in SRC]
+    readers = sources + [path.read_text() for path in BENCH]
+    assert sorted(unread_members(sources, readers)) == sorted(UNREAD_MEMBERS)
+
+
+def test_the_member_census_counts_only_attribute_loads():
+    # a parameter or a keyword of a member's name reads nothing; `k.size` reads K.size
+    source = ("class K:\n    dim_A = property(len)\n    size: int\n    lhs: float\n"
+              "    def scaled(self):\n        return K(lhs=self.size)\n\n"
+              "def f(dim_A, k):\n    return dim_A + k.size\n")
+    assert unread_members([source], [source]) == {"K.dim_A", "K.lhs", "K.scaled"}

@@ -42,6 +42,23 @@ def test_no_bare_tolerance_in_the_package():
     assert not {name: found for name, found in bare.items() if found}
 
 
+def aliases(source: str) -> list[str]:
+    """The module-level constants of `source` whose value is the bare name of another
+    constant: a second name for one fact."""
+    return [f"{name} = {value.id}" for name, value in module_constants(ast.parse(source))
+            if isinstance(value, ast.Name) and value.id.isupper()]
+
+
+def test_the_check_flags_an_alias():
+    source = "ROOT = 1e-9\nALIAS = ROOT\nDERIVED = 2 * ROOT\nFN = len\n"
+    assert aliases(source) == ["ALIAS = ROOT"]
+
+
+def test_no_alias_in_the_package():
+    found = {p.name: aliases(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    assert not {name: names for name, names in found.items() if names}
+
+
 def budget() -> dict[str, float]:
     """Each module-level constant of the package whose value is a float in (0, SMALL]."""
     out = {}
@@ -58,20 +75,19 @@ def budget() -> dict[str, float]:
 def test_budget_is_the_readme_table():
     documented = re.findall(r"^\| `(\w+)` \| [^|`]+ \|", README, re.M)
     names = budget()
-    assert len(names) == 13
+    assert len(names) == 10
     assert sorted(documented) == sorted(names)
 
 
 def test_round_numbers_meet_their_derivations():
     from cqekit.channels import MAX_DIM
-    from cqekit.entropics import IDENTITY_TOL, STATE_NORM_TOL
+    from cqekit.entropics import ENTROPIC_TOL, STATE_NORM_TOL
     from cqekit.errors import ARITH_TOL
     from cqekit.qlinalg import EIG_CLAMP, WEIGHT_FLOOR
-    from cqekit.regions import ENTROPIC_TOL, RATE_TOL, ROW_REL_TOL
+    from cqekit.regions import RATE_TOL, ROW_REL_TOL
 
     eps = np.finfo(float).eps
     assert ENTROPIC_TOL > RATE_TOL + ARITH_TOL
     assert ENTROPIC_TOL > ROW_REL_TOL * 1e5  # corner_points' row slack while max |b| < 1e5
-    assert IDENTITY_TOL == ENTROPIC_TOL
     assert EIG_CLAMP > ARITH_TOL > MAX_DIM * (MAX_DIM + 1) * eps * (1.0 + STATE_NORM_TOL)
     assert WEIGHT_FLOOR * math.log2(1.0 / WEIGHT_FLOOR) < ARITH_TOL / 20
