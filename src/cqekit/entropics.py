@@ -9,6 +9,7 @@ and block purity gives H(AB)_x = H(E)_x.
 
 from __future__ import annotations
 
+import sys
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -75,9 +76,12 @@ class CQEnsemble:
             value.setflags(write=False)
             object.__setattr__(self, name, value)
         bound = min(amps.shape[1:]) ** 2 + 1  # min(d_A, d_A') ** 2 + 1
-        if len(probs) > bound:
+        if len(probs) > bound:  # warn at the first caller outside cqekit; dataclass's __init__
+            frame, level = sys._getframe(1), 2  # runs in this module's globals, so it is skipped
+            while frame is not None and frame.f_globals.get("__package__") == __package__:
+                frame, level = frame.f_back, level + 1
             warnings.warn(f"ensemble has {len(probs)} letters; {bound} suffice for this "
-                          "input dimension", stacklevel=3)  # past dataclass's __init__
+                          "input dimension", stacklevel=level)
 
 
 @dataclass(frozen=True)
@@ -154,51 +158,48 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ m.conj().transpose(0, 2, 1)
 
 
-def _spectra(*stacks: np.ndarray) -> list[np.ndarray]:
-    """The eigenvalues of each stack (k, d, d), from one np.linalg.eigvalsh call per distinct d:
-    the stacked solve treats each matrix on its own, so no spectrum's bits depend on the rest."""
+def _spectra(*stacks: np.ndarray) -> list[list[float]]:
+    """The entropies of the matrices of each stack (k, d, d), from one np.linalg.eigvalsh call
+    and one shannon_entropies call per distinct d: the stacked solve treats each matrix on its
+    own, so no entropy's bits depend on the rest."""
     out = list(stacks)
     for d in {m.shape[-1] for m in stacks}:
         group = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
-        w = np.linalg.eigvalsh(np.concatenate([stacks[i] for i in group]) if group[1:]
-                               else stacks[group[0]])  # alone at its size: no copy
+        h = shannon_entropies(np.linalg.eigvalsh(
+            np.concatenate([stacks[i] for i in group]) if group[1:] else stacks[group[0]]))
         for i in group:
-            out[i], w = w[:len(stacks[i])], w[len(stacks[i]):]
+            out[i], h = h[:len(stacks[i])], h[len(stacks[i]):]
     return out
 
 
 def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
-    """The profiles of a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E): the
-    one profile path (one state is a stack of one, used as it is).  A slot of weight 0 is
-    padding, its block finite, and adds nothing.  H(A)_x, H(B)_x, H(E)_x, H(avg B) and each
-    chain-rule I(AX;B) checked against H(AX) + H(B) - H(AXB), the entropies of the spectra of
-    the blocks p rho_A, p rho_AB, from one eigensolve per distinct matrix size."""
+    """The profiles of a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E), a
+    state being a stack of one; a slot of weight 0 is padding, its block finite, and adds nothing.
+    H(A)_x, H(B)_x, H(E)_x, H(AB)_x and H(avg B) come from one eigensolve per matrix size.  Each
+    chain-rule I(AX;B) is checked against the direct sum_x p(x) (H(A)_x - H(AB)_x) + H(avg B)
+    (H(p) cancels), off by sum_x p(x) (H(E)_x - H(AB)_x), which block purity makes 0."""
     n, width, da, db, de = psi.shape
     psi = np.ascontiguousarray(psi).reshape(n * width, da, db, de)
-    rho_a = _gram(psi.reshape(-1, da, db * de))
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
-    rho_e = _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db))
-    weights = probs.reshape(-1, 1, 1)
-    avg_b = (weights * rho_b).reshape(n, width, db, db).sum(1)
+    avg_b = (probs.reshape(-1, 1, 1) * rho_b).reshape(n, width, db, db).sum(1)
     if not np.isfinite(avg_b).all():  # LAPACK can return finite eigenvalues for a NaN entry
         raise InvalidState("an average B state has a NaN or infinite entry")
-    spectra = _spectra(rho_a, rho_b, rho_e, weights * rho_a,
-                       weights * _gram(psi.reshape(-1, da * db, de)), avg_b)
-    h_a, h_b, h_e, h_avg_b = (shannon_entropies(spectra[j]) for j in (0, 1, 2, 5))
-    h_ax, h_axb = (shannon_entropies(w.reshape(n, -1)) for w in spectra[3:5])
+    h_a, h_b, h_e, h_ab, h_avg_b = _spectra(
+        _gram(psi.reshape(-1, da, db * de)), rho_b,
+        _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db)),
+        _gram(psi.reshape(-1, da * db, de)), avg_b)
     out = []
     for i, weights_i in enumerate(probs.tolist()):
-        rows = list(zip(weights_i, *(h[i * width:(i + 1) * width] for h in (h_a, h_b, h_e))))
-        i_ab = sum(p * (ha + hb - he) for p, ha, hb, he in rows)
-        i_xb = h_avg_b[i] - sum(p * hb for p, _, hb, _ in rows)
-        chain, direct = i_ab + i_xb, h_ax[i] + h_avg_b[i] - h_axb[i]
-        if abs(direct - chain) > ENTROPIC_TOL:
-            raise InvalidState(f"chain-rule value {chain} and direct value {direct} disagree "
-                               f"beyond {ENTROPIC_TOL}")
-        out.append(EntropyProfile(  # H(A|X), I(A;B|X), I(A;E|X), I(A>BX), I(X;B), I(AX;B)
-            sum(p * ha for p, ha, _, _ in rows), i_ab,
-            sum(p * (ha + he - hb) for p, ha, hb, he in rows),
-            sum(p * (hb - he) for p, _, hb, he in rows), i_xb, chain))
+        at = slice(i * width, (i + 1) * width)
+        h_a_x = i_ab = i_ae = i_coh = h_b_x = direct = 0.0  # each summed in letter order
+        for p, ha, hb, he, hab in zip(weights_i, h_a[at], h_b[at], h_e[at], h_ab[at]):
+            h_a_x, i_ab, i_ae = h_a_x + p * ha, i_ab + p * (ha + hb - he), i_ae + p * (ha + he - hb)
+            i_coh, h_b_x, direct = i_coh + p * (hb - he), h_b_x + p * hb, direct + p * (ha - hab)
+        i_xb, direct = h_avg_b[i] - h_b_x, direct + h_avg_b[i]
+        if abs(direct - (i_ab + i_xb)) > ENTROPIC_TOL:
+            raise InvalidState(f"chain-rule value {i_ab + i_xb} and direct value {direct} "
+                               f"disagree beyond {ENTROPIC_TOL}")
+        out.append(EntropyProfile(h_a_x, i_ab, i_ae, i_coh, i_xb, i_ab + i_xb))
     return out
 
 

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import combinations
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -43,9 +43,8 @@ E_MAX_LIMIT = FLOAT_MAX / 8
 REGION_LIMIT = FLOAT_MAX / 32
 
 
-@dataclass(frozen=True)
-class RateTriple:
-    """(classical bits, qubits, ebits consumed) per channel use."""
+class RateTriple(NamedTuple):
+    """(classical bits, qubits, ebits consumed) per channel use, as a tuple (c, q, e)."""
 
     c: float
     q: float
@@ -112,16 +111,13 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
 
 def contains(r: OneShotRegion, t: RateTriple) -> bool:
     """Whether t satisfies every row of r within the row's _slack; NaN or inf in t raises."""
-    if not (math.isfinite(t.c) and math.isfinite(t.q) and math.isfinite(t.e)):
+    c, q, e = t
+    if not (math.isfinite(c) and math.isfinite(q) and math.isfinite(e)):
         raise OutOfRange(f"rate triple {t} has a NaN or infinite coordinate")
-    return (
-        t.c >= -ARITH_TOL
-        and t.q >= -ARITH_TOL
-        and t.e >= -ARITH_TOL
-        and t.c + 2 * t.q <= r.i_axb + _slack(ARITH_TOL, t.c, 2 * t.q, r.i_axb)
-        and t.q <= r.i_coh + t.e + _slack(ARITH_TOL, t.q, r.i_coh, t.e)
-        and t.c + t.q <= r.i_xb + r.i_coh + t.e + _slack(ARITH_TOL, t.c, t.q, r.i_xb, r.i_coh, t.e)
-    )
+    return (c >= -ARITH_TOL and q >= -ARITH_TOL and e >= -ARITH_TOL
+            and c + 2 * q <= r.i_axb + _slack(ARITH_TOL, c, 2 * q, r.i_axb)
+            and q <= r.i_coh + e + _slack(ARITH_TOL, q, r.i_coh, e)
+            and c + q <= r.i_xb + r.i_coh + e + _slack(ARITH_TOL, c, q, r.i_xb, r.i_coh, e))
 
 
 # The six rows of A @ (c, q, e) <= b shared by every one-shot region, in the

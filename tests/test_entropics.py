@@ -100,6 +100,21 @@ def test_ensemble_cardinality_warning_names_the_building_line():
     assert [w.filename for w in record] == [__file__]
 
 
+def test_ensemble_cardinality_warning_names_the_caller_of_a_builder(tmp_path):
+    # make_ensemble, ensemble_from_spec and load_ensemble build the ensemble inside cqekit:
+    # the warning names this file, where the builder is called, not the library's line
+    amps = [random_state_vector(4, np.random.default_rng(k)) for k in range(6)]
+    spec = {"dim_A": 2, "dim_Aprime": 2,
+            "entries": [{"p": 1.0 / 6.0, "amps": [[z.real, z.imag] for z in v]} for v in amps]}
+    path = tmp_path / "six.json"
+    path.write_text(json.dumps(spec))
+    with pytest.warns(UserWarning, match="6 letters; 5 suffice") as record:
+        make_ensemble([(1.0 / 6.0, v) for v in amps], 2, 2)
+        ensemble_from_spec(spec)
+        load_ensemble(str(path))
+    assert [w.filename for w in record] == [__file__] * 3
+
+
 def test_mu_ensemble_structure():
     ens = mu_ensemble(0.3)
     assert ens.probs.tolist() == [0.5, 0.5]
@@ -214,7 +229,7 @@ def test_splitting_a_letter_keeps_entropics():
 def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
     # The profile concatenates the stacks of one matrix size and solves them in one call,
     # all on first profile access.  mu:0.5 through dephasing has d_A = d_B = d_E = 2: one
-    # call for rho_A, rho_B, rho_E, p rho_A and avg rho_B, one for the 4 x 4 p rho_AB.
+    # call for rho_A, rho_B, rho_E and avg rho_B, one for the 4 x 4 rho_AB.
     # erasure:0.25 has d_A = 2, d_B = d_E = 3: a third size.  No block-diagonal matrix is
     # assembled, so through dephasing no solved matrix is larger than d_A * d_B = 4 per side.
     real = np.linalg.eigvalsh
@@ -231,6 +246,38 @@ def test_region_pipeline_eigensolves_once_per_state(monkeypatch):
         assert len({shape[-1] for shape in calls}) == want
         if iso is DEPHASING:
             assert max(side for shape in calls for side in shape[-2:]) == 4
+
+
+def test_region_pipeline_solves_4w_plus_1_matrices_per_state(monkeypatch):
+    # rho_A, rho_B, rho_E and rho_AB of each of the W = 2 letters, and the one average B state
+    real = np.linalg.eigvalsh
+    for iso in (DEPHASING, ERASURE):
+        solved = []
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: solved.append(len(m)) or real(m))
+        sigma = channel_output_ensemble(mu_ensemble(0.5), iso)
+        corner_points(region_from_state(sigma), 2.0)
+        derive_children(sigma)
+        assert sum(solved) == 4 * 2 + 1
+
+
+def test_profile_cross_check_raises_on_an_ab_spectrum_off_block_purity(monkeypatch):
+    # mu:0.5 through dephasing:0.2 solves one 4 x 4 stack, the AB blocks of its two letters.
+    # Moving 1e-6 of letter 0's largest eigenvalue to its smallest changes H(AB)_0, read only
+    # by the direct I(AX;B), and not H(E)_0: the chain-rule value and the direct one disagree.
+    real = np.linalg.eigvalsh
+
+    def shifted(m):
+        w = real(m)
+        if m.shape[-1] == 4:
+            w = w.copy()
+            w[0, 0] += 1e-6
+            w[0, -1] -= 1e-6
+        return w
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", shifted)
+    sigma = channel_output_ensemble(mu_ensemble(0.5), DEPHASING)
+    with pytest.raises(InvalidState, match="chain-rule value"):
+        sigma.profile
 
 
 def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys):
@@ -483,27 +530,37 @@ def test_stacked_dephasing_renormalises_each_state_alone(deviation):
 @pytest.mark.parametrize("k", [0, 2, 4])
 @pytest.mark.parametrize("bad", [float("nan"), -1e-6])
 def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad):
-    # each of the six spectra in turn (rho_A, rho_B, rho_E, p rho_A, p rho_AB of the blocks,
-    # avg rho_B of the states) has one bad eigenvalue in state k's first row, in a stack of
-    # 5 and in a stack of one
+    # each of the five solved stacks in turn (rho_A, rho_B, rho_E, rho_AB of the blocks, avg
+    # rho_B of the states) has one bad eigenvalue in state k's first row, in a stack of 5 and
+    # in a stack of one: the solve's output row whose input is that matrix, found by its bits
     rng = np.random.default_rng(31)
     states = [_random_state(rng, 2, 2, DEPHASING) for _ in range(5)]
-    spectra = entropics._spectra
+    spectra, solve = entropics._spectra, np.linalg.eigvalsh
 
-    def corrupted(which, row):
-        def solve(*stacks):
-            out = spectra(*stacks)
-            out[which] = out[which].copy()  # a view into its size's stacked solve
-            out[which][row, 0] = bad
-            return out
-        return solve
+    def corrupted(which, row, hits):
+        def spectra_with_a_bad_row(*stacks):
+            target = stacks[which][row]
+
+            def corrupt(m):
+                w = solve(m)
+                for r in range(len(m)):
+                    if m[r].shape == target.shape and np.array_equal(m[r], target):
+                        w = w.copy()
+                        w[r, 0] = bad
+                        hits.append(r)
+                return w
+
+            monkeypatch.setattr(np.linalg, "eigvalsh", corrupt)
+            return spectra(*stacks)
+        return spectra_with_a_bad_row
 
     for batch, i in ((states, k), ([states[k]], 0)):
-        for which in range(6):
-            row = i if which == 5 else 2 * i  # two blocks per state, one average
-            monkeypatch.setattr(entropics, "_spectra", corrupted(which, row))
+        for which in range(5):
+            row, hits = i if which == 4 else 2 * i, []  # two blocks per state, one average
+            monkeypatch.setattr(entropics, "_spectra", corrupted(which, row, hits))
             with pytest.raises(InvalidState):
                 entropy_profiles(*_stack(batch))
+            assert len(hits) == 1
             monkeypatch.undo()
         entropy_profiles(*_stack(batch))  # the clean stack passes
     states[k].psi[1, 0, 0, 0] = np.nan  # a NaN amplitude reaches the average of B

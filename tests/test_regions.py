@@ -77,6 +77,24 @@ def test_rate_triple_arithmetic(c, q, e, k):
     assert v.as_array() == pytest.approx(k * t.as_array(), abs=1e-12)
 
 
+def test_rate_triple_is_an_immutable_hashable_value():
+    t = RateTriple(0.1, 0.2, 0.7)
+    with pytest.raises(AttributeError):
+        t.c = 1.0
+    assert (t.c, t.q, t.e) == (0.1, 0.2, 0.7)
+    assert t == RateTriple(0.1, 0.2, 0.7) and t != RateTriple(0.1, 0.2, 0.75)
+    assert hash(t) == hash(RateTriple(0.1, 0.2, 0.7))
+    assert len({t, RateTriple(0.1, 0.2, 0.7), RateTriple(0.7, 0.2, 0.1)}) == 2
+    # each operation's value, bit for bit
+    s = t + RateTriple(0.2, 1.0 / 3.0, -0.7)
+    assert isinstance(s, RateTriple) and (s.c, s.q, s.e) == (0.1 + 0.2, 0.2 + 1.0 / 3.0, 0.0)
+    k = 1.0 / 3.0
+    v = t.scaled(k)
+    assert isinstance(v, RateTriple) and (v.c, v.q, v.e) == (k * 0.1, k * 0.2, k * 0.7)
+    a = t.as_array()
+    assert a.dtype == float and a.shape == (3,) and a.tolist() == [0.1, 0.2, 0.7]
+
+
 def test_unit_protocol_table():
     assert TELEPORTATION == RateTriple(-2.0, 1.0, 1.0)
     assert SUPER_DENSE == RateTriple(2.0, -1.0, 1.0)
@@ -901,7 +919,7 @@ def region_path_digest(spec):
         sigma = channel_output_ensemble(ens, iso)
         region = region_from_state(sigma)
         triples = corner_points(region, 2.0) + [t for _, t in sorted(derive_children(sigma).items())]
-        values = astuple(region) + tuple(x for t in triples for x in astuple(t))
+        values = astuple(region) + tuple(x for t in triples for x in tuple(t))
         digest.update((" ".join(float(x).hex() for x in values) + "\n").encode())
     return digest.hexdigest()
 
