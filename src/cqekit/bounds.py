@@ -120,7 +120,7 @@ def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray,
     if de == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
     branches = psi.transpose(0, 1, 4, 2, 3).reshape(-1, da * db)  # state, letter, then E
-    weights = squared_norms(branches).reshape(n, -1)
+    weights = squared_norms(branches).reshape(n, width * de)
     keep = weights > WEIGHT_FLOOR
     probs = np.repeat(probs, de, axis=1) * weights
     off = ~(abs(np.where(keep, probs, 0.0).sum(1) - 1.0) <= ARITH_TOL)  # NaN is off too

@@ -183,10 +183,9 @@ CURVES = {
 
 
 def cmd_curve(args) -> int:
-    digits = args.precision
     name, func = CURVES[args.curve]
     grid = _parse_grid(args.grid)
-    bound = fmt(closedform.solid_plane_bound(args.p), digits)
+    bound = fmt(closedform.solid_plane_bound(args.p), args.precision)
     t = func(args.p, grid)
     doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound}
     return _emit(args, ("mu", "C", "Q", "E", "curve_name"), doc,
@@ -305,16 +304,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.add_argument("--channel", required=True)
     p_region.add_argument("--ensemble", required=True)
     p_region.add_argument("--e-max", type=float, default=2.0, dest="e_max")
-    p_region.add_argument("--format", choices=("csv", "json"), default="json")
-    p_region.add_argument("--output", default=None)
     p_region.set_defaults(func=cmd_region)
 
     p_curve = sub.add_parser("curve", help="dephasing trade-off curve samples")
     p_curve.add_argument("curve", choices=tuple(CURVES))
     p_curve.add_argument("--p", type=float, required=True)
     p_curve.add_argument("--grid", default="0:0.5:101")
-    p_curve.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_curve.add_argument("--output", default=None)
     p_curve.set_defaults(func=cmd_curve)
 
     p_cmp = sub.add_parser("compare", help="CEF curve vs HSW/EAQ time-sharing")
@@ -322,9 +317,10 @@ def build_parser() -> argparse.ArgumentParser:
     channel.add_argument("--p", type=float)
     channel.add_argument("--channel")
     p_cmp.add_argument("--grid", default="0:0.5:101")
-    p_cmp.add_argument("--format", choices=("csv", "json"), default="csv")
-    p_cmp.add_argument("--output", default=None)
     p_cmp.set_defaults(func=cmd_compare)
+    for p, default in ((p_region, "json"), (p_curve, "csv"), (p_cmp, "csv")):
+        p.add_argument("--format", choices=("csv", "json"), default=default)
+        p.add_argument("--output", default=None)
 
     p_check = sub.add_parser("check", help="identity and bound property sweeps")
     p_check.add_argument("--suite", default="all")

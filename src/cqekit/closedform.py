@@ -82,9 +82,7 @@ def erasure_region(epsilon: float) -> tuple[np.ndarray, np.ndarray]:
     """The three capacity-region halfspaces of the erasure channel, as (A, b)
     with A @ (c, q, e) <= b."""
     check_range("epsilon", epsilon, 0.0, 1.0)
-    if epsilon == 1.0:
-        # Degenerate all-zero region (same shape as the completely
-        # depolarizing bounds).
+    if epsilon == 1.0:  # the all-zero region, shaped as the completely depolarizing bounds
         return depolarizing_region()
     a = [[1.0, 2.0, 0.0],
          [(1.0 - 2.0 * epsilon) / (1.0 - epsilon), 1.0, -1.0],

@@ -41,6 +41,10 @@ def _check_letters(probs: np.ndarray, letters: np.ndarray, ndim: int, tol: float
     if probs.ndim != 2 or letters.ndim != ndim or letters.shape[:2] != probs.shape:
         raise DimMismatch(f"letter stack {letters.shape} is not the weight stack {probs.shape} "
                           f"plus {ndim - 2} axes")
+    if not probs.size:  # a stack of no states passes; a state of no letters has no weights
+        if len(probs):
+            raise InvalidState("weights [] are empty and do not sum to 1")
+        return
     norms = squared_norms(letters.reshape(probs.size, -1))
     deviation = abs(norms - 1.0)
     if padded:

@@ -5,7 +5,7 @@ Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every region.
 unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the feasible basic
 solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
 built at import.  Time-sharing membership rejects t with a row of A t above every region's
-b, which no mixture reaches, and else solves a per-pair system per call.  Every row test
+b, which no mixture reaches, and else solves each pair on 716 constant bases.  Every row test
 allows one slack, _slack: a floor, or ROW_REL_TOL times the row's largest |term| if larger.
 """
 
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -141,32 +141,12 @@ def halfspaces(r: OneShotRegion, e_max: float) -> tuple[np.ndarray, np.ndarray]:
     return _CAPPED_A.copy(), _region_b(r, e_max)
 
 
-@lru_cache(maxsize=None)
-def _row_subsets(rows: int, cols: int) -> np.ndarray:
-    """The cols-subsets of range(rows), in combinations order, as one read-only array."""
-    idx = np.array(list(combinations(range(rows), cols)))
-    idx.setflags(write=False)
-    return idx
-
-
-def _basic_feasible(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Basic solutions of a @ x <= b (n of the m rows met with equality, in combinations order)
-    that meet every row within its _slack: one stacked det drops singular subsets, one solve."""
-    idx = _row_subsets(*a.shape)
-    sub_a = a[idx]
-    keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL  # a singular one's is rounding of O(1) terms
-    x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
-    # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
-    # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1
-    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), axis=1)]
-
-
 def _basis_table() -> np.ndarray:
     """V of shape (26, 3, 7): for each nonsingular 3-row basis S of _CAPPED_A, in
     combinations order, the inverse of _CAPPED_A[S] in columns S and 0 elsewhere, so that
     V[s] @ b is the basic solution on S.  The inverse is the adjugate, whose columns are
     cross products of the integer rows, over det = +-1 or +-2: exact multiples of 1/2."""
-    idx = _row_subsets(*_CAPPED_A.shape)
+    idx = np.array(list(combinations(range(len(_CAPPED_A)), 3)))
     rows = _CAPPED_A[idx]
     adj = np.cross(rows[:, [1, 2, 0]], rows[:, [2, 0, 1]]).transpose(0, 2, 1)
     det = np.einsum("sj,sj->s", rows[:, 0], adj[:, :, 0])
@@ -179,6 +159,23 @@ def _basis_table() -> np.ndarray:
 
 
 _BASIS_TABLE = _basis_table()
+
+# The pair system of union_membership in x = (u, lam), A u - lam b_i <= 0, -A u + lam b_j <=
+# b_j - A t, -lam <= 0 and lam <= 1, less the lam column of its first 12 rows.
+_PAIR_A = np.zeros((14, 4))
+_PAIR_A[:6, :3], _PAIR_A[6:12, :3], _PAIR_A[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)
+
+
+def _pair_bases() -> np.ndarray:
+    """The 716 of the 1001 4-row subsets of _PAIR_A, in combinations order, whose u-columns have
+    a nonzero 3-row minor r . (r' x r''), exact on integer rows: the rest are always singular."""
+    idx = np.array(list(combinations(range(len(_PAIR_A)), 4)))
+    u = _PAIR_A[:, :3]
+    minor = np.einsum("ac,bdc->abd", u, np.cross(u[:, None], u))  # of the rows a, b and d
+    return idx[minor[tuple(idx[:, list(combinations(range(4), 3))].T)].any(axis=0)]
+
+
+_PAIR_BASES = _pair_bases()
 
 
 def _step(t: float) -> float:
@@ -233,17 +230,29 @@ def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
             "LSD": RateTriple(0.0, q + e * ed.q, e + e * ed.e), "EAQ": RateTriple(0.0, q, e)}
 
 
+def _pair_feasible(bi: np.ndarray, bj: np.ndarray, at: np.ndarray) -> bool:
+    """Whether the pair system of b_i, b_j and A t has a basic solution on _PAIR_BASES within
+    each row's _slack: one stacked det, then one stacked solve of the nonsingular bases."""
+    a = _PAIR_A.copy()
+    a[:6, 3], a[6:12, 3] = -bi, bj
+    b = np.concatenate((np.zeros(6), bj - at, (0.0, 1.0)))
+    sub_a = a[_PAIR_BASES]
+    keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL  # a singular one's is rounding of O(1) terms
+    x = np.linalg.solve(sub_a[keep], b[_PAIR_BASES[keep]][..., None])[..., 0]
+    # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
+    # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1
+    return bool(np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), 1).any())
+
+
 def union_membership(
     regions: Sequence[OneShotRegion], t: RateTriple, timeshare: bool = False
 ) -> bool:
-    """Membership of `t` in the union of regions, optionally closed under
-    pairwise time-sharing.
-
-    With time-sharing, `t` is accepted if t = u + (t - u) with u in lam * R_i
-    and t - u in (1 - lam) * R_j for some pair i < j and lam in [0, 1]: 14 rows in
-    (u, lam), bounded as 0 <= u <= t, feasible iff a basic solution is, each row within its
-    _slack.  First, t with a row of A t above max_i b_i by more than that lets a pair reach
-    is rejected unsolved: every mixture meets A t <= max_i b_i.  No lambda grid or E cap.
+    """Membership of `t` in the union of regions or, with time-sharing, in its pairwise
+    closure: t = u + (t - u) with u in lam * R_i and t - u in (1 - lam) * R_j for some pair
+    i < j and lam in [0, 1], 14 rows in (u, lam) with 0 <= u <= t, feasible iff a basic
+    solution is, each row within its _slack.  That closure can be smaller than the hull of
+    three or more regions, which the capacity region is.  First, t with a row of A t above
+    max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -261,11 +270,4 @@ def union_membership(
     s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(abs(t.c), abs(t.q), abs(t.e), 1.0)))
     if np.any(at > bs.max(axis=0) + 3 * s + 2 * ENTROPIC_TOL * scale):
         return False
-    a = np.zeros((14, 4))
-    a[:6, :3], a[6:12, :3], a[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)
-    b = np.append(np.zeros(13), 1.0)
-    for bi, bj in combinations(bs, 2):
-        a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
-        if len(_basic_feasible(a, b)):
-            return True
-    return False
+    return any(_pair_feasible(bi, bj, at) for bi, bj in combinations(bs, 2))

@@ -650,6 +650,31 @@ def test_joint_state_validation():
         CQEnsemble([0.5, 0.5], np.stack([block[:, :, 0], np.full((2, 2), np.nan)]))
 
 
+@pytest.mark.parametrize("build, shapes", [
+    # an empty weight vector is not a probability vector
+    (lambda: CQEnsemble([], np.zeros((0, 2, 2))), InvalidState),
+    (lambda: CQEJointState([], np.zeros((0, 2, 2, 2))), InvalidState),
+    (lambda: channel_output_ensemble((np.zeros((2, 0)), np.zeros((2, 0, 2, 2))), [DEPHASING]),
+     InvalidState),
+    # a stack of no states gives empty stacks, as entropy_profiles and check_fannes do
+    (lambda: [(p.shape, psi.shape) for p, psi in channel_output_ensemble(
+        (np.zeros((0, 3)), np.zeros((0, 3, 2, 2), complex)), [DEPHASING, ERASURE])],
+     [((0, 3), (0, 3, 2, 2, 2)), ((0, 3), (0, 3, 2, 3, 3))]),
+    (lambda: [x.shape for x in dephase_environment(np.zeros((0, 3)),
+                                                   np.zeros((0, 3, 2, 2, 2), complex))],
+     [(0, 6), (0, 6, 2, 2, 1)]),
+    (lambda: entropy_profiles(np.zeros((0, 3)), np.zeros((0, 3, 2, 2, 2), complex)), []),
+], ids=["ensemble", "joint_state", "stack_of_no_letters", "stack_of_no_states",
+        "dephase_no_states", "profiles_no_states"])
+def test_empty_inputs(build, shapes):
+    # each of these raised numpy's ValueError from reshaping an empty array
+    if shapes is InvalidState:
+        with pytest.raises(InvalidState, match="empty"):
+            build()
+    else:
+        assert build() == shapes
+
+
 def test_invalid_norm_message_names_the_largest_deviation():
     amps = np.array([[[1.0, 0.0]], [[0.0, math.sqrt(1.0 + 3e-10)]]])
     with pytest.raises(InvalidState, match=r"deviate from 1 by up to 3\.0000\d*e-10 > 1e-10$"):

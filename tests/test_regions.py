@@ -39,8 +39,11 @@ from cqekit.regions import (
     RateTriple,
     _BASIS_TABLE,
     _CAPPED_A,
-    _basic_feasible,
+    _PAIR_A,
+    _PAIR_BASES,
+    _pair_feasible,
     _rate,
+    _slack,
     cef_point,
     contains,
     corner_points,
@@ -382,11 +385,6 @@ def test_corner_points_equals_loop_reference():
         got = corner_points(r, e_max)
         feasible = x[np.all(x @ a.T <= b + ENTROPIC_TOL, axis=1)]
         assert _bits(got) == _bits(_reference_corner_points(feasible))
-        # the per-call LU path: the same vertices in the same order, to rounding
-        lu = _reference_corner_points(_basic_feasible(a, b))
-        assert len(got) == len(lu)
-        assert np.allclose([v.as_array() for v in got], [v.as_array() for v in lu],
-                           rtol=0.0, atol=1e-15)
 
 
 def test_vertex_dedup_tolerance_derivation():
@@ -664,26 +662,20 @@ def pairwise_union_reference(regions, t):
     pair loop as it was before the screen, over every pair of regions."""
     if any(contains(r, t) for r in regions):
         return True
-    a = np.zeros((14, 4))
-    a[:6, :3], a[6:12, :3], a[12:, 3] = ORACLE_A, -ORACLE_A, (-1.0, 1.0)
-    b = np.append(np.zeros(13), 1.0)
     at = ORACLE_A @ t.as_array()
-    for bi, bj in combinations([oracle_b(r) for r in regions], 2):
-        a[:6, 3], a[6:12, 3], b[6:12] = -bi, bj, bj - at
-        if len(_basic_feasible(a, b)):
-            return True
-    return False
+    return any(_pair_feasible(bi, bj, at)
+               for bi, bj in combinations([oracle_b(r) for r in regions], 2))
 
 
 def count_pair_solves(monkeypatch):
-    """A list that gains one entry per _basic_feasible call union_membership makes."""
+    """A list that gains one entry per _pair_feasible call union_membership makes."""
     calls = []
 
-    def counted(a, b):
+    def counted(bi, bj, at):
         calls.append(1)
-        return _basic_feasible(a, b)
+        return _pair_feasible(bi, bj, at)
 
-    monkeypatch.setattr(regions_module, "_basic_feasible", counted)
+    monkeypatch.setattr(regions_module, "_pair_feasible", counted)
     return calls
 
 
@@ -710,6 +702,97 @@ def boundary_along(regions, t):
         mid = (lo + hi) / 2
         lo, hi = (mid, hi) if pairwise_union_reference(regions, t.scaled(mid)) else (lo, mid)
     return t.scaled(lo)
+
+
+def basic_feasible_reference(a, b):
+    """Basic solutions of a @ x <= b over every n-row subset of the m rows, in combinations
+    order, that meet every row within its _slack: a generic enumerator, with no table of the
+    subsets that are singular whatever the data, as the reference of _pair_feasible."""
+    idx = np.array(list(combinations(range(len(a)), a.shape[1])))
+    sub_a = a[idx]
+    keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL
+    x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
+    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), axis=1)]
+
+
+def pair_reference(bi, bj, at):
+    """_pair_feasible over all 1001 bases: the 14-row pair system built per call."""
+    a = np.zeros((14, 4))
+    a[:6, :3], a[6:12, :3], a[12:, 3] = ORACLE_A, -ORACLE_A, (-1.0, 1.0)
+    a[:6, 3], a[6:12, 3] = -bi, bj
+    return len(basic_feasible_reference(a, np.concatenate([np.zeros(6), bj - at, [0.0, 1.0]]))) > 0
+
+
+def test_pair_bases_are_the_rank_3_subsets():
+    # the constant rows: A and -A in u, then -lam <= 0 and lam <= 1; the lam column of the
+    # first 12 rows is filled per pair
+    a = np.zeros((14, 4))
+    a[:6, :3], a[6:12, :3], a[12:, 3] = ORACLE_A, -ORACLE_A, (-1.0, 1.0)
+    assert np.array_equal(_PAIR_A, a)
+    # a subset is kept iff some 3 of its rows have a nonzero integer determinant in u
+    u = ORACLE_A.tolist() + (-ORACLE_A).tolist() + [[0, 0, 0]] * 2
+    kept, dropped = [], []
+    for rows in combinations(range(14), 4):
+        rank3 = any(_det3([u[r] for r in three]) for three in combinations(rows, 3))
+        (kept if rank3 else dropped).append(list(rows))
+    assert _PAIR_BASES.tolist() == kept and len(kept) == 716 and len(dropped) == 285
+    assert all(np.linalg.matrix_rank(_PAIR_A[rows, :3]) < 3 for rows in dropped)
+    assert all(np.linalg.matrix_rank(_PAIR_A[rows, :3]) == 3 for rows in kept)
+
+
+def test_one_pair_solve_passes_716_matrices_to_det(monkeypatch):
+    shapes, det = [], np.linalg.det
+
+    def recorded(m):
+        shapes.append(m.shape)
+        return det(m)
+
+    monkeypatch.setattr(np.linalg, "det", recorded)
+    # the midpoint of (1, 0, 0) and (0, 0.5, 0), a vertex of each region, is in neither
+    regions = [OneShotRegion(1.0, 1.0, 0.0), OneShotRegion(1.0, 0.0, 0.5)]
+    t = RateTriple(0.5, 0.25, 0.0)
+    assert not any(contains(r, t) for r in regions)
+    assert union_membership(regions, t, timeshare=True)
+    assert shapes == [(716, 4, 4)]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e20, 1e50, 1e100])
+def test_pair_table_answers_as_every_basis(scale):
+    # on every pair of random regions (i_coh < 0, duplicates and an all-zero region among
+    # them): random points, and pairwise vertex mixtures cut at the pair's boundary along
+    # their ray, at 0.999, 1 and 1.001 of it
+    rng = np.random.default_rng(int(np.log10(scale)) + 2700)
+    answers, kinds = [], []
+    for k in range(3):
+        regions = screen_test_regions(rng, scale)
+        if k == 2:  # at least one duplicate and one all-zero region at every scale
+            regions += [regions[0], OneShotRegion(0.0, 0.0, 0.0)]
+        kinds.append((len(set(regions)) < len(regions), OneShotRegion(0, 0, 0) in regions,
+                      any(r.i_coh < 0 for r in regions)))
+        for ri, rj in combinations(regions, 2):
+            bi, bj = oracle_b(ri), oracle_b(rj)
+
+            def inside(t):
+                return _pair_feasible(bi, bj, ORACLE_A @ t.as_array())
+
+            queries = [RateTriple(*rng.uniform(0.0, (1.5 * scale, scale, 2 * scale)))]
+            m = vertex_mixtures([ri, rj], (0.3, 0.7), rng, 1, 3 * scale)[0]
+            queries.append(m)
+            if m.c + m.q > 0 and inside(m):  # bisect s on the bounded ray s * m from s = 1
+                lo, hi = 1.0, 2.0
+                while inside(m.scaled(hi)):
+                    lo, hi = hi, 2 * hi
+                for _ in range(24):
+                    mid = (lo + hi) / 2
+                    lo, hi = (mid, hi) if inside(m.scaled(mid)) else (lo, mid)
+                queries += [m.scaled(lo * f) for f in (0.999, 1.0, 1.001)]
+            for t in queries:
+                at = ORACLE_A @ t.as_array()
+                got = _pair_feasible(bi, bj, at)
+                assert got == pair_reference(bi, bj, at), (ri, rj, t)
+                answers.append(got)
+    assert 0.2 < np.mean(answers) < 0.8
+    assert np.any(kinds, axis=0).tolist() == [True, True, True]
 
 
 def test_union_screen_equals_the_pair_loop(monkeypatch):
