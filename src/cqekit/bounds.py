@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropics import EntropyProfile
+from .entropics import EntropyProfile, check_states
 from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
 from .qlinalg import WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
 from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
@@ -24,12 +24,8 @@ from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
 class BoundReport:
     lhs: float
     rhs: float
-    satisfied: bool
-    slack: float
-
-
-def _report(lhs: float, rhs: float) -> BoundReport:
-    return BoundReport(lhs=lhs, rhs=rhs, satisfied=lhs <= rhs + ARITH_TOL, slack=rhs - lhs)
+    satisfied = property(lambda self: self.lhs <= self.rhs + ARITH_TOL)
+    slack = property(lambda self: self.rhs - self.lhs)
 
 
 def fannes_bound(eps, dim_a: int):
@@ -42,9 +38,10 @@ def _continuity(rho: np.ndarray, sigma: np.ndarray, quantity, bound):
     report for two matrices, a list of reports for two stacks (N, d, d) of them."""
     if rho.shape != sigma.shape:
         raise DimMismatch(f"shapes {rho.shape} and {sigma.shape} differ")
-    rhs = np.ravel(bound(trace_norms(rho - sigma))).tolist()
+    # the entropies first, so that a non-Hermitian or non-finite matrix raises their error
     lhs = np.ravel(np.abs(np.subtract(*quantity(np.stack([rho, sigma]))))).tolist()
-    reports = [_report(d, b) for d, b in zip(lhs, rhs)]
+    rhs = np.ravel(bound(trace_norms(rho - sigma))).tolist()
+    reports = [BoundReport(d, b) for d, b in zip(lhs, rhs)]
     return reports if rho.ndim > 2 else reports[0]
 
 
@@ -99,14 +96,14 @@ def gentle_measurement_check(ens, x: np.ndarray):
     avg = sum((probs[..., None, None] * rhos).swapaxes(0, 1))  # the letters in turn
     eps = [max(0.0, 1.0 - t) for t in np.trace(avg @ x, axis1=-2, axis2=-1).real.tolist()]
     lhs = (probs * trace_norms(rhos - root[:, None] @ rhos @ root[:, None])).tolist()
-    return [_report(sum(row), math.sqrt(8.0 * e)) for row, e in zip(lhs, eps)]
+    return [BoundReport(sum(row), math.sqrt(8.0 * e)) for row, e in zip(lhs, eps)]
 
 
 def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     """Strong subadditivity in the form I(A;B) <= I(A;BC)."""
     da, db, dc = dims
     lhs = mutual_info_mat(marginals(rho_abc, (da * db, dc))[0], (da, db))
-    return _report(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
+    return BoundReport(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
 
 
 def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -115,7 +112,8 @@ def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray,
     p(x) |<e|phi_x>|^2 and block (d_A, d_B, 1).  A branch of weight at most WEIGHT_FLOOR becomes
     a zero block of weight 0.  If a state's blocks' norms put its kept weights' sum off 1 beyond
     ARITH_TOL, each of its letters' weights are divided by |phi_x|^2 and its branches keep
-    that norm."""
+    that norm.  The input stack is checked first (entropics.check_states)."""
+    check_states(probs, psi)
     n, width, da, db, de = psi.shape
     if de == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
@@ -136,11 +134,9 @@ def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray,
 def dpi_check(before: EntropyProfile, after: EntropyProfile) -> dict[str, BoundReport]:
     """Data-processing checks of a state's profile against the profile of the state after a
     channel on its environment, such as its dephase_environment."""
-    return {
-        "holevo": _report(before.i_xb, after.i_xb),
-        "mutual": _report(before.i_axb, after.i_axb),
-        "coherent": _report(before.i_coh, after.i_coh),
-    }
+    return {"holevo": BoundReport(before.i_xb, after.i_xb),
+            "mutual": BoundReport(before.i_axb, after.i_axb),
+            "coherent": BoundReport(before.i_coh, after.i_coh)}
 
 
 def random_pure(dim: int, rng: np.random.Generator, n: int | None = None) -> np.ndarray:

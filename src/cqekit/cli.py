@@ -43,10 +43,8 @@ MAX_GRID_COUNT = 10**6
 
 
 def fmt(x: float, precision: int = DEFAULT_PRECISION) -> str:
-    """Fixed significant-digit decimal formatting (round-half-even)."""
-    if x == 0.0:
-        x = 0.0  # normalize -0.0
-    return f"{x:.{precision}g}"
+    """Fixed significant-digit decimal formatting (round-half-even); x + 0.0 turns -0.0 into 0.0."""
+    return f"{x + 0.0:.{precision}g}"
 
 
 def _env_precision() -> int:
@@ -154,19 +152,15 @@ def _emit(args, header, doc, rows=(), columns=(), comments=()) -> int:
     return 0
 
 
-def _triple(t, digits: int) -> list[str]:
-    """The (C, Q, E) of a rate triple as printed values."""
-    return [fmt(t.c, digits), fmt(t.q, digits), fmt(t.e, digits)]
-
-
 def cmd_region(args) -> int:
     digits = args.precision
     iso = _parse_channel(args.channel)
     sigma = channel_output_ensemble(_parse_ensemble(args.ensemble), iso)
     region = region_from_state(sigma)
     constants = {name: fmt(getattr(region, name), digits) for name in ("i_axb", "i_xb", "i_coh")}
-    vertices = [_triple(v, digits) for v in corner_points(region, args.e_max)]
-    children = {name: _triple(t, digits) for name, t in sorted(derive_children(sigma).items())}
+    vertices = [[fmt(x, digits) for x in v] for v in corner_points(region, args.e_max)]
+    children = {name: [fmt(x, digits) for x in t]
+                for name, t in sorted(derive_children(sigma).items())}
     rows = [("constant", name, value, "", "") for name, value in constants.items()]
     rows += [("vertex", str(i), *v) for i, v in enumerate(vertices)]
     rows += [("child", name, *t) for name, t in children.items()]
@@ -186,10 +180,10 @@ def cmd_curve(args) -> int:
     name, func = CURVES[args.curve]
     grid = _parse_grid(args.grid)
     bound = fmt(closedform.solid_plane_bound(args.p), args.precision)
-    t = func(args.p, grid)
     doc = {"curve": name, "p": float(args.p), "solid_plane_bound": bound}
     return _emit(args, ("mu", "C", "Q", "E", "curve_name"), doc,
-                 columns=(grid, t.c, t.q, t.e, name), comments=(f"solid_plane_bound={bound}",))
+                 columns=(grid, *func(args.p, grid), name),
+                 comments=(f"solid_plane_bound={bound}",))
 
 
 def cmd_compare(args) -> int:

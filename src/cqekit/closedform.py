@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ARITH_TOL, OutOfRange, check_range
+from .errors import check_range
 from .qlinalg import binary_entropy
 from .regions import E_MAX_LIMIT, OneShotRegion, RateTriple, halfspaces
 
@@ -22,10 +22,8 @@ def g(p: float, mu):
     """g(p, mu) = 1/2 + 1/2 sqrt(1 - 16 (p/2)(1 - p/2) mu (1 - mu))."""
     check_range("p", p, 0.0, 1.0)
     check_range("mu", mu, 0.0, 0.5)
-    radicand = np.asarray(1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu))
-    low = radicand < -ARITH_TOL
-    if low.any():
-        raise OutOfRange(f"radicand {radicand.flat[low.argmax()]} below clamp threshold")
+    # in range the product rounds to at most 1 + 7e-16, so the clamp takes off only rounding
+    radicand = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu)
     out = 0.5 + 0.5 * np.sqrt(np.maximum(radicand, 0.0))
     return out if isinstance(mu, np.ndarray) else float(out)
 
@@ -52,15 +50,15 @@ def shor_ce_curve(p: float, mu) -> RateTriple:
 def ds_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CQ(mu), Q_CQ(mu) + e, e) of the entanglement-distribution sheet."""
     check_range("e", e, 0.0, E_MAX_LIMIT)  # every coordinate stays finite
-    base = ds_curve(p, mu)
-    return RateTriple(base.c, base.q + e, e)
+    c, q, _ = ds_curve(p, mu)
+    return RateTriple(c, q + e, e)
 
 
 def shor_surface(p: float, mu: float, e: float) -> RateTriple:
     """Point (C_CE(mu) - 2e, e, E_CE(mu) - e) of the super-dense-coding sheet."""
     check_range("e", e, 0.0, E_MAX_LIMIT)  # every coordinate stays finite
-    base = shor_ce_curve(p, mu)
-    return RateTriple(base.c - 2.0 * e, e, base.e - e)
+    c, _, e_ce = shor_ce_curve(p, mu)
+    return RateTriple(c - 2.0 * e, e, e_ce - e)
 
 
 def surface_intersection_e(p: float, mu: float) -> float:
@@ -149,9 +147,9 @@ def compare_row(curve, param: float, mu) -> tuple:
     lam = H2(mu) of EAQ; and CEF's advantage dQ, dE.  An array mu gives the
     seven columns, from three curve calls and one H2 over mu whatever its size."""
     lam = binary_entropy(_checked_mu(mu))
-    cef = curve(param, mu, lam)
-    ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), lam)
-    return cef.c, cef.q, cef.e, ts.q, ts.e, cef.q - ts.q, ts.e - cef.e
+    c, q, e = curve(param, mu, lam)
+    _, q_ts, e_ts = timeshare_line(curve(param, 0.5), curve(param, 0.0), lam)
+    return c, q, e, q_ts, e_ts, q - q_ts, e_ts - e
 
 
 def cef_vs_timeshare(p: float, mu: float) -> tuple[float, float]:

@@ -119,8 +119,9 @@ class CQEJointState:
 
     @cached_property
     def profile(self) -> EntropyProfile:
-        """The entropy profile, built and cross-checked on first access as a stack of one."""
-        return entropy_profiles(self.probs[None], self.psi[None])[0]
+        """The entropy profile, built and cross-checked on first access as a stack of one; the
+        state was checked when built, or comes from a checked ensemble, so it is not again."""
+        return _profiles(self.probs[None], self.psi[None])[0]
 
 
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
@@ -176,9 +177,20 @@ def _spectra(*stacks: np.ndarray) -> list[list[float]]:
     return out
 
 
+def check_states(probs: np.ndarray, psi: np.ndarray) -> None:
+    """Check a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E), padded with
+    zero blocks of weight 0: _check_letters against STATE_NORM_TOL."""
+    _check_letters(probs, psi, 5, STATE_NORM_TOL, padded=True)
+
+
 def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
-    """The profiles of a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E), a
-    state being a stack of one; a slot of weight 0 is padding, its block finite, and adds nothing.
+    """The profiles of a stack of N states (see check_states), after one check_states of it."""
+    check_states(probs, psi)
+    return _profiles(probs, psi)
+
+
+def _profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
+    """entropy_profiles of a checked stack; a slot of weight 0 is padding and adds nothing.
     H(A)_x, H(B)_x, H(E)_x, H(AB)_x and H(avg B) come from one eigensolve per matrix size.  Each
     chain-rule I(AX;B) is checked against the direct sum_x p(x) (H(A)_x - H(AB)_x) + H(avg B)
     (H(p) cancels), off by sum_x p(x) (H(E)_x - H(AB)_x), which block purity makes 0."""
@@ -186,7 +198,7 @@ def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]
     psi = np.ascontiguousarray(psi).reshape(n * width, da, db, de)
     rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
     avg_b = (probs.reshape(-1, 1, 1) * rho_b).reshape(n, width, db, db).sum(1)
-    if not np.isfinite(avg_b).all():  # LAPACK can return finite eigenvalues for a NaN entry
+    if not np.isfinite(avg_b).all():  # a block edited after its check; LAPACK can miss a NaN
         raise InvalidState("an average B state has a NaN or infinite entry")
     h_a, h_b, h_e, h_ab, h_avg_b = _spectra(
         _gram(psi.reshape(-1, da, db * de)), rho_b,

@@ -18,10 +18,11 @@ EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, fo
 WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
 
 
-def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
+def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d); NaN and inf entries fail it
     # a caller's matrix gets the input slack NORM_TOL; the ones cqekit forms are Hermitian to ulps
-    return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
-                                                 axis=(-2, -1)) <= NORM_TOL
+    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
+        return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
+                                                     axis=(-2, -1)) <= NORM_TOL
 
 
 def shannon_entropies(rows: np.ndarray) -> list[float]:
@@ -56,11 +57,14 @@ def _log2(x: np.ndarray) -> np.ndarray:
 def matrix_entropies(m: np.ndarray) -> np.ndarray:
     """Von Neumann entropy in bits of each PSD Hermitian matrix of a stack (..., d, d).
 
-    Eigenvalues in [-EIG_CLAMP, 0) count as 0; a lower one raises InvalidState, and so
-    does a NaN or infinite entry (LAPACK can return finite eigenvalues for it).
+    Eigenvalues in [-EIG_CLAMP, 0) count as 0; a lower one raises InvalidState, and so does a
+    NaN or infinite entry (LAPACK can return finite eigenvalues for it).  eigvalsh reads one
+    triangle only, so a finite matrix that is not Hermitian raises NotHermitian.
     """
-    if not np.all(np.isfinite(m)):
-        raise InvalidState("matrix has a NaN or infinite entry")
+    if not np.all(is_hermitian(m)):
+        if not np.all(np.isfinite(m)):
+            raise InvalidState("matrix has a NaN or infinite entry")
+        raise NotHermitian("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(m)
     return np.array(shannon_entropies(w.reshape(-1, w.shape[-1]))).reshape(m.shape[:-2])
 

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import reduce
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
@@ -67,12 +66,10 @@ SUPER_DENSE = RateTriple(2.0, -1.0, 1.0)
 ENT_DISTRIBUTION = RateTriple(0.0, -1.0, -1.0)
 
 
-def _slack(floor, *terms):
+def _slack(floor: float, *terms: float) -> float:
     """floor, or ROW_REL_TOL times the row's largest |term| if larger: a sum rounds by ulps of
-    its largest term.  Array terms give one slack per entry, each entry a row.  contains' rows
-    have the ARITH_TOL floor; every other row test has ENTROPIC_TOL."""
-    if isinstance(terms[0], np.ndarray):
-        return reduce(np.maximum, (ROW_REL_TOL * abs(t) for t in terms), floor)
+    its largest term.  contains' rows have the ARITH_TOL floor; every other row test has
+    ENTROPIC_TOL."""
     return max(floor, ROW_REL_TOL * max(map(abs, terms)))
 
 
@@ -214,25 +211,28 @@ def cef_point(sigma: CQEJointState) -> RateTriple:
                       0.5 * _rate(prof.i_ae_given_x))
 
 
+def _plus(base: RateTriple, k: float, u: RateTriple) -> RateTriple:
+    """base plus k units of the protocol u, in the float operations of base + u.scaled(k)."""
+    return RateTriple(base[0] + k * u[0], base[1] + k * u[1], base[2] + k * u[2])
+
+
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
-    """All corner protocols reachable from CEF via unit-resource arithmetic: CEF plus k units
-    of a protocol u is formed from floats in the operations of cef + u.scaled(k)."""
+    """All corner protocols reachable from CEF via unit-resource arithmetic, each CEF plus
+    whole units of TP, SD and ED (_plus); LSD and EAQ are CEQ and CEF with C = 0."""
     prof, cef = sigma.profile, cef_point(sigma)
-    c, q, e = cef.c, cef.q, cef.e
-    tp, sd, ed = TELEPORTATION, SUPER_DENSE, ENT_DISTRIBUTION
+    c, q, e = cef
+    ceq = _plus(cef, e, ENT_DISTRIBUTION)
     # CEF-SD-ED: ED at H(A|X)/2, then SD at i_coh/2, signed (< 0 for completely depolarizing)
-    h, s, t = 0.5 * _rate(prof.h_a_given_x), 0.5 * prof.i_coh, 0.5 * c
-    return {"CEF": cef, "CEQ": RateTriple(c + e * ed.c, q + e * ed.q, e + e * ed.e),
-            "EAC": RateTriple(c + q * sd.c, q + q * sd.q, e + q * sd.e),
-            "CEF-SD-ED": RateTriple(c + h * ed.c + s * sd.c, q + h * ed.q + s * sd.q,
-                                    e + h * ed.e + s * sd.e),
-            "CEF-TP": RateTriple(c + t * tp.c, q + t * tp.q, e + t * tp.e),
-            "LSD": RateTriple(0.0, q + e * ed.q, e + e * ed.e), "EAQ": RateTriple(0.0, q, e)}
+    h, s = 0.5 * _rate(prof.h_a_given_x), 0.5 * prof.i_coh
+    return {"CEF": cef, "CEQ": ceq, "EAC": _plus(cef, q, SUPER_DENSE),
+            "CEF-SD-ED": _plus(_plus(cef, h, ENT_DISTRIBUTION), s, SUPER_DENSE),
+            "CEF-TP": _plus(cef, 0.5 * c, TELEPORTATION),
+            "LSD": RateTriple(0.0, *ceq[1:]), "EAQ": RateTriple(0.0, q, e)}
 
 
 def _pair_feasible(bi: np.ndarray, bj: np.ndarray, at: np.ndarray) -> bool:
     """Whether the pair system of b_i, b_j and A t has a basic solution on _PAIR_BASES within
-    each row's _slack: one stacked det, then one stacked solve of the nonsingular bases."""
+    _slack's rule on each row: one stacked det, then one stacked solve of the nonsingular bases."""
     a = _PAIR_A.copy()
     a[:6, 3], a[6:12, 3] = -bi, bj
     b = np.concatenate((np.zeros(6), bj - at, (0.0, 1.0)))
@@ -241,7 +241,8 @@ def _pair_feasible(bi: np.ndarray, bj: np.ndarray, at: np.ndarray) -> bool:
     x = np.linalg.solve(sub_a[keep], b[_PAIR_BASES[keep]][..., None])[..., 0]
     # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
     # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1
-    return bool(np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), 1).any())
+    slack = np.maximum(ENTROPIC_TOL, ROW_REL_TOL * np.maximum(abs(b), abs(x).clip(1) @ abs(a).T))
+    return bool(np.all(x @ a.T <= b + slack, 1).any())
 
 
 def union_membership(
@@ -267,7 +268,7 @@ def union_membership(
     # ENTROPIC_TOL) and |u| within e and ulps of |t|, so its rows have terms up to R = 2 (max |b|
     # + 3 max(|t|, 1)) and slacks up to s = _slack at R: rows r and r + 6 add up to (A t)_r <=
     # max_i b_i,r + 2 s + 2 e max |b|; a third s covers rounding.  One s bounds all six rows.
-    s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(abs(t.c), abs(t.q), abs(t.e), 1.0)))
+    s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(*map(abs, t), 1.0)))
     if np.any(at > bs.max(axis=0) + 3 * s + 2 * ENTROPIC_TOL * scale):
         return False
     return any(_pair_feasible(bi, bj, at) for bi, bj in combinations(bs, 2))

@@ -10,7 +10,7 @@ from cqekit.channels import builtin_isometry
 from cqekit.entropics import CQEJointState, channel_output_ensemble, entropy_profiles
 from cqekit.entropics import make_ensemble, mu_ensemble
 from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit
-from cqekit.errors import NotValidPOVMElement
+from cqekit.errors import NotHermitian, NotValidPOVMElement
 from cqekit.qlinalg import EIG_CLAMP, matrix_sqrt_psd, squared_norms, trace_norm, trace_norms
 from conftest import dephased_profile, random_ensemble
 
@@ -144,8 +144,8 @@ def test_gentle_measurement_lhs_is_the_per_letter_sum():
 def test_report_satisfied_edge():
     # a bound holds when lhs exceeds rhs by 0.9 ARITH_TOL, rounding, and fails at 1.1 ARITH_TOL
     rhs = 0.5
-    assert bounds._report(rhs + 0.9 * ARITH_TOL, rhs).satisfied
-    assert not bounds._report(rhs + 1.1 * ARITH_TOL, rhs).satisfied
+    assert bounds.BoundReport(rhs + 0.9 * ARITH_TOL, rhs).satisfied
+    assert not bounds.BoundReport(rhs + 1.1 * ARITH_TOL, rhs).satisfied
 
 
 def test_gentle_measurement_rejects_bad_element():
@@ -154,6 +154,27 @@ def test_gentle_measurement_rejects_bad_element():
         bounds.gentle_measurement_check(ens, 2.0 * np.eye(2, dtype=complex))
     with pytest.raises(NotValidPOVMElement):
         bounds.gentle_measurement_check(ens, -0.5 * np.eye(2, dtype=complex))
+
+
+@pytest.mark.parametrize("bad, error", [(0.1, NotHermitian), (np.nan, InvalidState),
+                                        (np.inf, InvalidState)])
+def test_entropy_bounds_reject_a_bad_matrix(bad, error):
+    # each entry point that takes entropies of a caller's matrices: a finite matrix that is
+    # not Hermitian, whose lower triangle eigvalsh would read alone, and a non-finite one
+    def spoiled(dim):
+        m = np.eye(dim, dtype=complex) / dim
+        m[0, 1] = bad
+        return m
+
+    for dim, check in ((2, bounds.check_fannes), (4, lambda r, s: bounds.check_af(r, s, (2, 2))),
+                       (4, lambda r, s: bounds.check_mi(r, s, (2, 2)))):
+        for rho, sigma in ((spoiled(dim), np.eye(dim) / dim), (np.eye(dim) / dim, spoiled(dim))):
+            with pytest.raises(error):
+                check(rho, sigma)
+            with pytest.raises(error):  # in a stack of two
+                check(np.stack([np.eye(dim) / dim, rho]), np.stack([np.eye(dim) / dim, sigma]))
+    with pytest.raises(error):
+        bounds.ssa_check(spoiled(8), (2, 2, 2))
 
 
 def test_ssa_check():

@@ -47,6 +47,25 @@ def test_g_array_is_bit_equal_to_scalar_calls():
     assert all(type(cf.g(param, m)) is float for param in p[:5] for m in mu[:5].tolist())
 
 
+def test_g_radicand_is_at_least_minus_rounding():
+    # over [0, 1] x [0, 1/2] the computed product 16 (p/2)(1 - p/2) mu (1 - mu) is at most
+    # 1 + 7e-16, so g's clamp at 0 takes off rounding only: its corners, a grid and 1e5
+    # random points, with the points next to p = 1, mu = 1/2 where the radicand is 0
+    rng = np.random.default_rng(28)
+    corners = np.array([[0.0, 0.0], [0.0, 0.5], [1.0, 0.0], [1.0, 0.5]])
+    p, mu = np.meshgrid(np.linspace(0.0, 1.0, 401), np.linspace(0.0, 0.5, 401))
+    near = 1.0 - rng.uniform(0.0, 1e-6, (10**5, 2)) * (1.0, 0.5)
+    points = np.concatenate([corners, np.stack([p.ravel(), mu.ravel()], axis=1),
+                             rng.uniform(0.0, 1.0, (10**5, 2)) * (1.0, 0.5), near * (1.0, 0.5)])
+    p, mu = points.T
+    radicand = 1.0 - 16.0 * (p / 2.0) * (1.0 - p / 2.0) * mu * (1.0 - mu)
+    assert radicand.min() >= -1e-15
+    assert radicand[3] == 0.0 and cf.g(1.0, 0.5) == 0.5
+    # g computes that radicand: its value at every 97th point, float by float
+    for param, m, r in zip(p[::97].tolist(), mu[::97].tolist(), radicand[::97].tolist()):
+        assert cf.g(param, m) == 0.5 + 0.5 * math.sqrt(max(r, 0.0))
+
+
 def test_curve_endpoints():
     # mu = 0: classical operation only
     assert cf.ds_curve(0.2, 0.0).as_array() == pytest.approx([1.0, 0.0, 0.0], abs=1e-14)

@@ -302,7 +302,8 @@ def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys
 
 def test_each_ensemble_is_checked_once(monkeypatch, capsys):
     # the ensemble is checked where it enters; its state under an accepted isometry is not
-    # checked again, and the identities suite checks its one stack for all three channels
+    # checked again, and the identities suite checks its one ensemble stack for all three
+    # channels, then each output stack where entropy_profiles takes it
     checked = []
     real = entropics._check_letters
     monkeypatch.setattr(entropics, "_check_letters",
@@ -317,10 +318,51 @@ def test_each_ensemble_is_checked_once(monkeypatch, capsys):
     assert capsys.readouterr().out and checked == [(1, 2)]
     checked.clear()
     SUITES["identities"](np.random.default_rng(5), 4)
-    assert len(checked) == 1 and checked[0][0] == 4
+    assert len(checked) == 4 and {shape[0] for shape in checked} == {4}
     checked.clear()
     CQEJointState(sigma.probs, sigma.psi)  # a state built directly is checked
     assert checked == [(1, 2)]
+
+
+def test_each_state_stack_is_checked_where_it_enters(monkeypatch):
+    # entropy_profiles and dephase_environment check the stack they are given, once each; a
+    # state's own profile, from a checked ensemble or a checked construction, checks nothing
+    checked = []
+    real = entropics._check_letters
+    monkeypatch.setattr(entropics, "_check_letters",
+                        lambda *args, **kw: checked.append(args[2]) or real(*args, **kw))
+    sigma = channel_output_ensemble(mu_ensemble(0.3), DEPHASING)
+    checked.clear()
+    sigma.profile
+    CQEJointState(sigma.probs, sigma.psi).profile
+    assert checked == [5]  # the construction only
+    checked.clear()
+    entropy_profiles(sigma.probs[None], sigma.psi[None])
+    assert checked == [5]
+    checked.clear()
+    entropy_profiles(*dephase_environment(sigma.probs[None], sigma.psi[None]))
+    assert checked == [5, 5]
+    checked.clear()
+    SUITES["dpi"](np.random.default_rng(5), 4)  # the ensemble stack, then three state stacks
+    assert checked == [4, 5, 5, 5]
+
+
+def _product_block(norm=1.0):
+    block = np.zeros((1, 1, 2, 2, 2), dtype=complex)
+    block[0, 0, 0, 0, 0] = norm
+    return block
+
+
+@pytest.mark.parametrize("probs, psi", [
+    (np.array([[5.0]]), _product_block()),  # I(X;B) read -11.6
+    (np.array([[0.5]]), _product_block()),  # I(X;B) read 0.5
+    (np.array([[1.0]]), _product_block(2.0)),  # squared norm 4: H(A|X) read -4.0
+    (np.zeros((2, 0)), np.zeros((2, 0, 2, 2, 2), complex)),  # two all-zero profiles
+], ids=["weight_5", "weight_half", "squared_norm_4", "no_letters"])
+def test_profile_entries_reject_a_bad_stack(probs, psi):
+    for entry in (entropy_profiles, dephase_environment):
+        with pytest.raises(InvalidState):
+            entry(probs, psi)
 
 
 def test_ensemble_arrays_are_read_only_copies():

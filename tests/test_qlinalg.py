@@ -161,6 +161,21 @@ def test_entropies_reject_nan():
         matrix_entropies(np.array([[float("nan"), 0.0], [0.0, 1.0]]))
 
 
+def test_entropies_reject_a_non_hermitian_matrix():
+    # eigvalsh reads one triangle: [[0.5, 0.5], [0, 0.5]] read as I/2, H = 1.  A finite
+    # matrix that is not Hermitian raises NotHermitian, a NaN or infinite one InvalidState
+    with pytest.raises(NotHermitian):
+        matrix_entropies(np.array([[0.5, 0.5], [0.0, 0.5]]))
+    with pytest.raises(NotHermitian):  # one bad matrix of a stack
+        matrix_entropies(np.array([np.eye(2) / 2, [[0.5, 0.0], [1e-9, 0.5]]]))
+    for bad in (np.inf, -np.inf, complex(0.0, np.inf), np.nan):
+        m = np.eye(2, dtype=complex) / 2
+        m[0, 1] = bad
+        with pytest.raises(InvalidState):
+            matrix_entropies(m)
+    assert matrix_entropies(np.array([[0.5, 0.5 * NORM_TOL], [0.0, 0.5]])) == 1.0
+
+
 def test_matrix_entropy_unitary_invariance_and_additivity():
     rng = np.random.default_rng(11)
     for _ in range(10):

@@ -706,13 +706,16 @@ def boundary_along(regions, t):
 
 def basic_feasible_reference(a, b):
     """Basic solutions of a @ x <= b over every n-row subset of the m rows, in combinations
-    order, that meet every row within its _slack: a generic enumerator, with no table of the
-    subsets that are singular whatever the data, as the reference of _pair_feasible."""
+    order, that meet every row within _slack's rule on its terms b_k and |a_k| max(|x|, 1),
+    each scaled by ROW_REL_TOL before the maximum is taken: a generic enumerator, with no table
+    of the subsets that are singular whatever the data, as the reference of _pair_feasible."""
     idx = np.array(list(combinations(range(len(a)), a.shape[1])))
     sub_a = a[idx]
     keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL
     x = np.linalg.solve(sub_a[keep], b[idx[keep]][..., None])[..., 0]
-    return x[np.all(x @ a.T <= b + _slack(ENTROPIC_TOL, b, abs(x).clip(1) @ abs(a).T), axis=1)]
+    slack = np.maximum(np.maximum(ENTROPIC_TOL, ROW_REL_TOL * abs(b)),
+                       ROW_REL_TOL * (abs(x).clip(1) @ abs(a).T))
+    return x[np.all(x @ a.T <= b + slack, axis=1)]
 
 
 def pair_reference(bi, bj, at):

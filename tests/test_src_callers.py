@@ -47,8 +47,6 @@ OTHERS = {
 }
 UNREAD = {**TRACER_KEPT, **CLOSED_FORMS, **OTHERS}
 UNREAD_MEMBERS = {
-    "BoundReport.lhs": "a report's left side; satisfied and slack derive from lhs and rhs",
-    "BoundReport.rhs": "a report's right side; satisfied and slack derive from lhs and rhs",
     "PureStateVector.marginal_mat": "kept only for the tracer, which wraps it (ROADMAP item 1)",
 }
 
@@ -129,3 +127,33 @@ def test_the_member_census_counts_only_attribute_loads():
               "    def scaled(self):\n        return K(lhs=self.size)\n\n"
               "def f(dim_A, k):\n    return dim_A + k.size\n")
     assert unread_members([source], [source]) == {"K.dim_A", "K.lhs", "K.scaled"}
+
+
+def imported_private_names(source: str) -> set[str]:
+    """The underscore names that `source` takes from another cqekit module: each name of a
+    relative `from` import, and each attribute that it loads from a cqekit module it imports."""
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level or node.module.startswith("cqekit")):
+            names |= {alias.asname or alias.name for alias in node.names
+                      if alias.name.startswith("_")}
+            if node.module in (None, "cqekit"):  # `from . import bounds`: a module each
+                modules |= {alias.asname or alias.name for alias in node.names}
+    return names | {f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+                    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                    and node.value.id in modules and node.attr.startswith("_")}
+
+
+def test_no_module_imports_a_private_name_from_another():
+    # a private name is its module's own: cli, say, reaches a state's profile only through
+    # entropy_profiles, which checks the stack, and never through the unchecked _profiles
+    assert {path.name: imported_private_names(path.read_text()) for path in SRC} == {
+        path.name: set() for path in SRC}
+
+
+def test_the_private_import_census_sees_both_forms():
+    source = ("from __future__ import annotations\nfrom . import bounds, closedform as cf\n"
+              "from .entropics import _profiles, check_states\nimport sys\n"
+              "x = bounds._report(1, 2) + cf.g(0, 0) + cf._checked_mu(0) + sys._getframe(0)\n")
+    assert imported_private_names(source) == {"_profiles", "bounds._report", "cf._checked_mu"}
