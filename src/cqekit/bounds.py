@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .entropics import EntropyProfile, check_states
+from .entropics import EntropyProfile, StateStack
 from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
 from .qlinalg import WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
 from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
@@ -106,14 +106,14 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     return BoundReport(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
 
 
-def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """A stack of states (weights (N, W), blocks (N, W, d_A, d_B, d_E)) after dephasing the whole
-    environment: each block splits into one branch per E basis state, slot (x, e) of weight
-    p(x) |<e|phi_x>|^2 and block (d_A, d_B, 1).  A branch of weight at most WEIGHT_FLOOR becomes
-    a zero block of weight 0.  If a state's blocks' norms put its kept weights' sum off 1 beyond
-    ARITH_TOL, each of its letters' weights are divided by |phi_x|^2 and its branches keep
-    that norm.  The input stack is checked first (entropics.check_states)."""
-    check_states(probs, psi)
+def dephase_environment(states) -> StateStack:
+    """The stack of states StateStack(states), checked unless it is one, after dephasing the
+    whole environment, as a StateStack built from it: each block splits into one branch per E
+    basis state, slot (x, e) of weight p(x) |<e|phi_x>|^2 and block (d_A, d_B, 1).  A branch of
+    weight at most WEIGHT_FLOOR becomes a zero block of weight 0.  If a state's blocks' norms
+    put its kept weights' sum off 1 beyond ARITH_TOL, each of its letters' weights are divided
+    by |phi_x|^2 and its branches keep that norm."""
+    probs, psi = StateStack(states)
     n, width, da, db, de = psi.shape
     if de == 1:
         raise NoEnvironmentSplit("environment is one-dimensional; nothing to dephase")
@@ -128,7 +128,8 @@ def dephase_environment(probs: np.ndarray, psi: np.ndarray) -> tuple[np.ndarray,
         probs, weights = probs / norms, weights / norms
     blocks = np.zeros_like(branches)
     blocks[keep.ravel()] = branches[keep.ravel()] / np.sqrt(weights[keep])[:, None]
-    return np.where(keep, probs, 0.0), blocks.reshape(n, width * de, da, db, 1)
+    return tuple.__new__(StateStack, (np.where(keep, probs, 0.0),
+                                      blocks.reshape(n, width * de, da, db, 1)))
 
 
 def dpi_check(before: EntropyProfile, after: EntropyProfile) -> dict[str, BoundReport]:

@@ -208,7 +208,7 @@ def _isometries() -> tuple:
 
 def _identities(rng, k):
     outputs = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries())
-    batches = [entropy_profiles(probs, psi) for probs, psi in outputs]
+    batches = [entropy_profiles(states) for states in outputs]
     residuals = [max(verify_identities(prof).values()) for trial in zip(*batches) for prof in trial]
     return [(r <= ENTROPIC_TOL, ENTROPIC_TOL - r) for r in residuals]
 
@@ -238,9 +238,9 @@ def _gentle(rng, k):
 
 
 def _dpi(rng, k):
-    [(probs, psi)] = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries()[:1])
-    after = entropy_profiles(*bounds.dephase_environment(probs, psi))
-    return [(r.satisfied, r.slack) for pair in zip(entropy_profiles(probs, psi), after)
+    [states] = channel_output_ensemble(bounds.random_ensemble(rng, k), _isometries()[:1])
+    after = entropy_profiles(bounds.dephase_environment(states))
+    return [(r.satisfied, r.slack) for pair in zip(entropy_profiles(states), after)
             for r in bounds.dpi_check(*pair).values()]
 
 

@@ -124,6 +124,20 @@ class CQEJointState:
         return _profiles(self.probs[None], self.psi[None])[0]
 
 
+class StateStack(tuple):
+    """A stack of N states that unpacks as (probs, psi): weights (N, W) and blocks (N, W, d_A,
+    d_B, d_E), padded with zero blocks of weight 0.  StateStack(pair) checks a pair (probs, psi)
+    against STATE_NORM_TOL and returns a StateStack as it is; channel_output_ensemble and
+    dephase_environment build theirs from a checked input with tuple.__new__, unchecked."""
+
+    def __new__(cls, states):
+        if isinstance(states, StateStack):
+            return states
+        probs, psi = states
+        _check_letters(probs, psi, 5, STATE_NORM_TOL, padded=True)
+        return tuple.__new__(cls, (probs, psi))
+
+
 def make_ensemble(entries, dim_A: int, dim_Aprime: int) -> CQEnsemble:
     """Build an ensemble from (p, amplitude-vector) pairs."""
     probs = [p for p, _ in entries]
@@ -146,16 +160,16 @@ def channel_output_ensemble(ens, v):
     """Send the A' axis of every ensemble letter through an isometry, in one product.  A
     CQEnsemble, checked when built, and an isometry `v` give its CQEJointState, not checked
     again.  A stack (probs (N, W), amps (N, W, d_A, d_A')) of ensembles of one shape, padded
-    with zero letters of weight 0, and a sequence `v` of isometries give one stack (probs, psi
-    (N, W, d_A, d_B, d_E)) per isometry, after one _check_letters against NORM_TOL: an accepted
-    isometry keeps every block within STATE_NORM_TOL, and a padding block stays 0."""
+    with zero letters of weight 0, and a sequence `v` of isometries give one StateStack per
+    isometry, after one _check_letters against NORM_TOL: an accepted isometry keeps every block
+    within STATE_NORM_TOL, and a padding block stays 0."""
     if isinstance(ens, CQEnsemble):
         sigma = object.__new__(CQEJointState)  # CQEJointState(...) would check it again
         sigma.__dict__.update(probs=ens.probs, psi=apply_isometry(v, ens.amps))
         return sigma
     probs, amps = ens
     _check_letters(probs, amps, 4, NORM_TOL, padded=True)
-    return [(probs, apply_isometry(iso, amps)) for iso in v]
+    return [tuple.__new__(StateStack, (probs, apply_isometry(iso, amps))) for iso in v]
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
@@ -177,16 +191,9 @@ def _spectra(*stacks: np.ndarray) -> list[list[float]]:
     return out
 
 
-def check_states(probs: np.ndarray, psi: np.ndarray) -> None:
-    """Check a stack of N states, weights (N, W) and blocks (N, W, d_A, d_B, d_E), padded with
-    zero blocks of weight 0: _check_letters against STATE_NORM_TOL."""
-    _check_letters(probs, psi, 5, STATE_NORM_TOL, padded=True)
-
-
-def entropy_profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
-    """The profiles of a stack of N states (see check_states), after one check_states of it."""
-    check_states(probs, psi)
-    return _profiles(probs, psi)
+def entropy_profiles(states) -> list[EntropyProfile]:
+    """The profiles of the stack of N states StateStack(states), checked unless it is one."""
+    return _profiles(*StateStack(states))
 
 
 def _profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:

@@ -18,11 +18,10 @@ EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, fo
 WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
 
 
-def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d); NaN and inf entries fail it
+def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
     # a caller's matrix gets the input slack NORM_TOL; the ones cqekit forms are Hermitian to ulps
-    with np.errstate(invalid="ignore"):  # inf - inf is NaN, which fails the test
-        return m.shape[-2] == m.shape[-1] and np.max(np.abs(m - m.conj().swapaxes(-1, -2)),
-                                                     axis=(-2, -1)) <= NORM_TOL
+    return m.shape[-2] == m.shape[-1] and np.abs(m - m.conj().swapaxes(-1, -2)).max(
+        axis=(-2, -1)) <= NORM_TOL
 
 
 def shannon_entropies(rows: np.ndarray) -> list[float]:
@@ -61,9 +60,9 @@ def matrix_entropies(m: np.ndarray) -> np.ndarray:
     NaN or infinite entry (LAPACK can return finite eigenvalues for it).  eigvalsh reads one
     triangle only, so a finite matrix that is not Hermitian raises NotHermitian.
     """
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix has a NaN or infinite entry")
     if not np.all(is_hermitian(m)):
-        if not np.all(np.isfinite(m)):
-            raise InvalidState("matrix has a NaN or infinite entry")
         raise NotHermitian("matrix is not Hermitian within tolerance")
     w = np.linalg.eigvalsh(m)
     return np.array(shannon_entropies(w.reshape(-1, w.shape[-1]))).reshape(m.shape[:-2])

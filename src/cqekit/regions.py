@@ -49,11 +49,13 @@ class RateTriple(NamedTuple):
     q: float
     e: float
 
+    # tuple.__new__ skips the named tuple's Python-level __new__, about 0.2 us of each call
     def __add__(self, other: "RateTriple") -> "RateTriple":
-        return RateTriple(self.c + other.c, self.q + other.q, self.e + other.e)
+        return tuple.__new__(RateTriple, (self[0] + other[0], self[1] + other[1],
+                                          self[2] + other[2]))
 
     def scaled(self, k: float) -> "RateTriple":
-        return RateTriple(k * self.c, k * self.q, k * self.e)
+        return tuple.__new__(RateTriple, (k * self[0], k * self[1], k * self[2]))
 
     def as_array(self) -> np.ndarray:
         return np.array([self.c, self.q, self.e])
@@ -211,22 +213,17 @@ def cef_point(sigma: CQEJointState) -> RateTriple:
                       0.5 * _rate(prof.i_ae_given_x))
 
 
-def _plus(base: RateTriple, k: float, u: RateTriple) -> RateTriple:
-    """base plus k units of the protocol u, in the float operations of base + u.scaled(k)."""
-    return RateTriple(base[0] + k * u[0], base[1] + k * u[1], base[2] + k * u[2])
-
-
 def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
     """All corner protocols reachable from CEF via unit-resource arithmetic, each CEF plus
-    whole units of TP, SD and ED (_plus); LSD and EAQ are CEQ and CEF with C = 0."""
+    whole units of TP, SD and ED; LSD and EAQ are CEQ and CEF with C = 0."""
     prof, cef = sigma.profile, cef_point(sigma)
     c, q, e = cef
-    ceq = _plus(cef, e, ENT_DISTRIBUTION)
+    ceq = cef + ENT_DISTRIBUTION.scaled(e)
     # CEF-SD-ED: ED at H(A|X)/2, then SD at i_coh/2, signed (< 0 for completely depolarizing)
     h, s = 0.5 * _rate(prof.h_a_given_x), 0.5 * prof.i_coh
-    return {"CEF": cef, "CEQ": ceq, "EAC": _plus(cef, q, SUPER_DENSE),
-            "CEF-SD-ED": _plus(_plus(cef, h, ENT_DISTRIBUTION), s, SUPER_DENSE),
-            "CEF-TP": _plus(cef, 0.5 * c, TELEPORTATION),
+    return {"CEF": cef, "CEQ": ceq, "EAC": cef + SUPER_DENSE.scaled(q),
+            "CEF-SD-ED": cef + ENT_DISTRIBUTION.scaled(h) + SUPER_DENSE.scaled(s),
+            "CEF-TP": cef + TELEPORTATION.scaled(0.5 * c),
             "LSD": RateTriple(0.0, *ceq[1:]), "EAQ": RateTriple(0.0, q, e)}
 
 

@@ -14,4 +14,4 @@ def random_ensemble(rng):
 
 def dephased_profile(sigma):
     """The profile of sigma after bounds.dephase_environment, as a stack of one."""
-    return entropy_profiles(*bounds.dephase_environment(sigma.probs[None], sigma.psi[None]))[0]
+    return entropy_profiles(bounds.dephase_environment((sigma.probs[None], sigma.psi[None])))[0]

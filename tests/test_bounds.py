@@ -350,18 +350,18 @@ def test_dephase_environment_of_blocks_off_unit_norm(deviation):
         probs = rng.dirichlet(np.ones(letters))
         psi = bounds.random_pure(8, rng, letters).reshape(letters, 2, 2, 2)
         sigma = CQEJointState(probs, psi * math.sqrt(1 + deviation))
-        weights, blocks = bounds.dephase_environment(sigma.probs[None], sigma.psi[None])
+        weights, blocks = bounds.dephase_environment((sigma.probs[None], sigma.psi[None]))
         assert abs(weights.sum() - 1.0) <= ARITH_TOL
         norms = squared_norms(blocks[weights > 0.0].reshape(-1, 4))
         assert np.allclose(norms, 1.0 + deviation, rtol=0.0, atol=1e-15)
-        dephased = entropy_profiles(weights, blocks)[0]
+        dephased = entropy_profiles((weights, blocks))[0]
         assert all(r.satisfied for r in bounds.dpi_check(sigma.profile, dephased).values())
 
 
 def test_dephase_environment_of_one_block_of_squared_norm_above_1():
     psi = bounds.random_pure(8, np.random.default_rng(41)).reshape(1, 2, 2, 2)
     sigma = CQEJointState([1.0], psi * math.sqrt(1 + 1e-10))
-    weights, _ = bounds.dephase_environment(sigma.probs[None], sigma.psi[None])
+    weights, _ = bounds.dephase_environment((sigma.probs[None], sigma.psi[None]))
     assert weights.sum() == pytest.approx(1.0, abs=ARITH_TOL)
     assert all(r.satisfied for r in
                bounds.dpi_check(sigma.profile, dephased_profile(sigma)).values())

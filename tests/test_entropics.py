@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import random_ensemble, random_state_vector
-from cqekit import closedform, entropics
+from cqekit import bounds, closedform, entropics
 from cqekit.bounds import dephase_environment
 from cqekit.channels import MAX_DIM, TP_TOL, apply_isometry, builtin_isometry
 from cqekit.channels import isometric_extension
@@ -19,6 +19,7 @@ from cqekit.entropics import (
     CQEJointState,
     CQEnsemble,
     EntropyProfile,
+    StateStack,
     channel_output_ensemble,
     coherent_A_given_BX,
     cond_entropy_A_given_X,
@@ -302,8 +303,7 @@ def test_region_pipeline_applies_the_isometry_once_per_state(monkeypatch, capsys
 
 def test_each_ensemble_is_checked_once(monkeypatch, capsys):
     # the ensemble is checked where it enters; its state under an accepted isometry is not
-    # checked again, and the identities suite checks its one ensemble stack for all three
-    # channels, then each output stack where entropy_profiles takes it
+    # checked again, and the identities suite checks its one stack for all three channels
     checked = []
     real = entropics._check_letters
     monkeypatch.setattr(entropics, "_check_letters",
@@ -318,15 +318,16 @@ def test_each_ensemble_is_checked_once(monkeypatch, capsys):
     assert capsys.readouterr().out and checked == [(1, 2)]
     checked.clear()
     SUITES["identities"](np.random.default_rng(5), 4)
-    assert len(checked) == 4 and {shape[0] for shape in checked} == {4}
+    assert len(checked) == 1 and checked[0][0] == 4
     checked.clear()
     CQEJointState(sigma.probs, sigma.psi)  # a state built directly is checked
     assert checked == [(1, 2)]
 
 
 def test_each_state_stack_is_checked_where_it_enters(monkeypatch):
-    # entropy_profiles and dephase_environment check the stack they are given, once each; a
-    # state's own profile, from a checked ensemble or a checked construction, checks nothing
+    # entropy_profiles and dephase_environment check a caller's pair (probs, psi) once; the
+    # StateStacks that channel_output_ensemble and dephase_environment return, and a state's
+    # own profile, from a checked ensemble or a checked construction, are not checked again
     checked = []
     real = entropics._check_letters
     monkeypatch.setattr(entropics, "_check_letters",
@@ -337,14 +338,30 @@ def test_each_state_stack_is_checked_where_it_enters(monkeypatch):
     CQEJointState(sigma.probs, sigma.psi).profile
     assert checked == [5]  # the construction only
     checked.clear()
-    entropy_profiles(sigma.probs[None], sigma.psi[None])
+    pair = (sigma.probs[None], sigma.psi[None])
+    entropy_profiles(pair)
     assert checked == [5]
     checked.clear()
-    entropy_profiles(*dephase_environment(sigma.probs[None], sigma.psi[None]))
-    assert checked == [5, 5]
+    entropy_profiles(dephase_environment(pair))
+    assert checked == [5]
     checked.clear()
-    SUITES["dpi"](np.random.default_rng(5), 4)  # the ensemble stack, then three state stacks
-    assert checked == [4, 5, 5, 5]
+    stack = StateStack(pair)
+    assert StateStack(stack) is stack and checked == [5]
+    checked.clear()
+    SUITES["dpi"](np.random.default_rng(5), 4)  # the ensemble stack only
+    assert checked == [4]
+
+
+def test_returned_state_stacks_pass_their_check():
+    # what channel_output_ensemble and dephase_environment return unchecked passes the check,
+    # from blocks of squared norm 1 and from blocks within STATE_NORM_TOL of it
+    rng = np.random.default_rng(31)
+    for states in channel_output_ensemble(bounds.random_ensemble(rng, 64), ISOMETRIES):
+        probs, psi = states
+        for stack in (states, dephase_environment(states),
+                      dephase_environment((probs, psi * math.sqrt(1 + 4e-10)))):
+            assert isinstance(stack, StateStack)
+            StateStack(tuple(stack))
 
 
 def _product_block(norm=1.0):
@@ -362,7 +379,7 @@ def _product_block(norm=1.0):
 def test_profile_entries_reject_a_bad_stack(probs, psi):
     for entry in (entropy_profiles, dephase_environment):
         with pytest.raises(InvalidState):
-            entry(probs, psi)
+            entry((probs, psi))
 
 
 def test_ensemble_arrays_are_read_only_copies():
@@ -491,7 +508,7 @@ def _compacted_dephase(sigma):
 def _assert_stack_equals_states_alone(probs, psi, states):
     """The stack's profiles, and each state's as a stack of one, are bit-equal to the
     per-block reference of the state built alone."""
-    for profile, sigma in zip(entropy_profiles(probs, psi), states, strict=True):
+    for profile, sigma in zip(entropy_profiles((probs, psi)), states, strict=True):
         want = _hex(_reference_profile(sigma)[0])
         assert _hex(profile) == want
         assert _hex(sigma.profile) == want  # a stack of one
@@ -510,7 +527,7 @@ def test_batched_profiles_equal_per_state_reference(kind, param, d):
         states = [_random_state(rng, letters, d, iso) for letters in batch]
         _assert_stack_equals_states_alone(*_stack(states), states)
         # and the same states with their environment dephased: d_E = 1, so rho_E is 1 x 1
-        dephased = dephase_environment(*_stack(states))
+        dephased = dephase_environment(_stack(states))
         _assert_stack_equals_states_alone(*dephased, map(_compacted_dephase, states))
 
 
@@ -546,7 +563,7 @@ def test_stacked_dephasing_keeps_dropped_branches_as_zero_weight_slots(kind, par
     rng = np.random.default_rng([d, 47])
     iso = builtin_isometry(kind, param, d)
     states = [_random_state(rng, letters, d, iso) for letters in (3, 1, 2, 3)]
-    probs, psi = dephase_environment(*_stack(states))
+    probs, psi = dephase_environment(_stack(states))
     dropped = probs == 0.0
     assert dropped[0, 1:-1].any() and not psi[dropped].any()
     _assert_stack_equals_states_alone(probs, psi, map(_compacted_dephase, states))
@@ -562,7 +579,7 @@ def test_stacked_dephasing_renormalises_each_state_alone(deviation):
         probs = rng.dirichlet(np.ones(letters))
         psi = random_state_vector(8, rng, letters).reshape(letters, 2, 2, 2)
         states += [CQEJointState(probs, psi * math.sqrt(1 + deviation)), CQEJointState(probs, psi)]
-    weights, blocks = dephase_environment(*_stack(states))
+    weights, blocks = dephase_environment(_stack(states))
     for i, sigma in enumerate(states):
         alone = _compacted_dephase(sigma)
         assert weights[i][weights[i] > 0.0].tolist() == alone.probs.tolist()
@@ -601,14 +618,14 @@ def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad
             row, hits = i if which == 4 else 2 * i, []  # two blocks per state, one average
             monkeypatch.setattr(entropics, "_spectra", corrupted(which, row, hits))
             with pytest.raises(InvalidState):
-                entropy_profiles(*_stack(batch))
+                entropy_profiles(_stack(batch))
             assert len(hits) == 1
             monkeypatch.undo()
-        entropy_profiles(*_stack(batch))  # the clean stack passes
+        entropy_profiles(_stack(batch))  # the clean stack passes
     states[k].psi[1, 0, 0, 0] = np.nan  # a NaN amplitude reaches the average of B
     for batch in (states, [states[k]]):
         with pytest.raises(InvalidState):
-            entropy_profiles(*_stack(batch))
+            entropy_profiles(_stack(batch))
 
 
 def _ensemble_stack(rng, n=5):
@@ -656,7 +673,7 @@ def test_mu_family_batch_gives_the_cef_curve(p):
     ensembles = [mu_ensemble(mu) for mu in grid.tolist()]
     stack = np.array([ens.probs for ens in ensembles]), np.array([ens.amps for ens in ensembles])
     [(probs, psi)] = channel_output_ensemble(stack, [builtin_isometry("dephasing", p)])
-    profiles = entropy_profiles(probs, psi)
+    profiles = entropy_profiles((probs, psi))
     got = np.array([cef_point(SimpleNamespace(profile=prof)).as_array() for prof in profiles])
     want = closedform.cef_curve(p, grid)
     assert np.max(np.abs(got - np.stack([want.c, want.q, want.e], axis=1))) <= 1e-12
@@ -702,10 +719,10 @@ def test_joint_state_validation():
     (lambda: [(p.shape, psi.shape) for p, psi in channel_output_ensemble(
         (np.zeros((0, 3)), np.zeros((0, 3, 2, 2), complex)), [DEPHASING, ERASURE])],
      [((0, 3), (0, 3, 2, 2, 2)), ((0, 3), (0, 3, 2, 3, 3))]),
-    (lambda: [x.shape for x in dephase_environment(np.zeros((0, 3)),
-                                                   np.zeros((0, 3, 2, 2, 2), complex))],
+    (lambda: [x.shape for x in dephase_environment((np.zeros((0, 3)),
+                                                    np.zeros((0, 3, 2, 2, 2), complex)))],
      [(0, 6), (0, 6, 2, 2, 1)]),
-    (lambda: entropy_profiles(np.zeros((0, 3)), np.zeros((0, 3, 2, 2, 2), complex)), []),
+    (lambda: entropy_profiles((np.zeros((0, 3)), np.zeros((0, 3, 2, 2, 2), complex))), []),
 ], ids=["ensemble", "joint_state", "stack_of_no_letters", "stack_of_no_states",
         "dephase_no_states", "profiles_no_states"])
 def test_empty_inputs(build, shapes):

@@ -154,6 +154,6 @@ def test_no_module_imports_a_private_name_from_another():
 
 def test_the_private_import_census_sees_both_forms():
     source = ("from __future__ import annotations\nfrom . import bounds, closedform as cf\n"
-              "from .entropics import _profiles, check_states\nimport sys\n"
+              "from .entropics import _profiles, entropy_profiles\nimport sys\n"
               "x = bounds._report(1, 2) + cf.g(0, 0) + cf._checked_mu(0) + sys._getframe(0)\n")
     assert imported_private_names(source) == {"_profiles", "bounds._report", "cf._checked_mu"}
