@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .entropics import EntropyProfile, StateStack
-from .errors import ARITH_TOL, DimMismatch, NoEnvironmentSplit, NotValidPOVMElement
-from .qlinalg import WEIGHT_FLOOR, binary_entropy, marginals, matrix_entropies
-from .qlinalg import matrix_sqrt_psd, squared_norms, trace_norms
+from .errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit, NotValidPOVMElement
+from .qlinalg import WEIGHT_FLOOR, binary_entropy, check_hermitian, grouped_entropies, marginals
+from .qlinalg import matrix_entropies, matrix_sqrt_psd, squared_norms, trace_norms
 
 
 @dataclass(frozen=True)
@@ -55,15 +55,22 @@ def alicki_fannes_bound(eps, dim_a: int):
     return 4.0 * eps * math.log2(dim_a) + 2.0 * binary_entropy(np.minimum(eps, 1.0))
 
 
+def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """The grouped_entropies of each stack (..., d, d) as an array of its shape[:-2], unchecked."""
+    flat = grouped_entropies(*(m.reshape(-1, *m.shape[-2:]) for m in stacks))
+    return [np.array(h).reshape(m.shape[:-2]) for m, h in zip(stacks, flat)]
+
+
 def coherent_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
     """I(A>B) = H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
-    return (matrix_entropies(marginals(rho_ab, dims)[1]) - matrix_entropies(rho_ab)).tolist()
+    h_b, h_ab = _entropies(marginals(check_hermitian(rho_ab), dims)[1], rho_ab)
+    return (h_b - h_ab).tolist()
 
 
 def mutual_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
     """I(A;B) = H(A) + H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
-    rho_a, rho_b = marginals(rho_ab, dims)
-    return (matrix_entropies(rho_a) + matrix_entropies(rho_b) - matrix_entropies(rho_ab)).tolist()
+    h_a, h_b, h_ab = _entropies(*marginals(check_hermitian(rho_ab), dims), rho_ab)
+    return (h_a + h_b - h_ab).tolist()
 
 
 def check_af(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) -> BoundReport:
@@ -85,13 +92,19 @@ def check_mi(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) ->
 
 def gentle_measurement_check(ens, x: np.ndarray):
     """Average disturbance of an ensemble [(p, rho), ...] under sqrt(X) . sqrt(X) vs sqrt(8 eps);
-    a list of reports for N ensembles and a stack x (N, d, d), padded with weight-0 letters."""
+    a list of reports for N ensembles and a stack x (N, d, d), padded with weight-0 letters.
+    x must pass check_hermitian, each ensemble's weights be a probability vector within
+    ARITH_TOL, and its states pass matrix_entropies."""
     if x.ndim == 2:
         return gentle_measurement_check([ens], x[None])[0]
+    check_hermitian(x)  # before its Hermitian part is taken, so an accepted x keeps its bits
     probs = np.zeros((len(ens), max(map(len, ens))))
     rhos = np.zeros(probs.shape + x.shape[-2:], complex)
     for i, letters in enumerate(ens):
         probs[i, :len(letters)], rhos[i, :len(letters)] = zip(*letters)
+    if not (probs.min() >= 0.0 and (abs(probs.sum(1) - 1.0) <= ARITH_TOL).all()):  # NaN fails
+        raise InvalidState(f"weights {probs.tolist()} are negative, NaN or do not sum to 1")
+    matrix_entropies(rhos)  # finite, square, Hermitian and eigenvalues >= -EIG_CLAMP
     root = matrix_sqrt_psd((x + x.conj().swapaxes(-1, -2)) / 2, 1.0, NotValidPOVMElement)
     avg = sum((probs[..., None, None] * rhos).swapaxes(0, 1))  # the letters in turn
     eps = [max(0.0, 1.0 - t) for t in np.trace(avg @ x, axis1=-2, axis2=-1).real.tolist()]
@@ -100,10 +113,11 @@ def gentle_measurement_check(ens, x: np.ndarray):
 
 
 def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
-    """Strong subadditivity in the form I(A;B) <= I(A;BC)."""
+    """Strong subadditivity in the form I(A;B) <= I(A;BC), from one grouped solve."""
     da, db, dc = dims
-    lhs = mutual_info_mat(marginals(rho_abc, (da * db, dc))[0], (da, db))
-    return BoundReport(lhs, mutual_info_mat(rho_abc, (da, db * dc)))
+    ab = marginals(check_hermitian(rho_abc), (da * db, dc))[0]
+    h = _entropies(*marginals(ab, (da, db)), ab, *marginals(rho_abc, (da, db * dc)), rho_abc)
+    return BoundReport((h[0] + h[1] - h[2]).tolist(), (h[3] + h[4] - h[5]).tolist())
 
 
 def dephase_environment(states) -> StateStack:

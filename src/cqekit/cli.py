@@ -3,7 +3,7 @@
 Subcommands: region (one-shot constants, vertices, children), curve
 (dephasing trade-off curves), compare (CEF vs time-sharing), check
 (property sweeps of identities and bounds).  region, curve and compare
-print through one CSV/JSON writer, with one `%` call per grid table.
+print through one CSV/JSON writer, with one `%` call per block of grid rows.
 Exit codes: 0 success, 1 check failure, 2 config/parse error, 3 dimension
 error.
 """
@@ -11,6 +11,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
 import io
@@ -40,6 +41,7 @@ from .regions import corner_points, derive_children, region_from_state
 SCHEMA_VERSION = 1
 DEFAULT_PRECISION = 12
 MAX_GRID_COUNT = 10**6
+GRID_BLOCK = 2048  # grid rows per `%` call: bounds the text of a grid table held at once
 
 
 def fmt(x: float, precision: int = DEFAULT_PRECISION) -> str:
@@ -112,10 +114,11 @@ def _csv(rows) -> str:
     return buf.getvalue()
 
 
-def _grid_rows(columns, digits: int, as_json: bool) -> str:
-    """A grid table's rows by one `%` call on a row template: a float array column is
-    `%.{digits}g` (fmt's digits), and one value (a string, or a float fmt prints) for all
-    rows is a literal, JSON-encoded or quoted as csv.writer quotes it, with '%' doubled."""
+def _grid_rows(columns, digits: int, as_json: bool):
+    """A grid table's rows as text blocks of up to GRID_BLOCK rows, each by one `%` call on a row
+    template: a float array column is `%.{digits}g` (fmt's digits), and one value (a string, or
+    a float fmt prints) for all rows is a literal, JSON-encoded or quoted as csv.writer quotes
+    it, with '%' doubled.  A JSON block after the first starts with the rows' separator."""
     spec, arrays, cells = f"%.{digits}g", [], []
     for col in columns:
         if np.ndim(col):
@@ -125,30 +128,32 @@ def _grid_rows(columns, digits: int, as_json: bool) -> str:
             text = col if isinstance(col, str) else fmt(col, digits)
             cells.append((encode_basestring_ascii(text) if as_json else text).replace("%", "%%"))
     row = "    [\n      " + ",\n      ".join(cells) + "\n    ]" if as_json else _csv([cells])
-    values = np.stack(arrays, axis=1).ravel().tolist()
-    return (",\n" if as_json else "").join([row] * len(arrays[0])) % tuple(values)
+    sep = ",\n" if as_json else ""
+    for start in range(0, len(arrays[0]), GRID_BLOCK):
+        block = [a[start:start + GRID_BLOCK] for a in arrays]
+        values = tuple(np.stack(block, axis=1).ravel().tolist())
+        yield (sep if start else "") + sep.join([row] * len(block[0])) % values
 
 
 def _emit(args, header, doc, rows=(), columns=(), comments=()) -> int:
     """Write `doc` as JSON (after schema_version and command) or `comments`,
     `header` and `rows` as CSV, per --format, to --output or stdout; a grid
-    table's `columns` (see `_grid_rows`) follow as the JSON key "rows" or as CSV rows."""
+    table's `columns` (see `_grid_rows`) follow as the JSON key "rows" or as CSV
+    rows.  Its first block is made before --output is opened: a formatter error writes nothing."""
+    blocks = _grid_rows(columns, args.precision, args.format == "json") if columns else iter(())
+    first = next(blocks, "")
     if args.format == "json":
         doc = {"schema_version": SCHEMA_VERSION, "command": args.subcommand, **doc}
-        text = json.dumps(doc, indent=2)
+        head, tail = json.dumps(doc, indent=2), "\n"
         if columns:  # "rows" goes last, before the closing brace
-            body = _grid_rows(columns, args.precision, True)
-            text = f'{text[:-2]},\n  "rows": [\n{body}\n  ]\n}}'
-        text += "\n"
+            head, tail = f'{head[:-2]},\n  "rows": [\n', "\n  ]\n}\n"
     else:
-        text = "".join(f"# {line}\n" for line in comments) + _csv([header, *rows])
-        if columns:
-            text += _grid_rows(columns, args.precision, False)
-    if args.output is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.output, "w", newline="") as fh:
-            fh.write(text)
+        head, tail = "".join(f"# {line}\n" for line in comments) + _csv([header, *rows]), ""
+    with (contextlib.nullcontext(sys.stdout) if args.output is None
+          else open(args.output, "w", newline="")) as fh:
+        fh.write(head + first)
+        fh.writelines(blocks)  # each block as it is made
+        fh.write(tail)
     return 0
 
 

@@ -19,7 +19,7 @@ import numpy as np
 from .channels import MAX_DIM, TP_TOL, apply_isometry, read_spec
 from .errors import ARITH_TOL, NORM_TOL, DimMismatch, InvalidState, SpecFormatError
 from .errors import check_complex, check_int, check_range, check_real
-from .qlinalg import shannon_entropies, squared_norms
+from .qlinalg import grouped_entropies, squared_norms
 
 # On a state's block: an accepted channel (input dimension <= MAX_DIM) moves a squared norm
 # by at most MAX_DIM * TP_TOL * (1 + NORM_TOL); a second NORM_TOL covers that and rounding.
@@ -177,20 +177,6 @@ def _gram(m: np.ndarray) -> np.ndarray:
     return m @ m.conj().transpose(0, 2, 1)
 
 
-def _spectra(*stacks: np.ndarray) -> list[list[float]]:
-    """The entropies of the matrices of each stack (k, d, d), from one np.linalg.eigvalsh call
-    and one shannon_entropies call per distinct d: the stacked solve treats each matrix on its
-    own, so no entropy's bits depend on the rest."""
-    out = list(stacks)
-    for d in {m.shape[-1] for m in stacks}:
-        group = [i for i, m in enumerate(stacks) if m.shape[-1] == d]
-        h = shannon_entropies(np.linalg.eigvalsh(
-            np.concatenate([stacks[i] for i in group]) if group[1:] else stacks[group[0]]))
-        for i in group:
-            out[i], h = h[:len(stacks[i])], h[len(stacks[i]):]
-    return out
-
-
 def entropy_profiles(states) -> list[EntropyProfile]:
     """The profiles of the stack of N states StateStack(states), checked unless it is one."""
     return _profiles(*StateStack(states))
@@ -207,7 +193,7 @@ def _profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
     avg_b = (probs.reshape(-1, 1, 1) * rho_b).reshape(n, width, db, db).sum(1)
     if not np.isfinite(avg_b).all():  # a block edited after its check; LAPACK can miss a NaN
         raise InvalidState("an average B state has a NaN or infinite entry")
-    h_a, h_b, h_e, h_ab, h_avg_b = _spectra(
+    h_a, h_b, h_e, h_ab, h_avg_b = grouped_entropies(
         _gram(psi.reshape(-1, da, db * de)), rho_b,
         _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db)),
         _gram(psi.reshape(-1, da * db, de)), avg_b)

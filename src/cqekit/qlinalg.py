@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -18,10 +19,22 @@ EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, fo
 WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
 
 
-def is_hermitian(m: np.ndarray):  # a mask over a stack (..., d, d)
-    # a caller's matrix gets the input slack NORM_TOL; the ones cqekit forms are Hermitian to ulps
-    return m.shape[-2] == m.shape[-1] and np.abs(m - m.conj().swapaxes(-1, -2)).max(
-        axis=(-2, -1)) <= NORM_TOL
+def is_hermitian(m: np.ndarray):
+    """The one check of a caller's stack (..., d, d): NotSquare, or InvalidState for a NaN or an
+    infinite entry, which LAPACK can miss; then the mask of its matrices within NORM_TOL of m^H."""
+    if m.shape[-2] != m.shape[-1]:
+        raise NotSquare(f"matrix has shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise InvalidState("matrix has a NaN or infinite entry")
+    return np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1)) <= NORM_TOL
+
+
+def check_hermitian(m: np.ndarray) -> np.ndarray:
+    """`m` once is_hermitian accepts every matrix of it: eigvalsh and eigh read one triangle
+    only, so a finite matrix that is not Hermitian raises NotHermitian."""
+    if not is_hermitian(m).all():
+        raise NotHermitian("matrix is not Hermitian within tolerance")
+    return m
 
 
 def shannon_entropies(rows: np.ndarray) -> list[float]:
@@ -53,25 +66,25 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def matrix_entropies(m: np.ndarray) -> np.ndarray:
-    """Von Neumann entropy in bits of each PSD Hermitian matrix of a stack (..., d, d).
+def grouped_entropies(*stacks: np.ndarray) -> list[list[float]]:
+    """Entropies in bits of each checked stack (k, d, d): one eigvalsh and one shannon_entropies
+    call per distinct d, each matrix solved on its own, so no bit depends on the rest."""
+    groups = {}
+    for m in stacks:
+        groups.setdefault(m.shape[-1], []).append(m)
+    solved = {d: iter(shannon_entropies(np.linalg.eigvalsh(np.concatenate(g) if g[1:] else g[0])))
+              for d, g in groups.items()}
+    return [list(islice(solved[m.shape[-1]], len(m))) for m in stacks]
 
-    Eigenvalues in [-EIG_CLAMP, 0) count as 0; a lower one raises InvalidState, and so does a
-    NaN or infinite entry (LAPACK can return finite eigenvalues for it).  eigvalsh reads one
-    triangle only, so a finite matrix that is not Hermitian raises NotHermitian.
-    """
-    if not np.isfinite(m).all():
-        raise InvalidState("matrix has a NaN or infinite entry")
-    if not np.all(is_hermitian(m)):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w = np.linalg.eigvalsh(m)
-    return np.array(shannon_entropies(w.reshape(-1, w.shape[-1]))).reshape(m.shape[:-2])
+
+def matrix_entropies(m: np.ndarray) -> np.ndarray:
+    """grouped_entropies of each matrix of a stack (..., d, d) that check_hermitian accepts."""
+    [h] = grouped_entropies(check_hermitian(m).reshape(-1, *m.shape[-2:]))
+    return np.array(h).reshape(m.shape[:-2])
 
 
 def trace_norms(m: np.ndarray) -> np.ndarray:
     """Sum of singular values of each matrix of a stack (..., d, d); |eigenvalues| if Hermitian."""
-    if m.shape[-2] != m.shape[-1]:
-        raise NotSquare(f"matrix has shape {m.shape}")
     hermitian, norms = is_hermitian(m), np.abs(np.linalg.eigvalsh(m)).sum(-1)
     return norms if hermitian.all() else np.where(
         hermitian, norms, np.linalg.svd(m, compute_uv=False).sum(-1))
@@ -84,11 +97,7 @@ def trace_norm(m: np.ndarray) -> float:
 def matrix_sqrt_psd(x: np.ndarray, max_eig: float = math.inf, error=NotPSD) -> np.ndarray:
     """Hermitian PSD square root of each matrix of a stack (..., d, d), from one eigh: eigenvalues
     in [-EIG_CLAMP, 0) clamp to 0; one under -EIG_CLAMP or over max_eig + EIG_CLAMP raises error."""
-    if x.shape[-2] != x.shape[-1]:
-        raise NotSquare(f"matrix has shape {x.shape}")
-    if not np.all(is_hermitian(x)):
-        raise NotHermitian("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh(x)
+    w, v = np.linalg.eigh(check_hermitian(x))
     if w.min() < -EIG_CLAMP or w.max() > max_eig + EIG_CLAMP:
         raise error(f"eigenvalues in [{w.min()}, {w.max()}] beyond [0, {max_eig}] by > {EIG_CLAMP}")
     root = (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)

@@ -10,8 +10,9 @@ from cqekit.channels import builtin_isometry
 from cqekit.entropics import CQEJointState, channel_output_ensemble, entropy_profiles
 from cqekit.entropics import make_ensemble, mu_ensemble
 from cqekit.errors import ARITH_TOL, DimMismatch, InvalidState, NoEnvironmentSplit
-from cqekit.errors import NotHermitian, NotValidPOVMElement
-from cqekit.qlinalg import EIG_CLAMP, matrix_sqrt_psd, squared_norms, trace_norm, trace_norms
+from cqekit.errors import NORM_TOL, NotHermitian, NotSquare, NotValidPOVMElement
+from cqekit.qlinalg import EIG_CLAMP, is_hermitian, marginals, matrix_entropies, matrix_sqrt_psd
+from cqekit.qlinalg import shannon_entropies, squared_norms, trace_norm, trace_norms
 from conftest import dephased_profile, random_ensemble
 
 
@@ -175,6 +176,128 @@ def test_entropy_bounds_reject_a_bad_matrix(bad, error):
                 check(np.stack([np.eye(dim) / dim, rho]), np.stack([np.eye(dim) / dim, sigma]))
     with pytest.raises(error):
         bounds.ssa_check(spoiled(8), (2, 2, 2))
+
+
+def _faulty(fault, dim):
+    """A dim x dim state spoiled by `fault`, or a non-square dim x (dim + 1) matrix."""
+    if fault == "non-square":
+        return np.eye(dim, dim + 1) / dim
+    m = np.eye(dim, dtype=complex) / dim
+    m[0, 1] = {"nan": np.nan, "inf": np.inf, "-inf": -np.inf, "non-Hermitian": 0.1}[fault]
+    return m
+
+
+# each entry point that takes a caller's matrix, with the dimension it takes and a call that
+# puts the matrix m in each place a caller's matrix goes (the other one a valid state)
+ENTRY_POINTS = {
+    "matrix_entropies": (2, lambda m: [matrix_entropies(m)]),
+    "trace_norms": (2, lambda m: [trace_norms(m)]),
+    "matrix_sqrt_psd": (2, lambda m: [matrix_sqrt_psd(m)]),
+    "check_fannes": (2, lambda m: [bounds.check_fannes(m, np.zeros_like(m)),
+                                   bounds.check_fannes(np.zeros_like(m), m)]),
+    "check_af": (4, lambda m: [bounds.check_af(m, np.zeros_like(m), (2, 2)),
+                               bounds.check_af(np.zeros_like(m), m, (2, 2))]),
+    "check_mi": (4, lambda m: [bounds.check_mi(m, np.zeros_like(m), (2, 2)),
+                               bounds.check_mi(np.zeros_like(m), m, (2, 2))]),
+    "ssa_check": (8, lambda m: [bounds.ssa_check(m, (2, 2, 2))]),
+    "gentle_measurement_check": (2, lambda m: [
+        bounds.gentle_measurement_check([(1.0, np.eye(2) / 2)], m)]),
+}
+FAULTS = {"non-square": NotSquare, "nan": InvalidState, "inf": InvalidState,
+          "-inf": InvalidState, "non-Hermitian": NotHermitian}
+
+
+@pytest.mark.parametrize("fault", sorted(FAULTS))
+@pytest.mark.parametrize("name", sorted(ENTRY_POINTS))
+def test_one_error_per_matrix_fault(name, fault):
+    # one check of a caller's matrix, at every entry point: a finite non-Hermitian matrix is
+    # rejected wherever eigvalsh or eigh would read one triangle of it; trace_norms takes its SVD
+    dim, call = ENTRY_POINTS[name]
+    m = _faulty(fault, dim)
+    if (name, fault) == ("trace_norms", "non-Hermitian"):
+        assert call(m)[0] == np.linalg.svd(m, compute_uv=False).sum()
+        return
+    with pytest.raises(FAULTS[fault]):
+        call(m)
+    with pytest.raises(FAULTS[fault]):  # the bad matrix second in a stack of two
+        call(np.stack([np.zeros_like(m), m]))
+
+
+def _entropy(m):
+    """H(m) from one eigvalsh of the matrix alone: the per-marginal reference."""
+    return shannon_entropies(np.linalg.eigvalsh(m)[None])[0]
+
+
+def test_marginals_of_an_accepted_matrix_are_not_checked_again():
+    # asymmetries of 0.9 NORM_TOL at (0, 2) and (1, 3) pass the check; rho_A sums both
+    rng = np.random.default_rng(0)
+    rho = bounds.random_density(4, rng)
+    rho[0, 2] += 0.9e-10
+    rho[1, 3] += 0.9e-10
+    rho_a, rho_b = marginals(rho, (2, 2))
+    assert is_hermitian(rho) and not is_hermitian(rho_a)
+    mutual, coherent = (_entropy(rho_a) + _entropy(rho_b) - _entropy(rho),
+                        _entropy(rho_b) - _entropy(rho))
+    assert bounds.mutual_info_mat(rho, (2, 2)) == pytest.approx(mutual, abs=1e-12)
+    assert bounds.coherent_info_mat(rho, (2, 2)) == pytest.approx(coherent, abs=1e-12)
+    sigma = bounds.random_density(4, rng)
+    s_a, s_b = marginals(sigma, (2, 2))
+    s_mutual, s_coherent = (_entropy(s_a) + _entropy(s_b) - _entropy(sigma),
+                            _entropy(s_b) - _entropy(sigma))
+    for check, value, s_value in ((bounds.check_mi, mutual, s_mutual),
+                                  (bounds.check_af, coherent, s_coherent)):
+        assert check(rho, sigma, (2, 2)).lhs == pytest.approx(abs(value - s_value), abs=1e-12)
+
+
+def test_information_of_a_matrix_is_one_grouped_solve(monkeypatch):
+    # a matrix and its marginals are solved together, one eigvalsh per matrix size, and each
+    # value keeps the bits of the per-marginal sums of matrix_entropies
+    rng = np.random.default_rng(43)
+    rho_ab, rho_abc = bounds.random_density(4, rng, 3), bounds.random_density(8, rng)
+    mutual = [(matrix_entropies(a) + matrix_entropies(b) - matrix_entropies(m)).tolist()
+              for m, dims in ((rho_ab, (2, 2)), (rho_abc, (2, 4))) for a, b in [marginals(m, dims)]]
+    ab = marginals(rho_abc, (4, 2))[0]
+    ssa_lhs = (sum(map(matrix_entropies, marginals(ab, (2, 2)))) - matrix_entropies(ab)).tolist()
+    coherent = (matrix_entropies(marginals(rho_ab, (2, 2))[1]) - matrix_entropies(rho_ab)).tolist()
+    real, sizes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[-1]) or real(m))
+    assert bounds.mutual_info_mat(rho_ab, (2, 2)) == mutual[0] and sorted(sizes) == [2, 4]
+    sizes.clear()
+    assert bounds.mutual_info_mat(rho_ab[0], (2, 2)) == mutual[0][0] and len(sizes) == 2
+    sizes.clear()
+    assert bounds.coherent_info_mat(rho_ab, (2, 2)) == coherent and sorted(sizes) == [2, 4]
+    sizes.clear()
+    report = bounds.ssa_check(rho_abc, (2, 2, 2))
+    assert (report.lhs, report.rhs) == (ssa_lhs, mutual[1]) and sorted(sizes) == [2, 4, 8]
+
+
+@pytest.mark.parametrize("ens, x, error", [
+    ([(2.0, np.eye(2) / 2), (-1.0, np.eye(2) / 2)], np.eye(2), InvalidState),
+    ([(0.5, np.eye(2) / 2), (0.5 + 1.1 * ARITH_TOL, np.eye(2) / 2)], np.eye(2), InvalidState),
+    ([(np.nan, np.eye(2) / 2)], np.eye(2), InvalidState),
+    ([(1.0, np.array([[0.5, 0.5], [0.0, 0.5]]))], np.eye(2), NotHermitian),
+    ([(1.0, np.diag([2.0, -1.0]))], np.diag([1.0, 0.0]), InvalidState),
+    ([(1.0, np.diag([1.0, -1.1 * EIG_CLAMP]))], np.eye(2), InvalidState),
+    ([(1.0, np.array([[np.nan, 0.0], [0.0, 1.0]]))], np.eye(2), InvalidState),
+    ([(1.0, np.eye(2) / 2)], np.array([[0.5, 0.5], [0.0, 0.5]]), NotHermitian),
+    ([(1.0, np.eye(2) / 2)], np.array([[np.nan, 0.0], [0.0, 1.0]]), InvalidState),
+])
+def test_gentle_measurement_checks_its_input(ens, x, error):
+    # weights a probability vector within ARITH_TOL, states by matrix_entropies' rules, and an
+    # element Hermitian within NORM_TOL before its Hermitian part is taken; in a stack too
+    with pytest.raises(error):
+        bounds.gentle_measurement_check(ens, x)
+    with pytest.raises(error):
+        bounds.gentle_measurement_check([[(1.0, np.eye(2) / 2)], ens], np.stack([np.eye(2), x]))
+
+
+def test_gentle_measurement_accepts_its_input_edges():
+    # weights off 1 by 0.9 ARITH_TOL, an eigenvalue 0.9 EIG_CLAMP below 0 and an element
+    # 0.9 NORM_TOL off Hermitian pass, and the element's Hermitian part is what is measured
+    x = np.array([[0.5, 0.9 * NORM_TOL], [0.0, 0.5]])
+    ens = [(0.5, np.diag([1.0, -0.9 * EIG_CLAMP])), (0.5 + 0.9 * ARITH_TOL, np.eye(2) / 2)]
+    report = bounds.gentle_measurement_check(ens, x)
+    assert (report.lhs, report.rhs) == _gentle_reference(ens, x)
 
 
 def test_ssa_check():

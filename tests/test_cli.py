@@ -313,9 +313,10 @@ def test_batched_suites_solve_all_trials_together(monkeypatch, suite):
         calls.clear()
         assert run_cli("check", "--suite", suite, "--trials", trials, "--seed", "3")[0] == 0
         counts.append(len(calls))
-    # gentle solves one eigh (range check and root) and one eigvalsh (trace norms) per stack,
-    # one stack per dimension drawn (2 or 3): one trial draws one dimension, 20 trials both
-    assert counts[0] > 0 and counts == ([2, 4, 4] if suite == "gentle" else [counts[0]] * 3)
+    # gentle solves one eigh (range check and root) and two eigvalsh (its states' check and the
+    # trace norms) per stack, one stack per dimension drawn (2 or 3): one trial draws one
+    # dimension, 20 trials both
+    assert counts[0] > 0 and counts == ([3, 6, 6] if suite == "gentle" else [counts[0]] * 3)
 
 
 @pytest.mark.parametrize("suite, channels", [("identities", 3), ("dpi", 1)])
@@ -711,6 +712,39 @@ def test_precision_beyond_the_formatter_exit_code(argv, monkeypatch):
         code, out, err = run_cli(*argv, "--format", fmt_name)
         assert code == 2 and out == ""
         assert "config error" in err
+
+
+def test_a_formatter_error_creates_no_output_file(monkeypatch, tmp_path):
+    # the first block of rows is formatted before --output is opened
+    monkeypatch.setenv("CQEKIT_PRECISION", "2147483648")
+    target = tmp_path / "out"
+    for fmt_name in ("csv", "json"):
+        code, out, err = run_cli("compare", "--p", "0.2", "--format", fmt_name,
+                                 "--output", str(target))
+        assert (code, out) == (2, "") and "config error" in err and not target.exists()
+
+
+@pytest.mark.parametrize("fmt_name", ["csv", "json"])
+def test_grid_blocks_equal_one_format_call(monkeypatch, tmp_path, fmt_name):
+    # grid counts one below, at and one above the first two block boundaries: the bytes of a
+    # single `%` call (one block as large as the grid), on stdout and in --output
+    block = cli.GRID_BLOCK
+    for n in (block - 1, block, block + 1, 2 * block - 1, 2 * block, 2 * block + 1):
+        for command in (("curve", "cef", "--p", "0.3"), ("compare", "--p", "0.3")):
+            argv = (*command, "--grid", f"0:0.5:{n}", "--format", fmt_name)
+            monkeypatch.setattr(cli, "GRID_BLOCK", n)
+            single = run_cli(*argv)
+            monkeypatch.setattr(cli, "GRID_BLOCK", block)
+            assert run_cli(*argv) == single and single[0] == 0
+            target = tmp_path / f"{n}-{command[0]}"
+            assert run_cli(*argv, "--output", str(target))[:2] == (0, "")
+            assert target.read_bytes() == single[1].encode()
+    # and blocks of 4 rows against the per-value reference writer
+    monkeypatch.setattr(cli, "GRID_BLOCK", 4)
+    for n in (2, 3, 4, 5, 8, 9):
+        for command in (("curve", "ds", "--p", "0.3"), ("compare", "--channel", "erasure:0.3")):
+            argv = [*command, "--grid", f"0:0.5:{n}", "--format", fmt_name]
+            assert run_cli(*argv) == (0, reference_output(argv, cli.DEFAULT_PRECISION), "")
 
 
 def reference_output(argv, digits):

@@ -594,7 +594,7 @@ def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad
     # in a stack of one: the solve's output row whose input is that matrix, found by its bits
     rng = np.random.default_rng(31)
     states = [_random_state(rng, 2, 2, DEPHASING) for _ in range(5)]
-    spectra, solve = entropics._spectra, np.linalg.eigvalsh
+    spectra, solve = entropics.grouped_entropies, np.linalg.eigvalsh
 
     def corrupted(which, row, hits):
         def spectra_with_a_bad_row(*stacks):
@@ -616,7 +616,7 @@ def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad
     for batch, i in ((states, k), ([states[k]], 0)):
         for which in range(5):
             row, hits = i if which == 4 else 2 * i, []  # two blocks per state, one average
-            monkeypatch.setattr(entropics, "_spectra", corrupted(which, row, hits))
+            monkeypatch.setattr(entropics, "grouped_entropies", corrupted(which, row, hits))
             with pytest.raises(InvalidState):
                 entropy_profiles(_stack(batch))
             assert len(hits) == 1

@@ -44,7 +44,11 @@ def test_is_hermitian():
     assert is_hermitian(np.eye(3, dtype=complex))
     assert is_hermitian(np.array([[0, -1j], [1j, 0]]))
     assert not is_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]]))
-    assert not is_hermitian(np.zeros((2, 3)))
+    # the check before the mask: a non-square shape and a non-finite entry raise
+    with pytest.raises(NotSquare):
+        is_hermitian(np.zeros((2, 3)))
+    with pytest.raises(InvalidState):
+        is_hermitian(np.array([[1.0, np.nan], [np.nan, 1.0]]))
 
 
 def test_tensor_dimensions_and_values():

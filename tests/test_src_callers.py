@@ -157,3 +157,33 @@ def test_the_private_import_census_sees_both_forms():
               "from .entropics import _profiles, entropy_profiles\nimport sys\n"
               "x = bounds._report(1, 2) + cf.g(0, 0) + cf._checked_mu(0) + sys._getframe(0)\n")
     assert imported_private_names(source) == {"_profiles", "bounds._report", "cf._checked_mu"}
+
+
+EIGENSOLVERS = {"eigvalsh", "eigh", "svd"}
+
+
+def eigensolver_uses(source: str) -> set[str]:
+    """The numpy eigensolvers and SVD that `source` calls, as `np.linalg.eigh(..)` or as a bare
+    `eigh(..)`, or imports by name, as `from numpy.linalg import svd as s`."""
+    uses = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            uses.add(func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", ""))
+        elif isinstance(node, ast.ImportFrom):
+            uses |= {alias.name for alias in node.names}
+    return uses & EIGENSOLVERS
+
+
+def test_only_qlinalg_calls_an_eigensolver():
+    # every entropy, trace norm and square root is solved in qlinalg, behind its one matrix check
+    modules = sorted((ROOT / "src" / "cqekit").glob("*.py"))
+    assert {path.name: eigensolver_uses(path.read_text()) for path in modules} == {
+        path.name: EIGENSOLVERS if path.name == "qlinalg.py" else set() for path in modules}
+
+
+def test_the_eigensolver_census_flags_a_planted_call():
+    source = ("import numpy as np\nfrom numpy.linalg import svd as s\nfrom numpy import linalg\n"
+              "w = np.linalg.eigvalsh(m) + linalg.eigh(m)[0] + s(m) + np.linalg.norm(m)\n")
+    assert eigensolver_uses(source) == EIGENSOLVERS
+    assert eigensolver_uses("import numpy as np\nn = np.linalg.norm(m) + eig(m)\n") == set()
