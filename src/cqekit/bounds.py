@@ -93,11 +93,15 @@ def check_mi(rho_ab: np.ndarray, sigma_ab: np.ndarray, dims: tuple[int, int]) ->
 def gentle_measurement_check(ens, x: np.ndarray):
     """Average disturbance of an ensemble [(p, rho), ...] under sqrt(X) . sqrt(X) vs sqrt(8 eps);
     a list of reports for N ensembles and a stack x (N, d, d), padded with weight-0 letters.
-    x must pass check_hermitian, each ensemble's weights be a probability vector within
-    ARITH_TOL, and its states pass matrix_entropies."""
+    x must pass check_hermitian and hold one element per ensemble, each ensemble's weights be a
+    probability vector within ARITH_TOL, and its states be (d, d) and pass matrix_entropies."""
     if x.ndim == 2:
         return gentle_measurement_check([ens], x[None])[0]
     check_hermitian(x)  # before its Hermitian part is taken, so an accepted x keeps its bits
+    if x.shape[:-2] != (len(ens),):
+        raise DimMismatch(f"{len(ens)} ensembles against a stack x of shape {x.shape}")
+    if any(np.shape(rho) != x.shape[-2:] for letters in ens for _, rho in letters):
+        raise DimMismatch(f"a letter state is not of x's element shape {x.shape[-2:]}")
     probs = np.zeros((len(ens), max(map(len, ens))))
     rhos = np.zeros(probs.shape + x.shape[-2:], complex)
     for i, letters in enumerate(ens):

@@ -12,8 +12,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import NORM_TOL, InvalidState, NotHermitian, NotPSD, NotSquare, UnknownLabel
-from .errors import check_range
+from .errors import NORM_TOL, DimMismatch, InvalidState, NotHermitian, NotPSD, NotSquare
+from .errors import UnknownLabel, check_range
 
 EIG_CLAMP = 1e-9  # > ARITH_TOL > n eps |rho| ~ 6e-14, eigvalsh's error at 0, for n <= 16 * 17
 WEIGHT_FLOOR = 1e-15  # a skipped q <= WEIGHT_FLOOR holds q log2(1/q) < 5e-14 = ARITH_TOL / 20 bits
@@ -113,7 +113,9 @@ def squared_norms(rows: np.ndarray) -> np.ndarray:
 
 def marginals(rho: np.ndarray, dims: tuple[int, int]) -> tuple[np.ndarray, np.ndarray]:
     """(rho_A, rho_B) of a matrix on A (x) B, or of each of a stack (..., d_A d_B, d_A d_B),
-    with dims = (d_A, d_B) in tensor order."""
+    with dims = (d_A, d_B) in tensor order; DimMismatch unless d_A d_B is the matrix size."""
+    if dims[0] * dims[1] != rho.shape[-1]:
+        raise DimMismatch(f"dims {dims} do not multiply to the matrix size {rho.shape[-1]}")
     t = rho.reshape(*rho.shape[:-2], dims[0], dims[1], dims[0], dims[1])
     return np.einsum("...ijkj->...ik", t), np.einsum("...ijil->...jl", t)
 

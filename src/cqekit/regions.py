@@ -5,7 +5,8 @@ Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every region.
 unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the feasible basic
 solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
 built at import.  Time-sharing membership rejects t with a row of A t above every region's
-b, which no mixture reaches, and else solves each pair on 716 constant bases.  Every row test
+b, which no mixture reaches; else it solves on 716 constant bases each pair with no row of
+A t above both of the pair's b, which no mixture of the pair reaches either.  Every row test
 allows one slack, _slack: a floor, or ROW_REL_TOL times the row's largest |term| if larger.
 """
 
@@ -250,7 +251,8 @@ def union_membership(
     i < j and lam in [0, 1], 14 rows in (u, lam) with 0 <= u <= t, feasible iff a basic
     solution is, each row within its _slack.  That closure can be smaller than the hull of
     three or more regions, which the capacity region is.  First, t with a row of A t above
-    max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved.
+    max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved;
+    so is each pair with a row of A t that far above both its b_i and b_j.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -264,8 +266,12 @@ def union_membership(
     # Any mixture has A t <= max_i b_i.  A kept pair solution has lam in [-e, 1 + e] (e =
     # ENTROPIC_TOL) and |u| within e and ulps of |t|, so its rows have terms up to R = 2 (max |b|
     # + 3 max(|t|, 1)) and slacks up to s = _slack at R: rows r and r + 6 add up to (A t)_r <=
-    # max_i b_i,r + 2 s + 2 e max |b|; a third s covers rounding.  One s bounds all six rows.
+    # max(b_i,r, b_j,r) + 2 s + 2 e max |b|; a third s covers rounding.  One s bounds all six
+    # rows.  So a pair with a row r over both its b_i,r and b_j,r is infeasible unsolved, and a
+    # row over every b_i,r, so over max_i b_i,r (a rounded sum is monotone), rules out every pair.
     s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(*map(abs, t), 1.0)))
-    if np.any(at > bs.max(axis=0) + 3 * s + 2 * ENTROPIC_TOL * scale):
+    over = at > bs + 3 * s + 2 * ENTROPIC_TOL * scale
+    if over.all(axis=0).any():
         return False
-    return any(_pair_feasible(bi, bj, at) for bi, bj in combinations(bs, 2))
+    return any(not (over[i] & over[j]).any() and _pair_feasible(bs[i], bs[j], at)
+               for i, j in combinations(range(len(bs)), 2))

@@ -291,6 +291,27 @@ def test_gentle_measurement_checks_its_input(ens, x, error):
         bounds.gentle_measurement_check([[(1.0, np.eye(2) / 2)], ens], np.stack([np.eye(2), x]))
 
 
+def test_gentle_measurement_needs_one_element_per_ensemble():
+    # an x of one element is not broadcast over two ensembles, nor two elements over one
+    ens = [[(1.0, np.eye(2) / 2)], [(1.0, np.diag([1.0, 0.0]))]]
+    with pytest.raises(DimMismatch):
+        bounds.gentle_measurement_check(ens, np.eye(2)[None])
+    with pytest.raises(DimMismatch):
+        bounds.gentle_measurement_check(ens[:1], np.stack([np.eye(2), np.eye(2)]))
+    assert len(bounds.gentle_measurement_check(ens, np.stack([np.eye(2), np.eye(2)]))) == 2
+
+
+@pytest.mark.parametrize("state", [np.ones((2, 3)) / 6, np.eye(3) / 3, np.array([0.5, 0.5]),
+                                   np.ones((1, 1))])
+def test_gentle_measurement_needs_states_of_the_element_shape(state):
+    # checked before the padded stack is built, so no shape is broadcast into x's (d, d)
+    with pytest.raises(DimMismatch):
+        bounds.gentle_measurement_check([(0.5, np.eye(2) / 2), (0.5, state)], np.eye(2))
+    with pytest.raises(DimMismatch):
+        bounds.gentle_measurement_check([[(1.0, np.eye(2) / 2)], [(1.0, state)]],
+                                        np.stack([np.eye(2), np.eye(2)]))
+
+
 def test_gentle_measurement_accepts_its_input_edges():
     # weights off 1 by 0.9 ARITH_TOL, an eigenvalue 0.9 EIG_CLAMP below 0 and an element
     # 0.9 NORM_TOL off Hermitian pass, and the element's Hermitian part is what is measured
@@ -298,6 +319,19 @@ def test_gentle_measurement_accepts_its_input_edges():
     ens = [(0.5, np.diag([1.0, -0.9 * EIG_CLAMP])), (0.5 + 0.9 * ARITH_TOL, np.eye(2) / 2)]
     report = bounds.gentle_measurement_check(ens, x)
     assert (report.lhs, report.rhs) == _gentle_reference(ens, x)
+
+
+@pytest.mark.parametrize("call", [
+    lambda m: bounds.check_af(m, m, (2, 3)), lambda m: bounds.check_mi(m, m, (2, 3)),
+    lambda m: bounds.coherent_info_mat(m, (2, 3)), lambda m: bounds.mutual_info_mat(m, (2, 3)),
+    lambda m: bounds.ssa_check(np.kron(m, np.eye(2) / 2), (2, 2, 3)),
+], ids=["check_af", "check_mi", "coherent_info_mat", "mutual_info_mat", "ssa_check"])
+def test_dims_must_make_the_matrix_size(call):
+    # dims whose product is not the matrix size raise DimMismatch, not numpy's reshape error
+    with pytest.raises(DimMismatch):
+        call(np.eye(4) / 4)
+    with pytest.raises(DimMismatch):
+        call(np.stack([np.eye(4) / 4] * 2))
 
 
 def test_ssa_check():

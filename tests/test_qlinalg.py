@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from conftest import random_state_vector
 from cqekit.errors import (
     NORM_TOL,
+    DimMismatch,
     InvalidState,
     NotHermitian,
     NotPSD,
@@ -296,6 +297,15 @@ def test_marginals_are_bit_equal_to_np_trace():
         per_matrix = [marginals(m, dims) for m in stack]
         for i, part in enumerate(marginals(stack.reshape(3, 4, *stack.shape[1:]), dims)):
             assert np.array_equal(part.reshape(12, *part.shape[2:]), [p[i] for p in per_matrix])
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2), (1, 2), (4, 2)])
+def test_marginals_need_dims_of_the_matrix_size(dims):
+    # d_A d_B must be the matrix size: DimMismatch, not numpy's reshape error
+    with pytest.raises(DimMismatch):
+        marginals(np.eye(4) / 4, dims)
+    with pytest.raises(DimMismatch):
+        marginals(np.stack([np.eye(4) / 4] * 3), dims)
 
 
 def test_partial_trace_mat_three_parties():

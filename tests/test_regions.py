@@ -1,6 +1,7 @@
 """Tests for rate polytopes, vertex enumeration, and unit-resource arithmetic."""
 
 import hashlib
+import importlib.util
 import json
 import os
 import re
@@ -668,11 +669,12 @@ def pairwise_union_reference(regions, t):
 
 
 def count_pair_solves(monkeypatch):
-    """A list that gains one entry per _pair_feasible call union_membership makes."""
+    """A list that gains one entry per _pair_feasible call union_membership makes: the pair
+    (b_i, b_j) it solves, as lists."""
     calls = []
 
     def counted(bi, bj, at):
-        calls.append(1)
+        calls.append((bi.tolist(), bj.tolist()))
         return _pair_feasible(bi, bj, at)
 
     monkeypatch.setattr(regions_module, "_pair_feasible", counted)
@@ -798,33 +800,93 @@ def test_pair_table_answers_as_every_basis(scale):
     assert np.any(kinds, axis=0).tolist() == [True, True, True]
 
 
-def test_union_screen_equals_the_pair_loop(monkeypatch):
-    # the screen rejects only queries the pair loop rejects too, at every scale: random
-    # points, and the rays through pairwise vertex mixtures cut at the pair loop's boundary,
-    # at (1 +- 1e-9) and 1 +- 1e-3 of it
-    calls = count_pair_solves(monkeypatch)
-    rng = np.random.default_rng(2040)
+def screen_query_sets(seed):
+    """Six sets of screen_test_regions at each scale from 1 to 1e8, each with its queries:
+    random points, and the rays through pairwise vertex mixtures cut at the pair loop's
+    boundary, at 1, 1 +- 1e-9 and 1 +- 1e-3 of it."""
+    rng = np.random.default_rng(seed)
     factors = (1.0, 1 - 1e-9, 1 + 1e-9, 1 - 1e-3, 1 + 1e-3)
-    answers, screened, kinds = [], 0, []
     for scale in (1.0, 1e2, 1e4, 1e6, 1e8):
         for _ in range(6):
             regions = screen_test_regions(rng, scale)
-            kinds.append((len(set(regions)) < len(regions), OneShotRegion(0, 0, 0) in regions,
-                          any(r.i_coh < 0 for r in regions)))
             queries = [RateTriple(*rng.uniform(0.0, (1.5 * scale, scale, 2 * scale)))
                        for _ in range(4)]
             for m in vertex_mixtures(regions, (0.3, 0.7), rng, 2, 3 * scale):
                 edge = boundary_along(regions, m)
                 queries += [m] if edge is None else [edge.scaled(f) for f in factors]
-            for t in queries:
-                calls.clear()
-                got = union_membership(regions, t, timeshare=True)
-                screened += not got and not calls
-                assert got == pairwise_union_reference(regions, t), (regions, t)
-                answers.append(got)
+            yield regions, queries
+
+
+def test_union_screen_equals_the_pair_loop(monkeypatch):
+    # the screen rejects only queries the pair loop rejects too, at every scale
+    calls = count_pair_solves(monkeypatch)
+    answers, screened, kinds = [], 0, []
+    for regions, queries in screen_query_sets(2040):
+        kinds.append((len(set(regions)) < len(regions), OneShotRegion(0, 0, 0) in regions,
+                      any(r.i_coh < 0 for r in regions)))
+        for t in queries:
+            calls.clear()
+            got = union_membership(regions, t, timeshare=True)
+            screened += not got and not calls
+            assert got == pairwise_union_reference(regions, t), (regions, t)
+            answers.append(got)
     assert 0.2 < np.mean(answers) < 0.8
     assert screened > 50
     assert all(0 < n < len(kinds) for n in np.sum(kinds, axis=0))  # duplicates, zero, i_coh < 0
+
+
+def dropped_pairs(bs, calls, got):
+    """The pairs (i, j) of union_membership's regions, with constants bs, that the screen
+    dropped unsolved, given the `calls` of count_pair_solves and the answer: pairs are tried
+    in combinations order and the loop stops at the first feasible one, so a pair is dropped
+    if it is not solved and comes before the last solved pair, or the answer is False."""
+    pending, dropped = list(calls), []
+    for i, j in combinations(range(len(bs)), 2):
+        if pending and pending[0] == (bs[i].tolist(), bs[j].tolist()):
+            pending.pop(0)
+        elif pending or not got:
+            dropped.append((i, j))
+    assert not pending  # every solve is of a pair, in combinations order
+    return dropped
+
+
+def test_union_pair_screen_drops_only_infeasible_pairs(monkeypatch):
+    # the pair-level companion of test_union_screen_equals_the_pair_loop: every pair that the
+    # screen drops is one _pair_feasible rejects, at every scale; and the per-pair bound drops
+    # pairs of queries that the bound over all regions lets through to the pair loop
+    calls = count_pair_solves(monkeypatch)
+    dropped, live = 0, 0
+    for regions, queries in screen_query_sets(2041):
+        bs = [oracle_b(r) for r in regions]
+        for t in queries:
+            calls.clear()
+            got = union_membership(regions, t, timeshare=True)
+            at = ORACLE_A @ t.as_array()
+            pairs = dropped_pairs(bs, calls, got)
+            for i, j in pairs:
+                assert not _pair_feasible(bs[i], bs[j], at), (regions, t, i, j)
+            dropped += len(pairs)
+            live += len(pairs) if calls else 0
+    assert dropped > live > 100
+
+
+def test_union_workload_pair_solve_census(monkeypatch):
+    # the pair solves of the benchmark's union workload per query class, a timing-free gate on
+    # the per-pair bound: the bound over all regions alone makes 716 on this seed, not 410
+    spec = importlib.util.spec_from_file_location(
+        "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    work = workloads.make("union", 20001)
+    work.prepare()
+    work.build_pool()
+    calls = count_pair_solves(monkeypatch)
+    census = dict.fromkeys(work.CLASSES, 0)
+    for i in range(len(work.pool)):
+        calls.clear()
+        assert work.check(i, work.op(i)) == workloads.OK, work.pool[i]
+        census[work.label(i)] += len(calls)
+    assert census == {"inside": 0, "hull-grid": 207, "hull-offgrid": 203, "outside": 0}
 
 
 def test_union_screen_skips_every_pair_solve_of_an_outside_query(monkeypatch):
@@ -954,8 +1016,12 @@ def test_hull_only_point_passes_the_screen(monkeypatch):
     assert oracle_hull(HULL_ONLY_REGIONS, HULL_ONLY_T)
     assert not oracle_timeshare(HULL_ONLY_REGIONS, HULL_ONLY_T)
     calls = count_pair_solves(monkeypatch)
-    union_membership(HULL_ONLY_REGIONS, HULL_ONLY_T, timeshare=True)
-    assert len(calls) == 3  # not screened out: every pair is solved
+    got = union_membership(HULL_ONLY_REGIONS, HULL_ONLY_T, timeshare=True)
+    assert got is pairwise_union_reference(HULL_ONLY_REGIONS, HULL_ONLY_T) is False
+    # not screened out as a whole: the pairs (0, 1) and (1, 2) are solved; (0, 2) is dropped,
+    # as C + Q - E = 0.142 is above both its i_xb + i_coh, 0.046 and 0.102
+    b0, b1, b2 = (oracle_b(r).tolist() for r in HULL_ONLY_REGIONS)
+    assert calls == [(b0, b1), (b1, b2)]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
