@@ -6,7 +6,8 @@ unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the fea
 solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
 built at import.  Time-sharing membership rejects t with a row of A t above every region's
 b, which no mixture reaches; else it solves on 716 constant bases each pair with no row of
-A t above both of the pair's b, which no mixture of the pair reaches either.  Every row test
+A t above both of the pair's b, which no mixture of the pair reaches either: one LU of the bases
+whose det, a dot product with integer cofactors fixed at import, is nonzero.  Every row test
 allows one slack, _slack: a floor, or ROW_REL_TOL times the row's largest |term| if larger.
 """
 
@@ -20,8 +21,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .entropics import ENTROPIC_TOL, STATE_NORM_TOL, CQEJointState
-from .errors import ARITH_TOL, FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
-from .errors import check_range
+from .errors import ARITH_TOL, FLOAT_MAX, DimMismatch, EmptyInput, InvalidRegion, NegativeRate
+from .errors import OutOfRange, check_range
 
 # A state block of squared norm 1 + d has its spectra scaled by 1 + d, which takes up to
 # (1 + d) log2(1 + d) ~ d log2(e) off I(AX;B), I(X;B), I(A;B|X), I(A;E|X) and H(A|X) where
@@ -166,16 +167,20 @@ _PAIR_A = np.zeros((14, 4))
 _PAIR_A[:6, :3], _PAIR_A[6:12, :3], _PAIR_A[12:, 3] = _REGION_A, -_REGION_A, (-1.0, 1.0)
 
 
-def _pair_bases() -> np.ndarray:
+def _pair_bases() -> tuple[np.ndarray, np.ndarray]:
     """The 716 of the 1001 4-row subsets of _PAIR_A, in combinations order, whose u-columns have
-    a nonzero 3-row minor r . (r' x r''), exact on integer rows: the rest are always singular."""
+    a nonzero 3-row minor r . (r' x r''), exact on integer rows: the rest are always singular.
+    And their lam cofactors cof, so det = lam column @ cof: minors of rows 123, 023, 013, 012."""
     idx = np.array(list(combinations(range(len(_PAIR_A)), 4)))
     u = _PAIR_A[:, :3]
     minor = np.einsum("ac,bdc->abd", u, np.cross(u[:, None], u))  # of the rows a, b and d
-    return idx[minor[tuple(idx[:, list(combinations(range(4), 3))].T)].any(axis=0)]
+    cof = minor[tuple(idx[:, list(combinations(range(4), 3))].T)].T[:, ::-1] * (-1, 1, -1, 1)
+    keep = cof.any(axis=1)
+    return idx[keep], cof[keep]
 
 
-_PAIR_BASES = _pair_bases()
+_PAIR_BASES, _PAIR_COF = _pair_bases()
+_PAIR_STACK = _PAIR_A[_PAIR_BASES]  # the 716 bases, their lam column filled per pair
 
 
 def _step(t: float) -> float:
@@ -230,13 +235,16 @@ def derive_children(sigma: CQEJointState) -> dict[str, RateTriple]:
 
 def _pair_feasible(bi: np.ndarray, bj: np.ndarray, at: np.ndarray) -> bool:
     """Whether the pair system of b_i, b_j and A t has a basic solution on _PAIR_BASES within
-    _slack's rule on each row: one stacked det, then one stacked solve of the nonsingular bases."""
+    _slack's rule on each row: each basis's det from its lam column and _PAIR_COF, then one
+    stacked solve, the one LU, of the nonsingular bases."""
     a = _PAIR_A.copy()
     a[:6, 3], a[6:12, 3] = -bi, bj
     b = np.concatenate((np.zeros(6), bj - at, (0.0, 1.0)))
-    sub_a = a[_PAIR_BASES]
-    keep = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL  # a singular one's is rounding of O(1) terms
-    x = np.linalg.solve(sub_a[keep], b[_PAIR_BASES[keep]][..., None])[..., 0]
+    lam = a[:, 3][_PAIR_BASES]
+    keep = abs(np.einsum("sk,sk->s", lam, _PAIR_COF)) >= ARITH_TOL  # the det, from exact cofactors
+    sub_a = _PAIR_STACK[keep]
+    sub_a[..., 3] = lam[keep]  # a[_PAIR_BASES[keep]], float for float
+    x = np.linalg.solve(sub_a, b[_PAIR_BASES[keep]][..., None])[..., 0]
     # LU with partial pivoting is backward stable, so row k misses b_k by ulps of its terms, b_k
     # and a_kj x_j with each |x_j| counted as >= 1: lam, in [0, 1], is resolved to ulps of 1
     slack = np.maximum(ENTROPIC_TOL, ROW_REL_TOL * np.maximum(abs(b), abs(x).clip(1) @ abs(a).T))
@@ -252,10 +260,14 @@ def union_membership(
     solution is, each row within its _slack.  That closure can be smaller than the hull of
     three or more regions, which the capacity region is.  First, t with a row of A t above
     max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved;
-    so is each pair with a row of A t that far above both its b_i and b_j.
+    so is each pair with a row of A t that far above both its b_i and b_j.  t may be any three
+    numbers, a RateTriple or a plain tuple; DimMismatch if it is not three.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
+    if len(t) != 3:
+        raise DimMismatch(f"rate triple {t!r} is not three numbers")
+    t = RateTriple(*t)
     if any(contains(r, t) for r in regions):
         return True
     if not timeshare:

@@ -24,7 +24,9 @@ from conftest import random_ensemble
 from cqekit.channels import builtin_isometry
 from cqekit.cli import _parse_channel
 from cqekit.entropics import STATE_NORM_TOL, channel_output_ensemble, make_ensemble, mu_ensemble
-from cqekit.errors import FLOAT_MAX, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
+from cqekit.errors import (
+    FLOAT_MAX, DimMismatch, EmptyInput, InvalidRegion, NegativeRate, OutOfRange
+)
 from cqekit.regions import (
     ARITH_TOL,
     E_MAX_LIMIT,
@@ -42,6 +44,7 @@ from cqekit.regions import (
     _CAPPED_A,
     _PAIR_A,
     _PAIR_BASES,
+    _PAIR_COF,
     _pair_feasible,
     _rate,
     _slack,
@@ -567,6 +570,20 @@ def test_union_membership_basics():
         union_membership([], RateTriple(0, 0, 0))
 
 
+def test_union_membership_takes_a_plain_tuple():
+    # inside the second region, in the pair's hull only, and above both C + 2Q caps
+    regions = [OneShotRegion(1.0, 1.0, 0.0), OneShotRegion(1.0, 0.0, 0.5)]
+    for t, inside, in_hull in (((0.2, 0.2, 0.0), True, True), ((0.5, 0.25, 0.0), False, True),
+                               ((1.0, 0.5, 0.0), False, False)):
+        for timeshare, want in ((False, inside), (True, in_hull)):
+            assert union_membership(regions, t, timeshare) is want
+            assert union_membership(regions, RateTriple(*t), timeshare) is want
+    for t in ((0.5, 0.25), (0.5, 0.25, 0.0, 0.0)):
+        for timeshare in (False, True):
+            with pytest.raises(DimMismatch):
+                union_membership(regions, t, timeshare)
+
+
 def test_union_membership_timeshare_dephasing():
     mus = np.linspace(0.0, 0.5, 11)
     regions = [region_from_state(sigma_for(DEPHASING, float(m))) for m in mus]
@@ -745,20 +762,78 @@ def test_pair_bases_are_the_rank_3_subsets():
     assert all(np.linalg.matrix_rank(_PAIR_A[rows, :3]) == 3 for rows in kept)
 
 
-def test_one_pair_solve_passes_716_matrices_to_det(monkeypatch):
-    shapes, det = [], np.linalg.det
+def lam_cofactors():
+    """The 4-row subsets of the pair system, in combinations order, and their cofactors along
+    the lam column, for those with one nonzero: Laplace on the integer u-rows, row k's cofactor
+    (-1)^(k + 3) times the 3x3 minor of the other three u-rows."""
+    u = ORACLE_A.tolist() + (-ORACLE_A).tolist() + [[0, 0, 0]] * 2
+    kept, cofactors = [], []
+    for rows in combinations(range(14), 4):
+        cof = [(-1) ** (k + 3) * _det3([u[r] for r in rows if r != rows[k]]) for k in range(4)]
+        if any(cof):
+            kept.append(list(rows))
+            cofactors.append(cof)
+    return kept, cofactors
 
-    def recorded(m):
+
+def test_pair_cofactors_expand_the_det_along_lam():
+    kept, cofactors = lam_cofactors()
+    assert _PAIR_BASES.tolist() == kept and len(kept) == 716
+    assert _PAIR_COF.tolist() == cofactors
+    assert np.array_equal(_PAIR_COF, np.round(_PAIR_COF)) and _PAIR_COF.any(axis=1).all()
+
+
+def test_one_pair_solve_is_one_lu_and_no_det(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.linalg.det called")
+
+    shapes, solve = [], np.linalg.solve
+
+    def recorded(m, b):
         shapes.append(m.shape)
-        return det(m)
+        return solve(m, b)
 
-    monkeypatch.setattr(np.linalg, "det", recorded)
-    # the midpoint of (1, 0, 0) and (0, 0.5, 0), a vertex of each region, is in neither
+    monkeypatch.setattr(np.linalg, "det", refuse)
+    monkeypatch.setattr(np.linalg, "solve", recorded)
+    # the midpoint of (1, 0, 0) and (0, 0.5, 0), a vertex of each region, is in neither; this
+    # pair's b_i and b_j leave 508 of the 716 bases nonsingular
     regions = [OneShotRegion(1.0, 1.0, 0.0), OneShotRegion(1.0, 0.0, 0.5)]
     t = RateTriple(0.5, 0.25, 0.0)
     assert not any(contains(r, t) for r in regions)
     assert union_membership(regions, t, timeshare=True)
-    assert shapes == [(716, 4, 4)]
+    assert shapes == [(508, 4, 4)]
+
+
+def test_pair_solve_keeps_the_bases_of_nonzero_exact_det(monkeypatch):
+    # on every pair of random regions at scales 1 to 1e100 (duplicates and an all-zero region
+    # among them), _pair_feasible solves, float for float, the bases whose det, read exactly
+    # from their floats, is nonzero.  Each of these has an LU det of at least ARITH_TOL too;
+    # LU keeps a few more, whose exact det is 0 and whose LU det is rounding of terms of order
+    # scale, where a region is repeated
+    stacks, solve = [], np.linalg.solve
+    monkeypatch.setattr(np.linalg, "solve", lambda m, b: stacks.append(m) or solve(m, b))
+    cofactors = lam_cofactors()[1]
+    kept, rounding_only = set(), 0
+    for scale in (1.0, 1e4, 1e8, 1e20, 1e50, 1e100):
+        rng = np.random.default_rng(int(np.log10(scale)) + 3100)
+        for k in range(4):
+            regions = screen_test_regions(rng, scale)
+            if k == 3:
+                regions += [regions[0], OneShotRegion(0.0, 0.0, 0.0)]
+            for ri, rj in combinations(regions, 2):
+                a = _PAIR_A.copy()
+                a[:6, 3], a[6:12, 3] = -oracle_b(ri), oracle_b(rj)
+                sub_a = a[_PAIR_BASES]
+                exact = np.array([sum(Fraction(x) * c for x, c in zip(m[:, 3].tolist(), cof)) != 0
+                                  for m, cof in zip(sub_a, cofactors)])
+                by_lu = np.abs(np.linalg.det(sub_a)) >= ARITH_TOL
+                _pair_feasible(oracle_b(ri), oracle_b(rj), ORACLE_A @ rng.uniform(0, scale, 3))
+                assert np.array_equal(stacks.pop(), sub_a[exact]), (ri, rj)
+                assert not (exact & ~by_lu).any(), (ri, rj)
+                kept.add(int(exact.sum()))
+                rounding_only += int((by_lu & ~exact).sum())
+    assert min(kept) < max(kept) == 616  # 100 drop at every pair, more where b has zeros
+    assert rounding_only > 0
 
 
 @pytest.mark.parametrize("scale", [1.0, 1e4, 1e8, 1e20, 1e50, 1e100])
@@ -871,8 +946,10 @@ def test_union_pair_screen_drops_only_infeasible_pairs(monkeypatch):
 
 
 def test_union_workload_pair_solve_census(monkeypatch):
-    # the pair solves of the benchmark's union workload per query class, a timing-free gate on
-    # the per-pair bound: the bound over all regions alone makes 716 on this seed, not 410
+    # the pair solves of the benchmark's union workload per query class, and the LAPACK calls
+    # over its pool, a timing-free gate on the per-pair bound (the bound over all regions alone
+    # makes 716 pair solves on this seed, not 410) and on one LU per pair solve (a det per pair
+    # solve, as before the cofactor table, makes 410 det calls, not 0)
     spec = importlib.util.spec_from_file_location(
         "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -880,6 +957,13 @@ def test_union_workload_pair_solve_census(monkeypatch):
     work = workloads.make("union", 20001)
     work.prepare()
     work.build_pool()
+    lapack = dict.fromkeys(("solve", "det"), 0)
+    for name in lapack:
+        def counted(*args, name=name, call=getattr(np.linalg, name)):
+            lapack[name] += 1
+            return call(*args)
+
+        monkeypatch.setattr(np.linalg, name, counted)
     calls = count_pair_solves(monkeypatch)
     census = dict.fromkeys(work.CLASSES, 0)
     for i in range(len(work.pool)):
@@ -887,6 +971,7 @@ def test_union_workload_pair_solve_census(monkeypatch):
         assert work.check(i, work.op(i)) == workloads.OK, work.pool[i]
         census[work.label(i)] += len(calls)
     assert census == {"inside": 0, "hull-grid": 207, "hull-offgrid": 203, "outside": 0}
+    assert lapack == {"solve": 410, "det": 0}
 
 
 def test_union_screen_skips_every_pair_solve_of_an_outside_query(monkeypatch):
