@@ -55,21 +55,15 @@ def alicki_fannes_bound(eps, dim_a: int):
     return 4.0 * eps * math.log2(dim_a) + 2.0 * binary_entropy(np.minimum(eps, 1.0))
 
 
-def _entropies(*stacks: np.ndarray) -> list[np.ndarray]:
-    """The grouped_entropies of each stack (..., d, d) as an array of its shape[:-2], unchecked."""
-    flat = grouped_entropies(*(m.reshape(-1, *m.shape[-2:]) for m in stacks))
-    return [np.array(h).reshape(m.shape[:-2]) for m, h in zip(stacks, flat)]
-
-
 def coherent_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
     """I(A>B) = H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
-    h_b, h_ab = _entropies(marginals(check_hermitian(rho_ab), dims)[1], rho_ab)
+    h_b, h_ab = grouped_entropies(marginals(check_hermitian(rho_ab), dims)[1], rho_ab)
     return (h_b - h_ab).tolist()
 
 
 def mutual_info_mat(rho_ab: np.ndarray, dims: tuple[int, int]):
     """I(A;B) = H(A) + H(B) - H(AB) of a bipartite density matrix; a (nested) list over a stack."""
-    h_a, h_b, h_ab = _entropies(*marginals(check_hermitian(rho_ab), dims), rho_ab)
+    h_a, h_b, h_ab = grouped_entropies(*marginals(check_hermitian(rho_ab), dims), rho_ab)
     return (h_a + h_b - h_ab).tolist()
 
 
@@ -102,6 +96,8 @@ def gentle_measurement_check(ens, x: np.ndarray):
         raise DimMismatch(f"{len(ens)} ensembles against a stack x of shape {x.shape}")
     if any(np.shape(rho) != x.shape[-2:] for letters in ens for _, rho in letters):
         raise DimMismatch(f"a letter state is not of x's element shape {x.shape[-2:]}")
+    if not ens:  # a batch of no ensembles, once x passed
+        return []
     probs = np.zeros((len(ens), max(map(len, ens))))
     rhos = np.zeros(probs.shape + x.shape[-2:], complex)
     for i, letters in enumerate(ens):
@@ -120,7 +116,7 @@ def ssa_check(rho_abc: np.ndarray, dims: tuple[int, int, int]) -> BoundReport:
     """Strong subadditivity in the form I(A;B) <= I(A;BC), from one grouped solve."""
     da, db, dc = dims
     ab = marginals(check_hermitian(rho_abc), (da * db, dc))[0]
-    h = _entropies(*marginals(ab, (da, db)), ab, *marginals(rho_abc, (da, db * dc)), rho_abc)
+    h = grouped_entropies(*marginals(ab, (da, db)), ab, *marginals(rho_abc, (da, db * dc)), rho_abc)
     return BoundReport((h[0] + h[1] - h[2]).tolist(), (h[3] + h[4] - h[5]).tolist())
 
 

@@ -173,8 +173,8 @@ def channel_output_ensemble(ens, v):
 
 
 def _gram(m: np.ndarray) -> np.ndarray:
-    """m @ m^dag for a stack of matrices: each block's reduced state on the rows' subsystem."""
-    return m @ m.conj().transpose(0, 2, 1)
+    """m @ m^dag on a stack's last two axes: each block's reduced state on the rows' subsystem."""
+    return m @ m.conj().swapaxes(-1, -2)
 
 
 def entropy_profiles(states) -> list[EntropyProfile]:
@@ -188,23 +188,22 @@ def _profiles(probs: np.ndarray, psi: np.ndarray) -> list[EntropyProfile]:
     chain-rule I(AX;B) is checked against the direct sum_x p(x) (H(A)_x - H(AB)_x) + H(avg B)
     (H(p) cancels), off by sum_x p(x) (H(E)_x - H(AB)_x), which block purity makes 0."""
     n, width, da, db, de = psi.shape
-    psi = np.ascontiguousarray(psi).reshape(n * width, da, db, de)
-    rho_b = _gram(psi.transpose(0, 2, 1, 3).reshape(-1, db, da * de))
-    avg_b = (probs.reshape(-1, 1, 1) * rho_b).reshape(n, width, db, db).sum(1)
+    psi = np.ascontiguousarray(psi)  # so the products' bits do not depend on the caller's layout
+    rho_b = _gram(psi.swapaxes(2, 3).reshape(n, width, db, da * de))
+    avg_b = (probs[..., None, None] * rho_b).sum(1)
     if not np.isfinite(avg_b).all():  # a block edited after its check; LAPACK can miss a NaN
         raise InvalidState("an average B state has a NaN or infinite entry")
-    h_a, h_b, h_e, h_ab, h_avg_b = grouped_entropies(
-        _gram(psi.reshape(-1, da, db * de)), rho_b,
-        _gram(psi.transpose(0, 3, 1, 2).reshape(-1, de, da * db)),
-        _gram(psi.reshape(-1, da * db, de)), avg_b)
-    out = []
-    for i, weights_i in enumerate(probs.tolist()):
-        at = slice(i * width, (i + 1) * width)
+    entropies = grouped_entropies(
+        _gram(psi.reshape(n, width, da, db * de)), rho_b,
+        _gram(psi.transpose(0, 1, 4, 2, 3).reshape(n, width, de, da * db)),
+        _gram(psi.reshape(n, width, da * db, de)), avg_b)
+    out = []  # per state: its weights, its rows of H(A)_x, H(B)_x, H(E)_x, H(AB)_x, H(avg B)
+    for weights, *rows, h_avg_b in zip(probs.tolist(), *(h.tolist() for h in entropies)):
         h_a_x = i_ab = i_ae = i_coh = h_b_x = direct = 0.0  # each summed in letter order
-        for p, ha, hb, he, hab in zip(weights_i, h_a[at], h_b[at], h_e[at], h_ab[at]):
+        for p, ha, hb, he, hab in zip(weights, *rows):
             h_a_x, i_ab, i_ae = h_a_x + p * ha, i_ab + p * (ha + hb - he), i_ae + p * (ha + he - hb)
             i_coh, h_b_x, direct = i_coh + p * (hb - he), h_b_x + p * hb, direct + p * (ha - hab)
-        i_xb, direct = h_avg_b[i] - h_b_x, direct + h_avg_b[i]
+        i_xb, direct = h_avg_b - h_b_x, direct + h_avg_b
         if abs(direct - (i_ab + i_xb)) > ENTROPIC_TOL:
             raise InvalidState(f"chain-rule value {i_ab + i_xb} and direct value {direct} "
                                f"disagree beyond {ENTROPIC_TOL}")

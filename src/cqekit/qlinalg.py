@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -66,21 +65,21 @@ def _log2(x: np.ndarray) -> np.ndarray:
     return np.fromiter(map(math.log2, x.ravel().tolist()), float, x.size).reshape(x.shape)
 
 
-def grouped_entropies(*stacks: np.ndarray) -> list[list[float]]:
-    """Entropies in bits of each checked stack (k, d, d): one eigvalsh and one shannon_entropies
-    call per distinct d, each matrix solved on its own, so no bit depends on the rest."""
-    groups = {}
-    for m in stacks:
-        groups.setdefault(m.shape[-1], []).append(m)
+def grouped_entropies(*stacks: np.ndarray) -> list[np.ndarray]:
+    """Entropies in bits of each checked stack (..., d, d), shaped like its leading axes: one
+    eigvalsh and shannon_entropies call per d, each matrix alone, so no bit depends on the rest."""
+    groups, flat = {}, [m.reshape(-1, m.shape[-1], m.shape[-1]) for m in stacks]
+    for f in flat:
+        groups.setdefault(f.shape[-1], []).append(f)
     solved = {d: iter(shannon_entropies(np.linalg.eigvalsh(np.concatenate(g) if g[1:] else g[0])))
               for d, g in groups.items()}
-    return [list(islice(solved[m.shape[-1]], len(m))) for m in stacks]
+    return [np.fromiter(solved[f.shape[-1]], float, len(f)).reshape(m.shape[:-2])
+            for m, f in zip(stacks, flat)]
 
 
 def matrix_entropies(m: np.ndarray) -> np.ndarray:
     """grouped_entropies of each matrix of a stack (..., d, d) that check_hermitian accepts."""
-    [h] = grouped_entropies(check_hermitian(m).reshape(-1, *m.shape[-2:]))
-    return np.array(h).reshape(m.shape[:-2])
+    return grouped_entropies(check_hermitian(m))[0]
 
 
 def trace_norms(m: np.ndarray) -> np.ndarray:

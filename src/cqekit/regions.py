@@ -111,8 +111,12 @@ def region_from_state(sigma: CQEJointState) -> OneShotRegion:
 
 
 def contains(r: OneShotRegion, t: RateTriple) -> bool:
-    """Whether t satisfies every row of r within the row's _slack; NaN or inf in t raises."""
-    c, q, e = t
+    """Whether t satisfies every row of r within the row's _slack; DimMismatch unless t is three
+    numbers, OutOfRange if one is NaN or inf."""
+    try:
+        c, q, e = t
+    except (TypeError, ValueError):
+        raise DimMismatch(f"rate triple {t!r} is not three numbers") from None
     if not (math.isfinite(c) and math.isfinite(q) and math.isfinite(e)):
         raise OutOfRange(f"rate triple {t} has a NaN or infinite coordinate")
     return (c >= -ARITH_TOL and q >= -ARITH_TOL and e >= -ARITH_TOL
@@ -261,19 +265,16 @@ def union_membership(
     three or more regions, which the capacity region is.  First, t with a row of A t above
     max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved;
     so is each pair with a row of A t that far above both its b_i and b_j.  t may be any three
-    numbers, a RateTriple or a plain tuple; DimMismatch if it is not three.
+    numbers, a RateTriple or a plain tuple; contains raises DimMismatch if it is not three.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
-    if len(t) != 3:
-        raise DimMismatch(f"rate triple {t!r} is not three numbers")
-    t = RateTriple(*t)
     if any(contains(r, t) for r in regions):
         return True
     if not timeshare:
         return False
     bs = np.array([_region_b(r) for r in regions])
-    at = _REGION_A @ t.as_array()
+    at = _REGION_A @ RateTriple(*t).as_array()
     scale = abs(bs).max()
     # Any mixture has A t <= max_i b_i.  A kept pair solution has lam in [-e, 1 + e] (e =
     # ENTROPIC_TOL) and |u| within e and ulps of |t|, so its rows have terms up to R = 2 (max |b|

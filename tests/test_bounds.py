@@ -299,6 +299,7 @@ def test_gentle_measurement_needs_one_element_per_ensemble():
     with pytest.raises(DimMismatch):
         bounds.gentle_measurement_check(ens[:1], np.stack([np.eye(2), np.eye(2)]))
     assert len(bounds.gentle_measurement_check(ens, np.stack([np.eye(2), np.eye(2)]))) == 2
+    assert bounds.gentle_measurement_check([], np.zeros((0, 2, 2))) == []  # an empty batch
 
 
 @pytest.mark.parametrize("state", [np.ones((2, 3)) / 6, np.eye(3) / 3, np.array([0.5, 0.5]),

@@ -554,6 +554,20 @@ def test_stacked_path_equals_states_built_alone(kind, param, d):
     assert _hex(dropped.profile) == _hex(alone[2].profile)
 
 
+@pytest.mark.parametrize("dims", [(3, 3, 1), (4, 1, 3), (1, 4, 2)])
+def test_profile_bits_do_not_depend_on_the_stack_layout(dims):
+    # a caller's stack may be a strided view, here every other E entry of a wider array:
+    # its profiles have the bits of its contiguous copy's
+    rng = np.random.default_rng([*dims, 47])
+    psi = random_state_vector(math.prod(dims), rng, 8 * 3).reshape(8, 3, *dims)
+    probs = rng.dirichlet(np.ones(3), 8)
+    wide = np.zeros((*psi.shape[:-1], 2 * dims[2]), dtype=complex)
+    wide[..., ::2] = psi
+    assert not wide[..., ::2].flags.c_contiguous
+    assert ([_hex(p) for p in entropy_profiles((probs, wide[..., ::2]))]
+            == [_hex(p) for p in entropy_profiles((probs, psi))])
+
+
 @pytest.mark.parametrize("kind, param, d", [
     ("dephasing", 0.0, 2), ("erasure", 0.0, 2), ("erasure", 0.0, 3),
 ])
@@ -615,7 +629,7 @@ def test_batched_profile_rejects_a_bad_spectrum_in_any_state(monkeypatch, k, bad
 
     for batch, i in ((states, k), ([states[k]], 0)):
         for which in range(5):
-            row, hits = i if which == 4 else 2 * i, []  # two blocks per state, one average
+            row, hits = i if which == 4 else (i, 0), []  # state i's first block, or its average
             monkeypatch.setattr(entropics, "grouped_entropies", corrupted(which, row, hits))
             with pytest.raises(InvalidState):
                 entropy_profiles(_stack(batch))

@@ -23,6 +23,7 @@ from cqekit.qlinalg import (
     WEIGHT_FLOOR,
     PureStateVector,
     binary_entropy,
+    grouped_entropies,
     is_hermitian,
     marginals,
     matrix_entropies,
@@ -205,8 +206,9 @@ def test_trace_norm():
         trace_norm(np.zeros((2, 3)))
 
 
-def test_stacked_entropies_and_trace_norms_equal_per_matrix_calls():
+def test_stacked_entropies_and_trace_norms_equal_per_matrix_calls(monkeypatch):
     rng = np.random.default_rng(41)
+    stacks = {}
     for d in (2, 3, 4):
         gauss = rng.standard_normal((9, d, 2 * d)) + 1j * rng.standard_normal((9, d, 2 * d))
         states = gauss @ gauss.conj().transpose(0, 2, 1)
@@ -220,6 +222,20 @@ def test_stacked_entropies_and_trace_norms_equal_per_matrix_calls():
         assert trace_norms(mixed).tolist() == [trace_norm(m) for m in mixed]
         with pytest.raises(NotSquare):
             trace_norms(gauss)
+        stacks[d] = states
+    # one grouped call over stacks of leading shapes (3, 3), () and (0,) at two sizes,
+    # interleaved: each entry is its matrix's entropy alone, from one eigvalsh per size
+    a, b = stacks[2], stacks[4]
+    shaped = [a.reshape(3, 3, 2, 2), b[0], a[:0], b.reshape(3, 3, 4, 4), a[0], b[:0]]
+    solve, sizes = np.linalg.eigvalsh, []
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda m: sizes.append(m.shape[-1]) or solve(m))
+    out = grouped_entropies(*shaped)
+    monkeypatch.undo()
+    assert sorted(sizes) == [2, 4]
+    assert [h.shape for h in out] == [(3, 3), (), (0,)] * 2
+    for m, h in zip(shaped, out):
+        alone = [matrix_entropies(x).item() for x in m.reshape(-1, *m.shape[-2:])]
+        assert h.ravel().tolist() == alone
 
 
 def test_trace_norm_properties():

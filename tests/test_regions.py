@@ -578,7 +578,9 @@ def test_union_membership_takes_a_plain_tuple():
         for timeshare, want in ((False, inside), (True, in_hull)):
             assert union_membership(regions, t, timeshare) is want
             assert union_membership(regions, RateTriple(*t), timeshare) is want
-    for t in ((0.5, 0.25), (0.5, 0.25, 0.0, 0.0)):
+    for t in ((0.5, 0.25), (0.5, 0.25, 0.0, 0.0), 0.5):  # contains owns the check
+        with pytest.raises(DimMismatch):
+            contains(regions[0], t)
         for timeshare in (False, True):
             with pytest.raises(DimMismatch):
                 union_membership(regions, t, timeshare)

@@ -187,3 +187,35 @@ def test_the_eigensolver_census_flags_a_planted_call():
               "w = np.linalg.eigvalsh(m) + linalg.eigh(m)[0] + s(m) + np.linalg.norm(m)\n")
     assert eigensolver_uses(source) == EIGENSOLVERS
     assert eigensolver_uses("import numpy as np\nn = np.linalg.norm(m) + eig(m)\n") == set()
+
+
+def shannon_callers(source: str) -> set[str]:
+    """The top-level functions and classes of `source` that call shannon_entropies, as
+    `shannon_entropies(..)` or `qlinalg.shannon_entropies(..)`, "<module>" for a call outside
+    them, and "<import>" if `source` imports it by name, as an alias would be missed."""
+    callers = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.ImportFrom) and "shannon_entropies" in {a.name for a in node.names}:
+            callers.add("<import>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call) and "shannon_entropies" in (
+                    getattr(call.func, "attr", None), getattr(call.func, "id", None)):
+                callers.add(getattr(node, "name", "<module>"))
+    return callers
+
+
+def test_only_grouped_entropies_calls_shannon_entropies():
+    # one entropy path: every spectrum of every stack reaches shannon_entropies through it
+    modules = sorted((ROOT / "src" / "cqekit").glob("*.py"))
+    assert {path.name: shannon_callers(path.read_text()) for path in modules} == {
+        path.name: {"grouped_entropies"} if path.name == "qlinalg.py" else set()
+        for path in modules}
+
+
+def test_the_entropy_census_flags_a_planted_call():
+    source = ("from .qlinalg import shannon_entropies as h\nfrom . import qlinalg\n"
+              "def f(m):\n    return qlinalg.shannon_entropies(m)\n"
+              "class K:\n    def g(self, w):\n        return [shannon_entropies(w)]\n"
+              "z = shannon_entropies([[1.0]])\n")
+    assert shannon_callers(source) == {"<import>", "f", "K", "<module>"}
+    assert shannon_callers("def f(w):\n    return shannon_entropy(w) + entropies(w)\n") == set()
