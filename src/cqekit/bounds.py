@@ -98,7 +98,11 @@ def gentle_measurement_check(ens, x: np.ndarray):
         raise DimMismatch(f"a letter state is not of x's element shape {x.shape[-2:]}")
     if not ens:  # a batch of no ensembles, once x passed
         return []
-    probs = np.zeros((len(ens), max(map(len, ens))))
+    sizes = list(map(len, ens))
+    if 0 in sizes:  # an ensemble of no letters has no weights
+        at = f" of ensemble {sizes.index(0)}" if len(ens) > 1 else ""
+        raise InvalidState(f"weights []{at} are empty and do not sum to 1")
+    probs = np.zeros((len(ens), max(sizes)))
     rhos = np.zeros(probs.shape + x.shape[-2:], complex)
     for i, letters in enumerate(ens):
         probs[i, :len(letters)], rhos[i, :len(letters)] = zip(*letters)

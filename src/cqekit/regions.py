@@ -5,10 +5,11 @@ Q <= i_coh + E, and C + Q <= i_xb + i_coh + E: A t <= b, one A for every region.
 unbounded in +E, so vertex enumeration takes an e_max cap.  Vertices are the feasible basic
 solutions of the seven capped planes, each V[s] @ b for a constant table V of basis inverses
 built at import.  Time-sharing membership rejects t with a row of A t above every region's
-b, which no mixture reaches; else it solves on 716 constant bases each pair with no row of
-A t above both of the pair's b, which no mixture of the pair reaches either: one LU of the bases
-whose det, a dot product with integer cofactors fixed at import, is nonzero.  Every row test
-allows one slack, _slack: a floor, or ROW_REL_TOL times the row's largest |term| if larger.
+b, which no mixture reaches; else it solves on 716 constant bases each pair whose six rows
+leave some lam in [0, 1], widened by ENTROPIC_TOL, with A t <= lam b_i + (1 - lam) b_j plus
+three slacks, which any mixture of the pair has: one LU of the bases whose det, a dot product
+with integer cofactors fixed at import, is nonzero.  Every row test allows one slack, _slack:
+a floor, or ROW_REL_TOL times the row's largest |term| if larger.
 """
 
 from __future__ import annotations
@@ -264,8 +265,10 @@ def union_membership(
     solution is, each row within its _slack.  That closure can be smaller than the hull of
     three or more regions, which the capacity region is.  First, t with a row of A t above
     max_i b_i by more than a pair's slacks reach, which no mixture has, is rejected unsolved;
-    so is each pair with a row of A t that far above both its b_i and b_j.  t may be any three
-    numbers, a RateTriple or a plain tuple; contains raises DimMismatch if it is not three.
+    so is each pair whose six rows leave no lam in [-e, 1 + e] (e = ENTROPIC_TOL) with A t <=
+    lam b_i + (1 - lam) b_j + 3 s, s the slack of the pair's largest terms: the lam-interval
+    screen, one array pass over all pairs.  t may be any three numbers, a RateTriple or a plain
+    tuple; contains raises DimMismatch if it is not three.
     """
     if len(regions) == 0:
         raise EmptyInput("no regions supplied")
@@ -275,16 +278,34 @@ def union_membership(
         return False
     bs = np.array([_region_b(r) for r in regions])
     at = _REGION_A @ RateTriple(*t).as_array()
-    scale = abs(bs).max()
-    # Any mixture has A t <= max_i b_i.  A kept pair solution has lam in [-e, 1 + e] (e =
-    # ENTROPIC_TOL) and |u| within e and ulps of |t|, so its rows have terms up to R = 2 (max |b|
-    # + 3 max(|t|, 1)) and slacks up to s = _slack at R: rows r and r + 6 add up to (A t)_r <=
-    # max(b_i,r, b_j,r) + 2 s + 2 e max |b|; a third s covers rounding.  One s bounds all six
-    # rows.  So a pair with a row r over both its b_i,r and b_j,r is infeasible unsolved, and a
-    # row over every b_i,r, so over max_i b_i,r (a rounded sum is monotone), rules out every pair.
-    s = _slack(ENTROPIC_TOL, 2 * (scale + 3 * max(*map(abs, t), 1.0)))
-    over = at > bs + 3 * s + 2 * ENTROPIC_TOL * scale
-    if over.all(axis=0).any():
+    scale, e = abs(bs).max(), ENTROPIC_TOL
+    # A kept pair solution (u, lam) has lam in [-e, 1 + e], these very floats: rows 12 and 13
+    # read -lam <= e and lam <= 1 + e.  Its u is within e and ulps of [0, t], so each row's terms
+    # sum to at most R / 2, R = 2 (max |b| + 3 max(|t|, 1)), and its slack is at most s = _slack
+    # at R.  Rows r and r + 6 add up to (A t)_r <= lam b_i,r + (1 - lam) b_j,r + 2 s + 3 eps R,
+    # the last term the two row checks' rounding.  Any mixture has A t <= max_i b_i, and lam
+    # b_i,r + (1 - lam) b_j,r is at most max(b_i,r, b_j,r) + 2 e max |b|: a row over every b_i,r
+    # plus 3 s + 2 e max |b| (so over max_i b_i,r, as a rounded sum is monotone) rules out every
+    # pair, and an outside query builds no pair arrays.
+    s = _slack(e, 2 * (scale + 3 * max(*map(abs, t), 1.0)))
+    if (at > bs + 3 * s + 2 * e * scale).all(axis=0).any():
         return False
-    return any(not (over[i] & over[j]).any() and _pair_feasible(bs[i], bs[j], at)
+    # Else a pair is solved only if some lam in [-e, 1 + e] has lam d_r >= c_r in all six rows,
+    # d = b_i - b_j and c = A t - 3 s - b_j.  Row r bounds lam from below by c_r / d_r if d_r > 0,
+    # from above if d_r < 0, and if d_r = 0 (b_i,r = b_j,r: only then is fl(b_i,r - b_j,r) = 0)
+    # admits every lam or none, as c_r <= 0 or not, with no division.  A kept solution's lam has
+    # lam d_r - c_r >= s - 3 eps R >= 41 eps R (s >= ROW_REL_TOL R), and the rounding of c and d
+    # moves that by at most 2 eps R (|c|, |d| <= R, |lam| <= 1 + e): so c_r < 0 where d_r = 0,
+    # and, lam being a float and rounding monotone, fl(c_r / d_r) stays on lam's side (if it
+    # overflows, to the inf of its sign).  The computed interval holds lam, so no rounding empties
+    # it, not even where it is one point, which it can be only at a box end, a float compared
+    # exactly.  (A row over both b_i,r and b_j,r, by 3 s + 2 e max |b|, empties it.)
+    d, c = bs[:, None] - bs, at - 3 * s - bs  # d[i, j] = b_i - b_j, c[j] = A t - 3 s - b_j
+    q = np.empty_like(d)
+    q[:] = np.where(c > 0, np.inf, -np.inf)  # for d_r = 0: a lower bound of inf, or none
+    with np.errstate(over="ignore"):  # a c_r / d_r past FLOAT_MAX is inf, see above
+        np.divide(c, d, out=q, where=d != 0)
+    up = d < 0  # the rows that bound lam from above
+    keep = (q.max(axis=2, initial=-e, where=~up) <= q.min(axis=2, initial=1 + e, where=up)).tolist()
+    return any(keep[i][j] and _pair_feasible(bs[i], bs[j], at)
                for i, j in combinations(range(len(bs)), 2))

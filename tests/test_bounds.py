@@ -302,6 +302,16 @@ def test_gentle_measurement_needs_one_element_per_ensemble():
     assert bounds.gentle_measurement_check([], np.zeros((0, 2, 2))) == []  # an empty batch
 
 
+def test_gentle_measurement_rejects_an_ensemble_of_no_letters():
+    # the wording of a state with no letters; in a batch of two or more, with the index
+    with pytest.raises(InvalidState, match=r"^weights \[\] are empty and do not sum to 1$"):
+        bounds.gentle_measurement_check([], np.eye(2))
+    with pytest.raises(InvalidState, match=r"^weights \[\] are empty and do not sum to 1$"):
+        bounds.gentle_measurement_check([[]], np.eye(2)[None])
+    with pytest.raises(InvalidState, match=r"^weights \[\] of ensemble 1 are empty and do not"):
+        bounds.gentle_measurement_check([[(1.0, np.eye(2) / 2)], []], np.stack([np.eye(2)] * 2))
+
+
 @pytest.mark.parametrize("state", [np.ones((2, 3)) / 6, np.eye(3) / 3, np.array([0.5, 0.5]),
                                    np.ones((1, 1))])
 def test_gentle_measurement_needs_states_of_the_element_shape(state):

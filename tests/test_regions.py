@@ -947,11 +947,83 @@ def test_union_pair_screen_drops_only_infeasible_pairs(monkeypatch):
     assert dropped > live > 100
 
 
+@pytest.mark.parametrize("scale", [1e20, 1e50, 1e100])
+def test_union_pair_screen_drops_only_infeasible_pairs_at_huge_scales(monkeypatch, scale):
+    # the sets of test_pair_solve_keeps_the_bases_of_nonzero_exact_det at this scale, with a
+    # duplicate and an all-zero region, so pairs with rows b_i,r = b_j,r; as queries its draws'
+    # points, and a vertex mixture of each pair cut at the pair's boundary.  With every
+    # pair solve answering False, the screen's kept pairs are all solved in turn: each pair it
+    # drops _pair_feasible rejects, and it drops each pair that the over-both rule drops (a row
+    # of A t over both b_i,r and b_j,r by the margin of the screen over all regions)
+    seen = []
+    monkeypatch.setattr(regions_module, "_pair_feasible",
+                        lambda bi, bj, at: seen.append((bi.tolist(), bj.tolist())) or False)
+    rng = np.random.default_rng(int(np.log10(scale)) + 3100)
+    extra = np.random.default_rng(int(np.log10(scale)) + 3200)
+    dropped, old_dropped, equal_rows, solved_feasible = 0, 0, 0, 0
+    for k in range(4):
+        regions = screen_test_regions(rng, scale)
+        if k == 3:
+            regions += [regions[0], OneShotRegion(0.0, 0.0, 0.0)]
+        pairs = list(combinations(range(len(regions)), 2))
+        queries = [RateTriple(*rng.uniform(0, scale, 3)) for _ in pairs]
+        bs = np.array([oracle_b(r) for r in regions])
+        for pair in pairs:
+            bi, bj = bs[list(pair)]
+            m = vertex_mixtures([regions[i] for i in pair], (0.3, 0.7), extra, 1, 3 * scale)[0]
+            if m.c + m.q > 0 and _pair_feasible(bi, bj, ORACLE_A @ m.as_array()):
+                lo, hi = 1.0, 2.0
+                while _pair_feasible(bi, bj, ORACLE_A @ m.scaled(hi).as_array()):
+                    lo, hi = hi, 2 * hi
+                for _ in range(30):
+                    mid = (lo + hi) / 2
+                    inside = _pair_feasible(bi, bj, ORACLE_A @ m.scaled(mid).as_array())
+                    lo, hi = (mid, hi) if inside else (lo, mid)
+                queries += [m.scaled(lo * f) for f in (1 - 1e-9, 1.0, 1 + 1e-9, 1.001)]
+        for t in queries:
+            seen.clear()
+            union_membership(regions, t, timeshare=True)
+            at = ORACLE_A @ t.as_array()
+            s = _slack(ENTROPIC_TOL, 2 * (abs(bs).max() + 3 * max(*t, 1.0)))
+            over = at > bs + 3 * s + 2 * ENTROPIC_TOL * abs(bs).max()
+            if any(contains(r, t) for r in regions) or over.all(axis=0).any():
+                assert not seen
+                continue
+            pair_dropped = dropped_pairs(bs, seen, False)
+            for i, j in pair_dropped:
+                assert not _pair_feasible(bs[i], bs[j], at), (regions, t, i, j)
+            old = [(i, j) for i, j in pairs if (over[i] & over[j]).any()]
+            assert set(old) <= set(pair_dropped), (regions, t)
+            dropped, old_dropped = dropped + len(pair_dropped), old_dropped + len(old)
+            equal_rows += sum((bs[i] == bs[j])[3:].any() for i, j in pair_dropped)
+            solved_feasible += sum(_pair_feasible(bs[i], bs[j], at) for i, j in pairs
+                                   if (i, j) not in pair_dropped)
+    assert dropped > old_dropped > 0
+    assert equal_rows > 0 and solved_feasible > 0
+
+
+def test_union_pair_screen_keeps_a_region_paired_with_itself_at_its_slack_edge():
+    # the pair loop's last accepted point on a ray, for a region and its duplicate: rows r and
+    # r + 6 of the pair system each take their slack, so t is over the region's C + 2Q <= i_axb
+    # by more than one slack, e; the screen's 3 s keeps the pair where a margin of s drops it
+    r, ray = OneShotRegion(1.0, 0.5, 0.2), RateTriple(0.6, 0.2, 0.1)
+    b = oracle_b(r)
+    lo, hi = 1.0, 2.0
+    for _ in range(50):
+        mid = (lo + hi) / 2
+        inside = _pair_feasible(b, b, ORACLE_A @ ray.scaled(mid).as_array())
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    t = ray.scaled(lo)
+    assert ENTROPIC_TOL < t.c + 2 * t.q - r.i_axb < 2 * ENTROPIC_TOL
+    assert not contains(r, t) and union_membership([r, r], t, timeshare=True)
+
+
 def test_union_workload_pair_solve_census(monkeypatch):
     # the pair solves of the benchmark's union workload per query class, and the LAPACK calls
-    # over its pool, a timing-free gate on the per-pair bound (the bound over all regions alone
-    # makes 716 pair solves on this seed, not 410) and on one LU per pair solve (a det per pair
-    # solve, as before the cofactor table, makes 410 det calls, not 0)
+    # over its pool, a timing-free gate on the per-pair lam-interval screen (the bound over all
+    # regions alone makes 716 pair solves on this seed, and the rule of a row over both b_i and
+    # b_j 410, not 240) and on one LU per pair solve (a det per pair solve, as before the
+    # cofactor table, makes 240 det calls, not 0)
     spec = importlib.util.spec_from_file_location(
         "benchmark_workloads", Path(__file__).resolve().parents[1] / "benchmarks" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
@@ -972,8 +1044,9 @@ def test_union_workload_pair_solve_census(monkeypatch):
         calls.clear()
         assert work.check(i, work.op(i)) == workloads.OK, work.pool[i]
         census[work.label(i)] += len(calls)
-    assert census == {"inside": 0, "hull-grid": 207, "hull-offgrid": 203, "outside": 0}
-    assert lapack == {"solve": 410, "det": 0}
+    # one solve per hull query: 5 sets x 24 queries of each hull class
+    assert census == {"inside": 0, "hull-grid": 120, "hull-offgrid": 120, "outside": 0}
+    assert lapack == {"solve": 240, "det": 0}
 
 
 def test_union_screen_skips_every_pair_solve_of_an_outside_query(monkeypatch):
@@ -1105,10 +1178,21 @@ def test_hull_only_point_passes_the_screen(monkeypatch):
     calls = count_pair_solves(monkeypatch)
     got = union_membership(HULL_ONLY_REGIONS, HULL_ONLY_T, timeshare=True)
     assert got is pairwise_union_reference(HULL_ONLY_REGIONS, HULL_ONLY_T) is False
-    # not screened out as a whole: the pairs (0, 1) and (1, 2) are solved; (0, 2) is dropped,
-    # as C + Q - E = 0.142 is above both its i_xb + i_coh, 0.046 and 0.102
-    b0, b1, b2 = (oracle_b(r).tolist() for r in HULL_ONLY_REGIONS)
-    assert calls == [(b0, b1), (b1, b2)]
+    # not screened out as a whole, but each pair's lam-interval is empty, so no pair is solved.
+    # Row r of A t <= lam b_i + (1 - lam) b_j bounds lam by (A t - b_j)_r / (b_i - b_j)_r, from
+    # below where b_i,r > b_j,r: for (0, 1), Q - E <= i_coh asks lam >= 0.90 and C + Q - E <=
+    # i_xb + i_coh lam <= 0.42; for (0, 2), C + Q - E = 0.142, above both its i_xb + i_coh, 0.046
+    # and 0.102, asks lam <= -0.71; for (1, 2), C + 2Q <= i_axb asks lam >= 0.86 and Q - E <=
+    # i_coh lam <= 0.69
+    assert calls == []
+    bs, at = [oracle_b(r) for r in HULL_ONLY_REGIONS], ORACLE_A @ HULL_ONLY_T.as_array()
+
+    def bound(i, j, r):
+        return round((at - bs[j])[r] / (bs[i] - bs[j])[r], 2)
+
+    assert [bound(0, 1, 4), bound(0, 1, 5)] == [0.90, 0.42]
+    assert bound(0, 2, 5) == -0.71 and bs[0][5] < bs[2][5] < at[5]
+    assert [bound(1, 2, 3), bound(1, 2, 4)] == [0.86, 0.69]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2")
